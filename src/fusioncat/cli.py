@@ -21,13 +21,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class UsageError(Exception):
+    """Arguments that parse but name something the program does not cover."""
+
+
 def _algebra(text):
     m = re.fullmatch(r"([A-G])(\d+)", text)
     if not m:
         raise argparse.ArgumentTypeError(f"expected a family letter and rank, like A3, got {text!r}")
+    family, rank = m.group(1), int(m.group(2))
+    if family not in "AB" or rank < (2 if family == "B" else 1):
+        raise argparse.ArgumentTypeError(f"supported algebras are A1, A2, ... and B2, B3, ..., got {text!r}")
     from . import weights as wt
 
-    return wt.algebra(m.group(1), int(m.group(2)))
+    return wt.algebra(family, rank)
+
+
+def _level(text):
+    if not re.fullmatch(r"\d+", text):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer level, got {text!r}")
+    return int(text)
+
+
+def _modular_algebra(spec):
+    """The modular layer's phase conventions are audited for A1..A3 only."""
+    if spec.family != "A" or spec.rank > 3:
+        raise UsageError(f"modular data and fusion rings cover A1, A2 and A3, not {spec.family}{spec.rank}")
+    return spec
+
+
+def _catalog(args):
+    return cat.Catalog(args.catalog)
 
 
 def _fixture(text):
@@ -53,10 +77,11 @@ def cmd_fusion(args):
     from . import fusion as fr
     from . import weights as wt
 
-    labels = wt.enumerate_alcove(args.algebra, args.level)
-    mats = fr.fusion_matrices(args.algebra, args.level)
-    rec = cat.fusion_ring_record(args.algebra, args.level, labels, mats)
-    h = cat.Catalog().put(rec)
+    spec = _modular_algebra(args.algebra)
+    labels = wt.enumerate_alcove(spec, args.level)
+    mats = fr.fusion_matrices(spec, args.level)
+    rec = cat.fusion_ring_record(spec, args.level, labels, mats)
+    h = _catalog(args).put(rec)
     print(f"stored fusion-ring {h} ({len(labels)} matrices)")
     return EX_OK
 
@@ -64,9 +89,9 @@ def cmd_fusion(args):
 def cmd_modular(args):
     from . import modular as md
 
-    data = md.modular_data(args.algebra, args.level)
+    data = md.modular_data(_modular_algebra(args.algebra), args.level)
     rec = cat.modular_data_record(data)
-    h = cat.Catalog().put(rec)
+    h = _catalog(args).put(rec)
     print(f"stored modular-data {h} ({len(data.labels)} labels, c={data.central_charge})")
     return EX_OK
 
@@ -132,7 +157,7 @@ def _store_flagship_algebra(store):
 def cmd_invariant(args):
     from . import pipeline as pl
 
-    h = _store_flagship_invariant(cat.Catalog())
+    h = _store_flagship_invariant(_catalog(args))
     M = pl.invariant().matrix
     print(f"stored invariant {h} (trace {int(M.trace())}, gram trace {int((M.T @ M).trace())})")
     return EX_OK
@@ -141,7 +166,7 @@ def cmd_invariant(args):
 def cmd_split(args):
     from . import pipeline as pl
 
-    h = _store_flagship_family(cat.Catalog())
+    h = _store_flagship_family(_catalog(args))
     fam = pl.family()
     print(f"stored toric-family {h} (rank {fam.rank}, {fam.slot_count} slots)")
     return EX_OK
@@ -150,7 +175,7 @@ def cmd_split(args):
 def cmd_realize(args):
     from . import pipeline as pl
 
-    h = _store_flagship_algebra(cat.Catalog())
+    h = _store_flagship_algebra(_catalog(args))
     print(f"stored graph-algebra {h} ({pl.graph_algebra().doublet_survivors} closure-exact solutions)")
     return EX_OK
 
@@ -158,7 +183,7 @@ def cmd_realize(args):
 def cmd_ocneanu(args):
     from . import pipeline as pl
 
-    store = cat.Catalog()
+    store = _catalog(args)
     gh = _store_flagship_algebra(store)
     th = _store_flagship_family(store)
     rec = cat.oc_graph_record(
@@ -186,7 +211,7 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    store = cat.Catalog()
+    store = _catalog(args)
     if args.hash:
         rec = store.get(args.hash)
         if rec.kind != args.kind:
@@ -217,24 +242,28 @@ def cmd_export(args):
 
 def build_parser():
     p = _Parser(prog="fusioncat", description=__doc__)
+    catalog_help = "catalog root; default $FUSIONCAT_CATALOG, else ./fusioncat-catalog"
+    p.add_argument("--catalog", metavar="DIR", help=catalog_help)
     sub = p.add_subparsers(dest="command", required=True)
 
     def stage(name, fn, help):
         q = sub.add_parser(name, help=help)
         q.set_defaults(func=fn)
+        # also accepted after the command; unset, it leaves the top-level value
+        q.add_argument("--catalog", metavar="DIR", default=argparse.SUPPRESS, help=catalog_help)
         return q
 
     q = stage("alcove", cmd_alcove, "list the level-k alcove with conformal dimensions")
     q.add_argument("--algebra", type=_algebra, required=True)
-    q.add_argument("--level", type=int, required=True)
+    q.add_argument("--level", type=_level, required=True)
 
     q = stage("fusion", cmd_fusion, "compute and store the fusion ring")
     q.add_argument("--algebra", type=_algebra, required=True)
-    q.add_argument("--level", type=int, required=True)
+    q.add_argument("--level", type=_level, required=True)
 
     q = stage("modular", cmd_modular, "compute and store the modular data")
     q.add_argument("--algebra", type=_algebra, required=True)
-    q.add_argument("--level", type=int, required=True)
+    q.add_argument("--level", type=_level, required=True)
 
     q = stage("embed-scan", cmd_embed_scan, "scan for equal-charge ambient algebras at level 1")
     q.add_argument("--base", required=True, help="compact name, like 'SU(4)'")
@@ -270,6 +299,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
+    except UsageError as e:
+        print(f"{parser.prog}: error: {e}", file=sys.stderr)
+        return EX_USAGE
     except cat.MissingArtifact as e:
         print(f"missing artifact: {e}", file=sys.stderr)
         return EX_MISSING

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import CertificationError
 from . import exactla as xla
 
 __all__ = [
@@ -199,7 +200,7 @@ def _doublet_system(annular, self_conjugate_first):
     return sys, caps
 
 
-def doublet_solutions(annular, self_conjugate_first=True, max_sols=500):
+def doublet_solutions(annular, self_conjugate_first=True):
     """Integer candidates for the open doublet members X3, X6, X11.
 
     Constraints: multiplication against every known row must close over the
@@ -207,13 +208,14 @@ def doublet_solutions(annular, self_conjugate_first=True, max_sols=500):
     first row is a unit row, X11 = X6^T, and the first doublet is either
     self-conjugate (X3 symmetric, the kept branch) or crossed
     (X3 + X3^T equal to the doublet sum, which turns out empty).
-    Every cell is capped by its doublet sum, so complements stay nonnegative.
+    Every cell is capped by its doublet sum, so complements stay nonnegative
+    and the enumeration of every lattice point in the box is finite.
     """
     sys, caps = _doublet_system(annular, self_conjugate_first)
     res = sys.rref()
     if not res.consistent:
         return []
-    pts = xla.lattice_points(res, caps, max_sols=max_sols)
+    pts = xla.lattice_points(res, caps)
     out = []
     for x in pts:
         v = np.array(x, dtype=np.int64)
@@ -227,9 +229,14 @@ def crossed_branch_fractions(annular):
     forced values are proper fractions. Returns them, sorted."""
     sys, _ = _doublet_system(annular, self_conjugate_first=False)
     res = sys.rref()
-    assert res.consistent, "the crossed branch is not even rationally solvable"
+    if not res.consistent:
+        raise CertificationError(
+            "graph_algebra", "the crossed branch is not even rationally solvable"
+        )
     forced = [
-        Fraction(rhs) for rowdict, rhs in res.pivots.values() if not rowdict
+        Fraction(int(b), int(d))
+        for d, row, b in zip(res.lead, res.coeffs, res.rhs)
+        if not row.any()
     ]
     return sorted(f for f in forced if f.denominator != 1)
 
@@ -249,15 +256,10 @@ def _assemble(annular, X3, X6, X11):
 def closure_defect(G):
     """Number of products G_x G_a that fail to close over the family with the
     structure constants read off row x of G_a."""
-    bad = 0
-    for a in range(1, 13):
-        Ga = G[a]
-        for x in range(1, 13):
-            lhs = G[x] @ Ga
-            rhs = sum(int(Ga[x - 1, c - 1]) * G[c] for c in range(1, 13))
-            if not np.array_equal(lhs, rhs):
-                bad += 1
-    return bad
+    Gs = np.stack([G[a] for a in range(1, 13)])
+    lhs = np.matmul(Gs[:, None], Gs[None, :])  # [x, a] -> G_x G_a
+    rhs = np.einsum("axc,cij->xaij", Gs, Gs)  # [x, a] -> sum_c (G_a)_xc G_c
+    return int((lhs != rhs).any(axis=(2, 3)).sum())
 
 
 def solve_graph_algebra(annular) -> GraphAlgebra:
@@ -265,21 +267,27 @@ def solve_graph_algebra(annular) -> GraphAlgebra:
     survivors = [
         t for t in cands if closure_defect(_assemble(annular, *t)) == 0
     ]
-    assert survivors, "no closure-exact doublet resolution"
+    if not survivors:
+        raise CertificationError("graph_algebra", "no closure-exact doublet resolution")
     # the survivors form one swap orbit; pick the representative whose
     # second doublet sends vertex 3 to 5 + 7
     picked = [
         t for t in survivors
         if t[1][2, 4] == 1 and t[1][2, 6] == 1 and t[1][2].sum() == 2
     ]
-    assert len(picked) == 1, f"canonical predicate matched {len(picked)} of {len(survivors)}"
+    if len(picked) != 1:
+        raise CertificationError(
+            "graph_algebra",
+            f"canonical predicate matched {len(picked)} of {len(survivors)}",
+        )
     G = _assemble(annular, *picked[0])
     for a in range(1, 13):
-        assert G[a].min() >= 0
         unit_row = np.zeros(12, dtype=np.int64)
         unit_row[a - 1] = 1
-        assert np.array_equal(G[a][0], unit_row)
-        assert np.array_equal(G[a].T, G[VERTEX_CONJ[a]])
+        if G[a].min() < 0 or not np.array_equal(G[a][0], unit_row):
+            raise CertificationError("graph_algebra", f"G_{a} is not a nonnegative unit-row matrix")
+        if not np.array_equal(G[a].T, G[VERTEX_CONJ[a]]):
+            raise CertificationError("graph_algebra", f"G_{a} transposed is not G_{VERTEX_CONJ[a]}")
     return GraphAlgebra(G=G, doublet_survivors=len(survivors))
 
 

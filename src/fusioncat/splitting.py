@@ -4,19 +4,23 @@ from one modular invariant plus the fusion ring.
 The chain here is long but each stage has a sharp contract:
 
 1.  modular_splitting: build the four-index family K[l,m] = N_l M N_m^T,
-    measure each member's norm against its conjugate partner, and discover a
-    generating family of matrices (the toric W's) with multiplicities, by
-    exact span arithmetic plus a bounded subtraction search on the norm
-    budget.
+    measure each member's norm against its conjugate partner (conjugation is
+    read off the ring), and discover a generating family of matrices (the
+    toric W's) with multiplicities, by exact integer span arithmetic plus a
+    bounded subtraction search on the norm budget.
 2.  class_actions: expansion coefficients of N_f W_i over the family, for
-    the three generators; these are the 33x33 shadow of the chiral action.
+    the fundamental generators f of the ring, read off the family's own
+    span; these are the 33x33 shadow of the chiral action.
 3.  lift_chiral_generators: inflate the shadow to the 48 slots (one slot
     per unit of multiplicity). Forced cells come from the multiplicity
-    pattern; the only unknowns live in doublet-by-doublet blocks and are
-    pinned by normality of the left generator, symmetry of the middle one,
-    cross-commutation, nonnegativity of the whole recursion tower, and the
-    row-zero norm sums. The solution comes out unique and swap-invariant,
-    which the code asserts rather than assumes.
+    pattern; the only unknowns live in doublet-by-doublet blocks. Normality
+    of the left generator is a quadratic form in its unknowns, evaluated
+    over every assignment by integer matrix products; the middle generator is
+    symmetric by construction. Cross-commutation, nonnegativity of the
+    recursion tower (level 2 first, which is cheap, then the whole tower)
+    and the row-zero norm sums pin the rest. The solution comes out unique
+    and swap-invariant, which the code checks rather than assumes: a failed
+    check raises CertificationError.
 4.  parity_involution: the vertex involution P conjugating the left action
     into a commuting right action; canonical pick has the maximal number of
     fixed points and is the first such in lexicographic search order.
@@ -28,12 +32,13 @@ Stages return plain dataclasses; nothing here touches the embedding layer.
 """
 
 from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 
+from . import CertificationError
 from . import exactla as xla
 from . import fusion as fr
-from . import weights as wt
 
 __all__ = [
     "SplitFamily",
@@ -62,6 +67,8 @@ class SplitFamily:
     mult: list  # slot multiplicity per member
     decomp: dict  # (l, m) -> integer coefficients of K[l, m] over ws
     trace: list  # how each new member was pulled out (for the curious)
+    ring: dict  # label -> fusion matrix the family was split from
+    span: xla.IntSpan  # exact span of ws, in discovery order
 
     @property
     def rank(self) -> int:
@@ -88,14 +95,14 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
     """
     index = {la: i for i, la in enumerate(labels)}
     r = len(labels)
-    spec = wt.algebra("A", 3)
-    conj = np.array([index[wt.conjugate(spec, la)] for la in labels])
+    conj = _conjugation(mats, labels)
     K = _family_tensor(mats, labels, M)
     norms = np.zeros((r, r), dtype=np.int64)
     for l in range(r):
         for m in range(r):
             norms[l, m] = K[conj[l], conj[m]][l, m]
-    assert norms.min() >= 0
+    if norms.min() < 0:
+        raise CertificationError("family", "a pair has a negative norm")
 
     total_slots = int((M * M).sum())
     flat = K.reshape(r, r, r * r)
@@ -109,11 +116,9 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
         co = span.coords(Kmat.reshape(-1))
         if co is None:
             return None
-        cs = []
-        for c in co:
-            if c.denominator != 1 or c < 0:
-                return []
-            cs.append(int(c))
+        cs, den = co
+        if den != 1 or min(cs, default=0) < 0:
+            return []
         opts = [sorted(xla.square_split_options(c, m)) for c, m in zip(cs, mult)]
 
         def feas(i, target):
@@ -182,10 +187,14 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
                     for wb, rr, split in sigs
                     if used_slots + len(split) <= total_slots
                 }
-            assert sigs, (l, m, norm)
+            if not sigs:
+                raise CertificationError(
+                    "family", f"pair {(l, m)}: every writing needs more than {total_slots} slots"
+                )
             wb, rr, split = sorted(sigs, key=lambda s: (len(s[2]), s[0]))[0]
             Wnew = np.frombuffer(wb, dtype=Kmat.dtype).reshape(r, r).copy()
-            assert span.add(Wnew.reshape(-1))
+            if not span.add(Wnew.reshape(-1)):
+                raise CertificationError("family", f"pair {(l, m)}: new member is already in the span")
             ws.append(Wnew)
             mult.append(len(split))
             trace.append(
@@ -193,17 +202,29 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
                      split=tuple(split), competing=len(sigs))
             )
             res = writing_options(Kmat, norm)
-            assert res, (l, m)
         if not res:
-            raise RuntimeError(
-                f"pair {(l, m)}: in span but no norm-consistent nonnegative writing"
+            raise CertificationError(
+                "family", f"pair {(l, m)}: in span but no norm-consistent nonnegative writing"
             )
         processed[key] = tuple(res[0])
         decomp[(l, m)] = tuple(res[0])
 
-    fam = SplitFamily(labels, index, conj, M, K, norms, ws, mult, decomp, trace)
-    assert np.array_equal(ws[0], M), "vacuum pair must reproduce the invariant"
-    return fam
+    if not np.array_equal(ws[0], M):
+        raise CertificationError("family", "vacuum pair must reproduce the invariant")
+    return SplitFamily(labels, index, conj, M, K, norms, ws, mult, decomp, trace, mats, span)
+
+
+def _conjugation(mats, labels):
+    """Position of each label's conjugate: the one label b with vacuum in
+    l x b, read off the vacuum column of N_l."""
+    vac = labels.index(tuple(0 for _ in labels[0]))
+    conj = []
+    for la in labels:
+        col = mats[la][:, vac]
+        if col.sum() != 1 or col.min() < 0:
+            raise CertificationError("family", f"{la} has no unique conjugate in the ring")
+        conj.append(int(np.flatnonzero(col)[0]))
+    return np.array(conj)
 
 
 def norm_census(fam: SplitFamily, upto: int = 8):
@@ -221,28 +242,29 @@ def norm_census(fam: SplitFamily, upto: int = 8):
 
 
 def class_actions(fam: SplitFamily):
-    """33x33 action of each generator on the family: N_f W_i = sum_j L[i,j] W_j,
-    exact and necessarily nonnegative integer."""
-    spec = wt.algebra("A", 3)
-    span = xla.IntSpan()
-    for w in fam.ws:
-        assert span.add(w.reshape(-1))
-    # generator fusion matrices rebuilt locally to keep this stage standalone
-    gens = {f: fr.fundamental_matrix(spec, 4, f) for f in fr.GENERATOR_WEIGHTS}
+    """Action of each fundamental generator f (the labels of level one) on
+    the family: N_f W_i = sum_j L[i, j] W_j, exact and necessarily
+    nonnegative integer. The generators come from the ring the family was
+    split from, and the coordinates from the family's own span."""
     out = {}
-    for f, Nf in gens.items():
+    for f in fam.labels:
+        if sum(f) != 1:
+            continue
         L = np.zeros((fam.rank, fam.rank), dtype=np.int64)
         for i, w in enumerate(fam.ws):
-            co = span.coords((Nf @ w).reshape(-1))
-            assert co is not None, "generator action left the family span"
-            for j, c in enumerate(co):
-                assert c.denominator == 1 and c >= 0, (f, i, j, c)
-                L[i, j] = int(c)
+            co = fam.span.coords((fam.ring[f] @ w).reshape(-1))
+            if co is None or co[1] != 1 or min(co[0]) < 0:
+                raise CertificationError(
+                    "chiral_lift", f"N_{f} W_{i} is not a nonnegative integer sum of members"
+                )
+            L[i] = co[0]
         out[f] = L
     # transpose relations hold with rows weighted by slot multiplicity
     D = np.diag(fam.mult)
-    assert np.array_equal(D @ out[(1, 0, 0)], (D @ out[(0, 0, 1)]).T)
-    assert np.array_equal(D @ out[(0, 1, 0)], (D @ out[(0, 1, 0)]).T)
+    for f, L in out.items():
+        fbar = fam.labels[fam.conj[fam.index[f]]]
+        if not np.array_equal(D @ L, (D @ out[fbar]).T):
+            raise CertificationError("chiral_lift", f"actions of {f} and {fbar} are not transposes")
     return out
 
 
@@ -270,7 +292,10 @@ def _build_template(L, mult, slot_of, size):
             if mult[i] == 1 and mult[j] == 1:
                 V[zi[0], zj[0]] = rr
             elif mult[i] == 1 and mult[j] == 2:
-                assert rr % 2 == 0, "odd singlet-to-doublet row cannot split evenly"
+                if rr % 2:
+                    raise CertificationError(
+                        "chiral_lift", "odd singlet-to-doublet row cannot split evenly"
+                    )
                 V[zi[0], zj[0]] = V[zi[0], zj[1]] = rr // 2
             elif mult[i] == 2 and mult[j] == 1:
                 V[zi[0], zj[0]] = V[zi[1], zj[0]] = rr
@@ -290,11 +315,49 @@ def _fill(Vt, unk, slot_of, assign):
     return V
 
 
-def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
-    from itertools import product
+def _normal_fills(Vt, unk, slot_of):
+    """Every assignment of the doublet unknowns whose fill V commutes with
+    its transpose.
 
+    With E_k the +-1 pattern of doublet block k, V = V0 + sum_k a_k E_k. For
+    B(X, Y) = X Y^T - X^T Y, V V^T - V^T V is then C + sum_k a_k L_k +
+    sum_{k<=l} a_k a_l Q_kl with C = B(V0, V0), L_k = B(V0, E_k) + B(E_k, V0),
+    Q_kk = B(E_k, E_k) and Q_kl = B(E_k, E_l) + B(E_l, E_k). Entries that no L
+    or Q touches are fixed and must vanish in C. The assignments are
+    evaluated in blocks: their monomials times the touched coefficients, as
+    one integer matrix product per block, with no fill ever built.
+    """
+    n = len(unk)
+    V0 = _fill(Vt, unk, slot_of, [0] * n)
+    E = [_fill(np.zeros_like(Vt), [(i, j, 0)], slot_of, [1]) for i, j, _ in unk]
+
+    def B(X, Y):
+        return X @ Y.T - X.T @ Y
+
+    pairs = [(k, l) for k in range(n) for l in range(k, n)]
+    terms = [B(V0, V0)] + [B(V0, e) + B(e, V0) for e in E]
+    terms += [B(E[k], E[l]) + B(E[l], E[k]) if k != l else B(E[k], E[k]) for k, l in pairs]
+    coef = np.stack(terms).reshape(len(terms), -1)
+    touched = coef[1:].any(axis=0)
+    if coef[0, ~touched].any():
+        return []
+    coef = coef[:, touched]
+    out = []
+    assigns = product(*[range(rr + 1) for _, _, rr in unk])
+    # a few thousand assignments at a time keep the products small
+    while chunk := list(islice(assigns, 2048)):
+        a = np.array(chunk, dtype=np.int64).reshape(-1, n)
+        mono = np.column_stack(
+            [np.ones(len(a), dtype=np.int64), a] + [a[:, k] * a[:, l] for k, l in pairs]
+        )
+        out += [tup for tup, bad in zip(chunk, (mono @ coef).any(axis=1)) if not bad]
+    return out
+
+
+def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
     acts = class_actions(fam)
     L100, L010 = acts[(1, 0, 0)], acts[(0, 1, 0)]
+    level = max(sum(la) for la in fam.labels)
     slots = []
     for i, m in enumerate(fam.mult):
         for c in range(m):
@@ -308,12 +371,13 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
     V010t, unk010 = _build_template(L010, fam.mult, slot_of, size)
 
     cands100 = []
-    for assign in product(*[range(rr + 1) for (_, _, rr) in unk100]):
+    for assign in _normal_fills(V100t, unk100, slot_of):
         V = _fill(V100t, unk100, slot_of, assign)
-        if np.array_equal(V @ V.T, V.T @ V):
-            cands100.append(V)
+        if not np.array_equal(V @ V.T, V.T @ V):
+            raise CertificationError("chiral_lift", f"fill {assign} solves the normality form but is not normal")
+        cands100.append(V)
 
-    # symmetry halves the 010 unknowns: entries come in transpose pairs
+    # transposed 010 unknowns share one value, so every fill is symmetric
     sym_pairs, seen = [], set()
     for idx, (i, j, rr) in enumerate(unk010):
         if (j, i) in seen:
@@ -329,9 +393,7 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
         for (idxs, rr), v in zip(sym_pairs, vals):
             for ii in idxs:
                 assign[ii] = v
-        V = _fill(V010t, unk010, slot_of, assign)
-        if np.array_equal(V, V.T):
-            cands010.append(V)
+        cands010.append(_fill(V010t, unk010, slot_of, assign))
 
     norms0 = fam.norms[:, 0]
     sols = []
@@ -340,7 +402,12 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
         for V010 in cands010:
             if not np.array_equal(V100 @ V010, V010 @ V100):
                 continue
-            Vs = fr.su4_tower(V100, V010, V001, 4)
+            # the level-2 tower costs a fraction of the full one, and on the
+            # flagship it already rejects every fill but one
+            low = fr.su4_tower(V100, V010, V001, min(level, 2))
+            if not all(v.min() >= 0 for v in low.values()):
+                continue
+            Vs = fr.su4_tower(V100, V010, V001, level)
             if not all(v.min() >= 0 for v in Vs.values()):
                 continue
             ok = all(
@@ -350,13 +417,16 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
             if ok:
                 sols.append((V100, V010, Vs))
 
-    assert sols, "no chiral lift satisfies the constraint set"
+    if not sols:
+        raise CertificationError("chiral_lift", "no chiral lift satisfies the constraint set")
     if len(sols) > 1:
-        raise RuntimeError(
-            f"chiral lift not pinned: {len(sols)} solutions; "
-            "report them all instead of choosing silently"
+        raise CertificationError(
+            "chiral_lift",
+            f"not pinned: {len(sols)} solutions; report them all instead of choosing silently",
         )
     V100, V010, Vs = sols[0]
+    if not np.array_equal(V010, V010.T):
+        raise CertificationError("chiral_lift", "the middle generator is not symmetric")
 
     # doublet swaps must be automorphisms, so the unique solution is its own
     # canonical form; check the generators of the swap group
@@ -366,8 +436,9 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
         perm = np.arange(size)
         a, b = slot_of[i]
         perm[a], perm[b] = perm[b], perm[a]
-        assert np.array_equal(V100[np.ix_(perm, perm)], V100), i
-        assert np.array_equal(V010[np.ix_(perm, perm)], V010), i
+        for V in (V100, V010):
+            if not np.array_equal(V[np.ix_(perm, perm)], V):
+                raise CertificationError("chiral_lift", f"swapping doublet {i} is not an automorphism")
 
     return ChiralLift(fam, slots, slot_of, V100, V010, V100.T, Vs, len(sols))
 

@@ -7,6 +7,10 @@ exits 1 exactly when some check fails.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,49 @@ def test_cli_bad_arguments(store, capsys):
     assert cli.main(["verify", "--fixture", "e6"]) == 64
     assert cli.main(["export", "--kind", "bogus"]) == 64
     capsys.readouterr()
+    # parse, but outside what the modular layer and the weights cover
+    for argv in (
+        ["modular", "--algebra", "A4", "--level", "2"],
+        ["fusion", "--algebra", "B3", "--level", "1"],
+        ["alcove", "--algebra", "A2", "--level", "-1"],
+        ["alcove", "--algebra", "C3", "--level", "1"],
+    ):
+        assert cli.main(argv) == 64, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error:" in err, argv
+    assert store.find("modular-data") == [] and store.find("fusion-ring") == []
+
+
+def test_cli_catalog_option_beats_the_environment(store, tmp_path, capsys):
+    chosen = tmp_path / "chosen"
+    assert cli.main(["--catalog", str(chosen), "modular", "--algebra", "A1", "--level", "1"]) == 0
+    assert cli.main(["fusion", "--algebra", "A1", "--level", "1", "--catalog", str(chosen)]) == 0
+    capsys.readouterr()
+    picked = cat.Catalog(chosen)
+    assert len(picked.find("modular-data")) == 1 and len(picked.find("fusion-ring")) == 1
+    assert not store.root.exists()
+    # without the option the environment variable still decides
+    assert cli.main(["modular", "--algebra", "A1", "--level", "1"]) == 0
+    assert store.find("modular-data") == picked.find("modular-data")
+
+
+def test_optimized_interpreter_writes_the_same_objects(store, tmp_path, capsys,
+                                                       graph_algebra, quantum_symmetries, slot_map):
+    """Under python -O every assert is gone; the certification must not be."""
+    assert cli.main(["ocneanu"]) == 0
+    capsys.readouterr()
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop(cat.ENV_ROOT, None)
+    optimized = tmp_path / "optimized"
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "fusioncat.cli", "--catalog", str(optimized), "ocneanu"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    names = sorted(p.name for p in store.objects.iterdir())
+    assert len(names) == 6
+    assert sorted(p.name for p in (optimized / "objects").iterdir()) == names
 
 
 def test_cli_export_missing(store, capsys):

@@ -1,15 +1,15 @@
 """Oracles for the exact linear algebra helpers.
 
-The rational row-space tracker is checked against numpy's floating rank on
+The integer row-space tracker is checked against numpy's floating rank on
 random integer families, and the lattice enumerator against brute force.
+Entries beyond int64 take the Python-int path, and forcing that path on the
+flagship's doublet system must give the same points.
 """
 
-from fractions import Fraction as F
-
 import numpy as np
-import pytest
 
 from fusioncat import exactla as xla
+from fusioncat import graphalgebra as ga
 
 
 def test_intspan_rank_matches_numpy():
@@ -30,7 +30,7 @@ def test_intspan_coords_reconstruct():
     assert len(inserted) == 2  # third row is dependent
     probe = 3 * rows[0] - 2 * rows[1]
     co = sp.coords(probe)
-    assert co == [F(3), F(-2)]
+    assert co == ([3, -2], 1)  # numerators over a common denominator
     assert sp.coords(np.array([0, 0, 1])) is None
     assert sp.coords(np.array([5, 0, 7])) is None
 
@@ -118,3 +118,32 @@ def test_lattice_points_fractional_pivot_rejected():
     res = sys.rref()
     assert res.consistent  # consistent over Q
     assert xla.lattice_points(res, caps=[3]) == []
+
+
+def test_entries_beyond_int64_stay_exact():
+    big = 2**70 + 3
+    sp = xla.IntSpan()
+    assert sp.add(np.array([big, 1, 0], dtype=object))
+    assert sp.add(np.array([1, big, 1], dtype=object))
+    probe = np.array([5 * big - 2, 5 - 2 * big, -2], dtype=object)
+    assert sp.coords(probe) == ([5, -2], 1)
+    assert sp.coords(np.array([1, 0, 0])) is None
+
+    # x0 + big x1 = big over 0 <= x0 <= big, 0 <= x1 <= 1
+    sys = xla.LinearSystem(2)
+    sys.add({0: 1, 1: big}, big)
+    res = sys.rref()
+    assert res.coeffs.dtype == object
+    assert xla.lattice_points(res, caps=[big, 1]) == [[big, 0], [0, 1]]
+
+
+def test_forced_python_int_path_gives_identical_points(annular, monkeypatch):
+    sys, caps = ga._doublet_system(annular, self_conjugate_first=True)
+    fast = xla.lattice_points(sys.rref(), caps)
+    # with no int64 headroom every operation takes the Python-int path
+    monkeypatch.setattr(xla, "_SAFE", 1)
+    sys, caps = ga._doublet_system(annular, self_conjugate_first=True)
+    res = sys.rref()
+    assert res.coeffs.dtype == object
+    slow = xla.lattice_points(res, caps)
+    assert len(fast) == 48 and slow == fast

@@ -7,6 +7,8 @@ annular dimension sums, so any regression in the discovery or lift logic
 trips immediately.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,34 @@ def test_class_actions_exact(family):
     for L in (L100, L010):
         assert L.min() >= 0
         assert L.shape == (33, 33)
+
+
+def _brute_force_normal_fills(Vt, unk, slot_of):
+    """The sweep the structured lift replaced: fill every assignment and
+    test V V^T == V^T V on the whole matrix."""
+    out = []
+    for assign in product(*[range(rr + 1) for _, _, rr in unk]):
+        V = sp._fill(Vt, unk, slot_of, assign)
+        if np.array_equal(V @ V.T, V.T @ V):
+            out.append(assign)
+    return out
+
+
+def test_structured_normality_matches_the_brute_force_sweep(family, chiral_lift):
+    acts = sp.class_actions(family)
+    size = len(chiral_lift.slots)
+    V100t, unk100 = sp._build_template(acts[(1, 0, 0)], family.mult, chiral_lift.slot_of, size)
+    assert len(unk100) == 8  # 3^8 = 6561 fills
+    fills = sp._normal_fills(V100t, unk100, chiral_lift.slot_of)
+    assert fills == _brute_force_normal_fills(V100t, unk100, chiral_lift.slot_of)
+    assert len(fills) == 1
+    assert np.array_equal(sp._fill(V100t, unk100, chiral_lift.slot_of, fills[0]), chiral_lift.V100)
+    # the middle template has many normal fills (every symmetric fill is
+    # one); both paths must find the same 625 of 6561
+    V010t, unk010 = sp._build_template(acts[(0, 1, 0)], family.mult, chiral_lift.slot_of, size)
+    fills = sp._normal_fills(V010t, unk010, chiral_lift.slot_of)
+    assert fills == _brute_force_normal_fills(V010t, unk010, chiral_lift.slot_of)
+    assert len(fills) == 625
 
 
 def test_lift_is_pinned(chiral_lift):
