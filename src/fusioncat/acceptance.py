@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import CertificationError
 from . import embedding as emb
 from . import fusion as fr
 from . import graphalgebra as ga
@@ -312,7 +313,7 @@ def check_realization():
     smap = pl.slot_map()
     labels = pl.base_data().labels
 
-    closure_ok = ga.oc_closure_defect(oc) == 0
+    closure_ok = ga.closure_defect(oc.O, oc.O) == 0
 
     # the four displayed block patterns, rebuilt here on purpose
     Z = np.zeros((12, 12), dtype=np.int64)
@@ -392,7 +393,7 @@ def check_block_structures(tol=1e-9):
     try:
         ga.matrix_units(galg, tol=tol)
         units_ok = True
-    except AssertionError:
+    except CertificationError:
         units_ok = False
     G = galg.G
     c12 = ga.center_dimension([G[a] for a in range(1, 13)])

@@ -185,24 +185,23 @@ class RrefResult:
 
 
 class LinearSystem:
-    """Exact linear system A x = b with integer rows, given as
-    {column: coefficient} dicts and reduced as they arrive. Inconsistency is
-    detected on insertion and reported by rref()."""
+    """Exact linear system A x = b, given one dense integer row at a time
+    and reduced as the rows arrive. The reduced form is canonical, so it
+    does not depend on the order of the rows or on repeats among them.
+    Inconsistency is detected on insertion and reported by rref()."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._core = _Echelon(ncols, ncols + 1)  # the last column is the right-hand side
         self._consistent = True
 
-    def add(self, coeffs, rhs=0):
+    def add(self, row, rhs=0):
+        """Append the equation row . x = rhs; `row` has ncols integers."""
         if not self._consistent:
             return
-        big = max([abs(rhs), *map(abs, coeffs.values())])
-        v = np.zeros(self.ncols + 1, dtype=_exact(big))
-        for c, x in coeffs.items():
-            v[c] = x
-        v[-1] = rhs
-        w, _ = self._core.reduce(v, big)
+        v = np.append(np.asarray(row), rhs)
+        big = _absmax(v)
+        w, _ = self._core.reduce(v.astype(_exact(big)), big)
         if not w[:-1].any():
             if w[-1]:
                 self._consistent = False

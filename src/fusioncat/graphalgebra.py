@@ -1,12 +1,22 @@
 """Self-fusion of the 12-vertex quantum graph and its algebra of quantum
 symmetries.
 
+Both algebras are given by structure constants, and one identity states
+them: X_x X_y = sum_z (R_y)[x, z] X_z, where R_y is the regular matrix of
+y. closure_defect counts the pairs where it fails, one left factor at a
+time; it certifies the graph algebra (X = R = G), the quantum symmetries
+(X = R = O) and their dual action on the graph (X = SX, R = O), and
+slot_symmetry_map checks the toric slot products the same way.
+
 The annular matrices pin ten of the twelve graph-algebra matrices outright
 (six vertices directly, three doublet sums, one permutation); the remaining
-doublet members are recovered by an exact linear system (closure against the
-known rows, commutation with the generators, unit first row, transpose
-conjugation) followed by integer lattice enumeration and a full closure
-filter. Two closure-exact solutions survive, one swap orbit; the canonical
+doublet members are recovered by an exact linear system followed by integer
+lattice enumeration and a full closure filter. The system is stated as one
+144-row integer block per constraint on the row-major vec of an unknown X:
+the closure identity with X unknown (X G_a is kron(I, G_a^T) vec X), the
+commutator with each generator F (kron(I, F^T) - kron(F, I)), the unit first
+row (a selector) and the transpose conjugation (a fixed permutation). Two
+closure-exact solutions survive, one swap orbit; the canonical
 representative is fixed by a single row predicate. The alternative doublet
 pairing (self-paired conjugation on the first doublet replaced by the crossed
 one) admits no integer solution at all, which is checked, not assumed.
@@ -14,9 +24,11 @@ one) admits no integer solution at all, which is checked, not assumed.
 On top of the algebra sit the 48-element quantum symmetries: sector-reduced
 basis pairs, the four block patterns for their regular matrices, the dual
 annular action on the graph, the essential-matrix factorization of the toric
-family, and the block diagonalization into matrix units.
+family, and the block diagonalization into matrix units. A failed check
+raises CertificationError, so the certification also runs under python -O.
 """
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,11 +54,9 @@ __all__ = [
     "pair_index",
     "reduce_pair",
     "oc_matrices",
-    "oc_closure_defect",
     "chiral_conjugate",
     "conjugate_pair",
     "dual_annular",
-    "dual_rep_defect",
     "essential_matrices",
     "reduced_essential",
     "SlotMap",
@@ -91,113 +101,83 @@ class GraphAlgebra:
     doublet_survivors: int  # closure-exact solutions before the canonical pick
 
 
+def _require(ok, stage, detail):
+    if not ok:
+        raise CertificationError(stage, detail)
+
+
 def partial_algebra(annular):
     """The part of the algebra the annular family determines on its own:
     G_1, G_2, G_5, G_8, G_9, G_10 and the three doublet sums."""
     F = annular
     I = np.eye(12, dtype=np.int64)
-    G = {1: I, 5: F[(1, 0, 0)], 8: F[(0, 1, 0)], 10: F[(0, 0, 1)]}
-    G[2] = F[(0, 0, 4)]
-    assert np.array_equal(G[2], F[(4, 0, 0)])
-    assert np.array_equal(G[2] @ G[2], I) and sorted(G[2].sum(0)) == [1] * 12
+    G = {1: I, 2: F[(0, 0, 4)], 5: F[(1, 0, 0)], 8: F[(0, 1, 0)], 10: F[(0, 0, 1)]}
     nine2 = F[(1, 1, 1)] - 2 * F[(0, 1, 0)]
-    assert (nine2 % 2 == 0).all()
     G[9] = nine2 // 2
-    assert G[9].min() >= 0
     S34 = F[(0, 1, 2)] - I
     S67 = F[(0, 1, 1)] - G[5]
     S1112 = F[(1, 1, 0)] - G[10]
+    eq = np.array_equal
     # the sums are overdetermined; every route must agree
-    assert np.array_equal(S34, F[(2, 1, 0)] - I)
-    assert np.array_equal(S34, F[(2, 0, 2)]) and np.array_equal(S34, F[(0, 2, 0)])
-    assert np.array_equal(S67, F[(1, 1, 2)] - G[5])
-    assert np.array_equal(S67, F[(1, 2, 0)] - G[5])
-    assert np.array_equal(S1112, F[(1, 0, 2)] - G[10])
-    assert np.array_equal(S1112, F[(2, 1, 1)] - G[10])
-    # subalgebra relations
-    assert np.array_equal(G[9] @ G[9], I + G[2])
-    assert np.array_equal(G[2] @ G[9], G[9])
+    for ok, detail in (
+        (eq(G[2], F[(4, 0, 0)]), "G_2 differs between the labels (0,0,4) and (4,0,0)"),
+        (eq(G[2] @ G[2], I) and sorted(G[2].sum(0)) == [1] * 12, "G_2 is not an involution"),
+        ((nine2 % 2 == 0).all() and G[9].min() >= 0, "G_9 is not a nonnegative integer matrix"),
+        (eq(S34, F[(2, 1, 0)] - I) and eq(S34, F[(2, 0, 2)]) and eq(S34, F[(0, 2, 0)]),
+         "the routes to G_3 + G_4 disagree"),
+        (eq(S67, F[(1, 1, 2)] - G[5]) and eq(S67, F[(1, 2, 0)] - G[5]),
+         "the routes to G_6 + G_7 disagree"),
+        (eq(S1112, F[(1, 0, 2)] - G[10]) and eq(S1112, F[(2, 1, 1)] - G[10]),
+         "the routes to G_11 + G_12 disagree"),
+        (eq(G[9] @ G[9], I + G[2]) and eq(G[2] @ G[9], G[9]), "the subalgebra relations fail"),
+    ):
+        _require(ok, "graph_algebra", detail)
     return G, {34: S34, 67: S67, 1112: S1112}
 
 
-def _unk(which, i, j):
-    return {"3": 0, "6": 1, "11": 2}[which] * 144 + i * 12 + j
-
-
 def _doublet_system(annular, self_conjugate_first):
+    """The system of doublet_solutions over x = (vec X3, vec X6, vec X11),
+    each vec row-major, stated one integer block of rows per constraint;
+    and the cap of every cell."""
     knowns, sums = partial_algebra(annular)
-    S34, S67, S1112 = sums[34], sums[67], sums[1112]
-    F100, F010 = knowns[5], knowns[8]
-    NU = 3 * 144
-    SUMS = {4: ("3", S34), 7: ("6", S67), 12: ("11", S1112)}
-    UNK = {3: "3", 6: "6", 11: "11"}
+    n = 144
+    I, I12 = np.eye(n, dtype=np.int64), np.eye(12, dtype=np.int64)
+    T = I[np.arange(n).reshape(12, 12).T.reshape(-1)]  # vec(X^T) = T vec(X)
+    block = {3: 0, 6: 1, 11: 2}  # unknown vertex -> its block of x
+    # every G_c as const[c] + sign * X_u, with var[c] = (u, sign): a known
+    # matrix, an unknown, or a doublet sum minus its unknown member
+    const = {c: M.reshape(-1) for c, M in knowns.items()}
+    var = {}
+    for u, (v, S) in zip(block, ((4, sums[34]), (7, sums[67]), (12, sums[1112]))):
+        const[u], var[u] = 0, (u, 1)
+        const[v], var[v] = S.reshape(-1), (u, -1)
+    sys = xla.LinearSystem(3 * n)
 
-    sys = xla.LinearSystem(NU)
+    def state(parts, rhs):
+        A = np.zeros((len(rhs), 3 * n), dtype=np.int64)
+        for u, M in parts:
+            A[:, block[u] * n : (block[u] + 1) * n] += M
+        for row, b in zip(A, rhs):
+            sys.add(row, b)
 
-    def add_product_eq(wname, Ga, coeff_row):
-        # X @ Ga == sum_c coeff_row[c] G_c, entrywise
-        for i in range(12):
-            for j in range(12):
-                coefs = {}
-                for k in range(12):
-                    if Ga[k, j]:
-                        coefs[_unk(wname, i, k)] = coefs.get(_unk(wname, i, k), 0) + int(Ga[k, j])
-                rhs = 0
-                for c in range(1, 13):
-                    m = int(coeff_row[c - 1])
-                    if not m:
-                        continue
-                    if c in knowns:
-                        rhs += m * int(knowns[c][i, j])
-                    elif c in UNK:
-                        u = _unk(UNK[c], i, j)
-                        coefs[u] = coefs.get(u, 0) - m
-                    else:
-                        w, Smat = SUMS[c]
-                        rhs += m * int(Smat[i, j])
-                        u = _unk(w, i, j)
-                        coefs[u] = coefs.get(u, 0) + m
-                sys.add(coefs, rhs)
-
-    def add_commutator_eq(wname, F):
-        for i in range(12):
-            for j in range(12):
-                coefs = {}
-                for k in range(12):
-                    if F[k, j]:
-                        u = _unk(wname, i, k)
-                        coefs[u] = coefs.get(u, 0) + int(F[k, j])
-                    if F[i, k]:
-                        u = _unk(wname, k, j)
-                        coefs[u] = coefs.get(u, 0) - int(F[i, k])
-                sys.add(coefs, 0)
-
-    for Xv, wname in UNK.items():
+    zero = np.zeros(n, dtype=np.int64)
+    for X in block:
         for a in (2, 5, 8, 9, 10):
-            add_product_eq(wname, knowns[a], knowns[a][Xv - 1])
-        add_commutator_eq(wname, F100)
-        add_commutator_eq(wname, F010)
-        for j in range(12):
-            sys.add({_unk(wname, 0, j): 1}, 1 if j == Xv - 1 else 0)
-
-    for i in range(12):
-        for j in range(12):
-            if self_conjugate_first:
-                if i != j:
-                    sys.add({_unk("3", i, j): 1, _unk("3", j, i): -1}, 0)
-            else:
-                if i == j:
-                    sys.add({_unk("3", i, i): 2}, int(S34[i, i]))
-                else:
-                    sys.add({_unk("3", i, j): 1, _unk("3", j, i): 1}, int(S34[i, j]))
-            sys.add({_unk("11", i, j): 1, _unk("6", j, i): -1}, 0)
-
-    caps = np.zeros(NU, dtype=np.int64)
-    for w, Smat in (("3", S34), ("6", S67), ("11", S1112)):
-        for i in range(12):
-            for j in range(12):
-                caps[_unk(w, i, j)] = int(Smat[i, j])
-    return sys, caps
+            # the closure identity with X unknown: X G_a = sum_c (G_a)[X, c] G_c
+            m = knowns[a][X - 1]
+            parts = [(X, np.kron(I12, knowns[a].T))]
+            parts += [(var[c][0], -m[c - 1] * var[c][1] * I) for c in var if m[c - 1]]
+            state(parts, sum(m[c - 1] * const[c] for c in range(1, 13)))
+        for Fg in (knowns[5], knowns[8]):  # [X, F] = 0 for both generators
+            state([(X, np.kron(I12, Fg.T) - np.kron(Fg, I12))], zero)
+        state([(X, I[:12])], I12[X - 1])  # the first row is the unit row of X
+    # conjugation transposes: X11 = X6^T, and X3 = X3^T or X3 + X3^T = G3 + G4
+    state([(11, I), (6, -T)], zero)
+    if self_conjugate_first:
+        state([(3, I - T)], zero)
+    else:
+        state([(3, I + T)], sums[34].reshape(-1))
+    return sys, np.concatenate([sums[k].reshape(-1) for k in (34, 67, 1112)])
 
 
 def doublet_solutions(annular, self_conjugate_first=True):
@@ -216,11 +196,7 @@ def doublet_solutions(annular, self_conjugate_first=True):
     if not res.consistent:
         return []
     pts = xla.lattice_points(res, caps)
-    out = []
-    for x in pts:
-        v = np.array(x, dtype=np.int64)
-        out.append((v[0:144].reshape(12, 12), v[144:288].reshape(12, 12), v[288:432].reshape(12, 12)))
-    return out
+    return [tuple(np.array(x, dtype=np.int64).reshape(3, 12, 12)) for x in pts]
 
 
 def crossed_branch_fractions(annular):
@@ -243,44 +219,46 @@ def crossed_branch_fractions(annular):
 
 def _assemble(annular, X3, X6, X11):
     knowns, sums = partial_algebra(annular)
-    G = dict(knowns)
-    G[3] = X3
-    G[4] = sums[34] - X3
-    G[6] = X6
-    G[7] = sums[67] - X6
-    G[11] = X11
-    G[12] = sums[1112] - X11
-    return G
+    G = {**knowns, 3: X3, 6: X6, 11: X11}
+    G.update({4: sums[34] - X3, 7: sums[67] - X6, 12: sums[1112] - X11})
+    return {a: G[a] for a in range(1, 13)}
 
 
-def closure_defect(G):
-    """Number of products G_x G_a that fail to close over the family with the
-    structure constants read off row x of G_a."""
-    Gs = np.stack([G[a] for a in range(1, 13)])
-    lhs = np.matmul(Gs[:, None], Gs[None, :])  # [x, a] -> G_x G_a
-    rhs = np.einsum("axc,cij->xaij", Gs, Gs)  # [x, a] -> sum_c (G_a)_xc G_c
-    return int((lhs != rhs).any(axis=(2, 3)).sum())
+def _left_defects(lhs, coeffs, basis):
+    """Which stacked products lhs[y] differ from sum_z coeffs[y, z] basis[z]."""
+    return (lhs != np.tensordot(coeffs, basis, axes=(1, 0))).any(axis=(1, 2))
+
+
+def closure_defect(mats, regular):
+    """Number of ordered pairs (x, y) with X_x X_y != sum_z (R_y)[x, z] X_z,
+    where mats holds the X and regular the regular matrices R that carry the
+    structure constants, both dicts in basis order. 0 means the X represent
+    the algebra: (G, G) for the graph algebra, (O, O) for the quantum
+    symmetries, (SX, O) for their dual action. One left factor at a time."""
+    X = np.stack(list(mats.values()))
+    R = np.stack(list(regular.values()))
+    return sum(int(_left_defects(Xx @ X, R[:, x], X).sum()) for x, Xx in enumerate(X))
 
 
 def solve_graph_algebra(annular) -> GraphAlgebra:
     cands = doublet_solutions(annular, self_conjugate_first=True)
     survivors = [
-        t for t in cands if closure_defect(_assemble(annular, *t)) == 0
+        G for G in (_assemble(annular, *t) for t in cands) if closure_defect(G, G) == 0
     ]
     if not survivors:
         raise CertificationError("graph_algebra", "no closure-exact doublet resolution")
     # the survivors form one swap orbit; pick the representative whose
     # second doublet sends vertex 3 to 5 + 7
     picked = [
-        t for t in survivors
-        if t[1][2, 4] == 1 and t[1][2, 6] == 1 and t[1][2].sum() == 2
+        G for G in survivors
+        if G[6][2, 4] == 1 and G[6][2, 6] == 1 and G[6][2].sum() == 2
     ]
     if len(picked) != 1:
         raise CertificationError(
             "graph_algebra",
             f"canonical predicate matched {len(picked)} of {len(survivors)}",
         )
-    G = _assemble(annular, *picked[0])
+    G = picked[0]
     for a in range(1, 13):
         unit_row = np.zeros(12, dtype=np.int64)
         unit_row[a - 1] = 1
@@ -354,25 +332,10 @@ def oc_matrices(galg: GraphAlgebra) -> OcAlgebra:
 
     pairs = basis_pairs()
     O = {p: O_of(*p) for p in pairs}
-    assert np.array_equal(O[(1, 1)], np.eye(48, dtype=np.int64))
-    assert all(v.min() >= 0 for v in O.values())
+    _require(np.array_equal(O[(1, 1)], np.eye(48, dtype=np.int64))
+             and all(v.min() >= 0 for v in O.values()),
+             "quantum_symmetries", "the regular matrices are not a unital nonnegative family")
     return OcAlgebra(galg=galg, pairs=pairs, O=O)
-
-
-def oc_closure_defect(oc: OcAlgebra):
-    """Products of regular matrices against the structure constants read off
-    the right factor's rows; 0 means the 48 basis closes."""
-    pairs = oc.pairs
-    Ostack = np.stack([oc.O[p] for p in pairs])
-    bad = 0
-    for x in pairs:
-        ix = pair_index(x)
-        for y in pairs:
-            lhs = oc.O[x] @ oc.O[y]
-            rhs = np.tensordot(oc.O[y][ix], Ostack, axes=(0, 0))
-            if not np.array_equal(lhs, rhs):
-                bad += 1
-    return bad
 
 
 def chiral_conjugate(G, pair):
@@ -380,7 +343,8 @@ def chiral_conjugate(G, pair):
     a, b = pair
     vec = reduce_pair(G, b, a)
     nz = np.nonzero(vec)[0]
-    assert len(nz) == 1 and vec[nz[0]] == 1, (pair, vec)
+    _require(len(nz) == 1 and vec[nz[0]] == 1,
+             "quantum_symmetries", f"{pair} with its factors swapped is not one basis pair")
     return basis_pairs()[int(nz[0])]
 
 
@@ -399,20 +363,6 @@ def dual_annular(galg: GraphAlgebra):
         for b in range(1, 13)
     }
     return {(a, b): G[a] @ GP[b] for (a, b) in basis_pairs()}
-
-
-def dual_rep_defect(SX, oc: OcAlgebra):
-    pairs = oc.pairs
-    Sstack = np.stack([SX[p] for p in pairs])
-    bad = 0
-    for x in pairs:
-        ix = pair_index(x)
-        for y in pairs:
-            lhs = SX[x] @ SX[y]
-            rhs = np.tensordot(oc.O[y][ix], Sstack, axes=(0, 0))
-            if not np.array_equal(lhs, rhs):
-                bad += 1
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +415,9 @@ def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
     Wcand = {p: E[p[0]] @ Ered[p[1]].T for p in pairs}
     Wslot = {z: lift.fam.ws[i] for z, (i, _) in enumerate(lift.slots)}
 
-    from collections import Counter, defaultdict
-
-    assert Counter(w.tobytes() for w in Wcand.values()) == Counter(
-        w.tobytes() for w in Wslot.values()
-    ), "essential factorization does not reproduce the toric family"
+    _require(Counter(w.tobytes() for w in Wcand.values())
+             == Counter(w.tobytes() for w in Wslot.values()),
+             "slot_map", "the essential factorization does not reproduce the toric family")
 
     # sectors: component of slot 0 is 1; unit rows of the right generators
     # anchor the rest
@@ -479,9 +427,9 @@ def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
     sector_of_comp = {int(compid[0]): 1}
     for lab, sector in (((1, 0, 0), 11), ((0, 1, 0), 3), ((0, 0, 1), 6)):
         row = np.nonzero(parity.Rs[lab][0])[0]
-        assert len(row) == 1, (lab, row)
+        _require(len(row) == 1, "slot_map", f"row 0 of the right action of {lab} is not a unit row")
         sector_of_comp[int(compid[int(row[0])])] = sector
-    assert len(sector_of_comp) == 4
+    _require(len(sector_of_comp) == 4, "slot_map", "the four sectors sit on fewer components")
 
     compat = {}
     for z in range(48):
@@ -495,25 +443,27 @@ def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
         if len(compat[z]) != 1:
             groups[tuple(compat[z])].append(z)
     for cands, zs in groups.items():
-        assert len(cands) == len(zs) == 2, (cands, zs)
+        _require(len(cands) == len(zs) == 2, "slot_map", f"slots {zs} match {cands}")
         for z, p in zip(sorted(zs), cands):
             pair_of[z] = p
-    assert len(set(pair_of.values())) == 48
+    _require(len(set(pair_of.values())) == 48, "slot_map", "the slot assignment is not a bijection")
 
     # the product identity over every pair of slots certifies the assignment
     slot_of = {p: z for z, p in pair_of.items()}
     order = [slot_of[p] for p in pairs]
+    n = len(labels)
     Wstack = np.stack([Wslot[z] for z in order])
-    Rstack = np.stack([parity.Rs[lab] for lab in labels])
     Vstack = np.stack([lift.Vs[lab] for lab in labels])
-    T4 = np.einsum("lxw,mwy->xylm", Vstack, Rstack, optimize=True)
+    # R[w, (y, m)] = (R_m)[w, slot of y]
+    R = np.stack([parity.Rs[lab][:, order] for lab in labels], axis=2).reshape(len(order), -1)
+    # row x of the regular matrix of conj(y) expands the slot product x.y
+    Oconj = np.stack([oc.O[conjugate_pair(y)] for y in pairs])
     for x in pairs:
-        zx = slot_of[x]
-        for y in pairs:
-            zy = slot_of[y]
-            coeff = oc.O[conjugate_pair(y)][pair_index(x)]
-            Wprod = np.tensordot(coeff, Wstack, axes=(0, 0))
-            assert np.array_equal(T4[zx, zy], Wprod), (x, y)
+        # lhs[y, l, m] = (V_l R_m)[slot of x, slot of y]
+        lhs = (Vstack[:, slot_of[x]] @ R).reshape(n, len(order), n).transpose(1, 0, 2)
+        bad = _left_defects(lhs, Oconj[:, pair_index(x)], Wstack)
+        _require(not bad.any(), "slot_map",
+                 f"the product identity fails at ({x}, {pairs[int(bad.argmax())]})")
 
     W0 = {p: Wslot[slot_of[p]] for p in pairs}
     return SlotMap(pair_of=pair_of, slot_of=slot_of, E=E, Ered=Ered, W0=W0)
@@ -524,13 +474,9 @@ def toric_pair_grid(lift, parity, smap: SlotMap, labels, x, y):
     the slot-x/conjugate-slot-y coefficient of the twisted action."""
     zx = smap.slot_of[x]
     zy = smap.slot_of[conjugate_pair(y)]
-    n = len(labels)
-    out = np.zeros((n, n), dtype=np.int64)
-    for li, lam in enumerate(labels):
-        row = lift.Vs[lam][zx]
-        for mi, mu in enumerate(labels):
-            out[li, mi] = int(row @ parity.Rs[mu][:, zy])
-    return out
+    rows = np.stack([lift.Vs[lam][zx] for lam in labels])
+    cols = np.stack([parity.Rs[mu][:, zy] for mu in labels])
+    return rows @ cols.T
 
 
 # ---------------------------------------------------------------------------
@@ -572,23 +518,18 @@ def matrix_units(galg: GraphAlgebra, tol=1e-9):
     mu[(10, 10)] = (Gc[1] - Gc[2] - Gc[3] + Gc[4]) / 4
     mu[(10, 9)] = (Gc[6] - Gc[7]) / (2 * u)
 
-    def near(A, B):
-        return np.abs(A - B).max() < tol
-
+    Z = np.zeros((12, 12))
     singles = [mu[(s, s)] for s in range(1, 9)]
-    for i, m in enumerate(singles):
-        assert near(m @ m, m), i
-        for j, m2 in enumerate(singles):
-            if i != j:
-                assert near(m @ m2, np.zeros((12, 12)))
-    for a in (9, 10):
-        for b in (9, 10):
-            for c in (9, 10):
-                assert near(mu[(a, b)] @ mu[(b, c)], mu[(a, c)])
-        for m in singles:
-            assert near(mu[(a, a)] @ m, np.zeros((12, 12)))
-    total = sum(singles) + mu[(9, 9)] + mu[(10, 10)]
-    assert near(total, np.eye(12))
+    # (product, what it must equal): orthogonal idempotents, a 2x2 matrix
+    # unit system orthogonal to them, and a partition of the identity
+    rules = [(m @ m2, m if i == j else Z)
+             for i, m in enumerate(singles) for j, m2 in enumerate(singles)]
+    two = (9, 10)
+    rules += [(mu[(a, b)] @ mu[(b, c)], mu[(a, c)]) for a in two for b in two for c in two]
+    rules += [(mu[(a, a)] @ m, Z) for a in two for m in singles]
+    rules.append((sum(singles) + mu[(9, 9)] + mu[(10, 10)], np.eye(12)))
+    _require(all(np.abs(A - B).max() < tol for A, B in rules),
+             "matrix_units", f"the matrix units fail their relations at tolerance {tol:g}")
     return mu
 
 

@@ -452,8 +452,13 @@ class ParityData:
 
 def parity_involution(lift: ChiralLift) -> ParityData:
     """Involution P with P V_f P commuting with the whole left family.
-    Searched over transpose-compatible slot assignments; the canonical pick
-    maximizes fixed points (and is the lexicographically first such)."""
+
+    Searched depth first over transpose-compatible slot assignments: slot z
+    may go to any slot in cand[z]. Only a slot with z in cand[z] (the slot of
+    a self-transposed member) can be fixed, so their number bounds the fixed
+    points. The canonical pick is the first involution found that reaches
+    that bound; CertificationError when none does.
+    """
     fam = lift.fam
     size = len(lift.slots)
     wb = {w.tobytes(): i for i, w in enumerate(fam.ws)}
@@ -461,6 +466,7 @@ def parity_involution(lift: ChiralLift) -> ParityData:
     cand = {
         z: sorted(lift.slot_of[tpose[i]]) for z, (i, cp) in enumerate(lift.slots)
     }
+    bound = sum(z in cand[z] for z in range(size))
     VF = {"100": lift.V100, "010": lift.V010, "001": lift.V001}
     best = None
 
@@ -485,7 +491,7 @@ def parity_involution(lift: ChiralLift) -> ParityData:
             Pm = np.zeros((size, size), dtype=np.int64)
             for a, b in enumerate(assign):
                 Pm[a, b] = 1
-            if accept(Pm) and sum(1 for a, b in enumerate(assign) if a == b) == 12:
+            if accept(Pm) and sum(1 for a, b in enumerate(assign) if a == b) == bound:
                 best = Pm
             return
         for y in cand[z]:
@@ -500,7 +506,10 @@ def parity_involution(lift: ChiralLift) -> ParityData:
             assign[z] = None
 
     dfs(0)
-    assert best is not None, "no parity involution with the full fixed-point set"
+    if best is None:
+        raise CertificationError(
+            "parity", f"no parity involution fixes all {bound} self-transposed slots"
+        )
     P = best
     Rs = {la: P @ lift.Vs[la] @ P for la in fam.labels}
     return ParityData(P, Rs, int(np.trace(P)))
@@ -552,21 +561,17 @@ def _grading(V100, comp, base):
     stack = [base]
     while stack:
         x = stack.pop()
-        for y in np.nonzero(V100[x])[0]:
-            t = (tau[x] + 1) % 4
-            if int(y) in tau:
-                assert tau[int(y)] == t, "grading inconsistency"
-            else:
-                tau[int(y)] = t
-                stack.append(int(y))
-        for y in np.nonzero(V100[:, x])[0]:
-            t = (tau[x] - 1) % 4
-            if int(y) in tau:
-                assert tau[int(y)] == t
-            else:
-                tau[int(y)] = t
-                stack.append(int(y))
-    assert set(tau) == set(comp)
+        steps = [(int(y), 1) for y in np.nonzero(V100[x])[0]]
+        steps += [(int(y), -1) for y in np.nonzero(V100[:, x])[0]]
+        for y, step in steps:
+            t = (tau[x] + step) % 4
+            if y not in tau:
+                tau[y] = t
+                stack.append(y)
+            elif tau[y] != t:
+                raise CertificationError("module_graph", f"slot {y} has two gradings")
+    if set(tau) != set(comp):
+        raise CertificationError("module_graph", "the generator does not connect the component")
     return tau
 
 
@@ -598,7 +603,10 @@ def _name_component(V100, V010, V001, comp, base):
         ]
         if z == base:
             cands = [a for a in cands if a == 1]
-        assert cands, (z, tau[z], mu_of[z])
+        if not cands:
+            raise CertificationError(
+                "module_graph", f"slot {z} (grading {tau[z]}, weight {mu_of[z]:.6f}) has no name"
+            )
         a = min(cands)
         assign[z] = a
         used.add(a)
@@ -618,7 +626,8 @@ def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
     F100 = V100[np.ix_(ordering, ordering)]
     F010 = V010[np.ix_(ordering, ordering)]
     F001 = V001[np.ix_(ordering, ordering)]
-    assert np.array_equal(F001, F100.T)
+    if not np.array_equal(F001, F100.T):
+        raise CertificationError("module_graph", "the conjugate generator is not the transpose")
     return ModuleGraph(
         ordering,
         F100,
@@ -657,5 +666,6 @@ def annular_matrices(graph: ModuleGraph):
     """One 12x12 matrix per level-4 label: the module action of the whole
     alcove, grown by the same tower recursion as the ring itself."""
     F = fr.su4_tower(graph.F100, graph.F010, graph.F001, 4)
-    assert all(v.min() >= 0 for v in F.values())
+    if any(v.min() < 0 for v in F.values()):
+        raise CertificationError("annular", "the tower recursion left the nonnegative cone")
     return F

@@ -58,8 +58,8 @@ def test_square_split_options():
 
 def test_sparse_rref_unique_solution():
     sys = xla.LinearSystem(2)
-    sys.add({0: 1, 1: 1}, 3)
-    sys.add({0: 1, 1: -1}, 1)
+    sys.add([1, 1], 3)
+    sys.add([1, -1], 1)
     res = sys.rref()
     assert res.consistent and res.rank == 2 and res.free_cols == []
     pts = xla.lattice_points(res, caps=[5, 5])
@@ -68,15 +68,15 @@ def test_sparse_rref_unique_solution():
 
 def test_sparse_rref_inconsistent():
     sys = xla.LinearSystem(2)
-    sys.add({0: 1, 1: 1}, 1)
-    sys.add({0: 2, 1: 2}, 3)
+    sys.add([1, 1], 1)
+    sys.add([2, 2], 3)
     res = sys.rref()
     assert not res.consistent
 
 
 def test_lattice_points_underdetermined():
     sys = xla.LinearSystem(3)
-    sys.add({0: 1, 1: 1, 2: 1}, 4)
+    sys.add([1, 1, 1], 4)
     res = sys.rref()
     assert res.consistent and res.rank == 1
     pts = xla.lattice_points(res, caps=[2, 2, 2])
@@ -95,7 +95,7 @@ def test_lattice_points_against_brute_force():
         b = A @ x0
         sys = xla.LinearSystem(n)
         for i in range(3):
-            sys.add({j: int(A[i, j]) for j in range(n) if A[i, j]}, int(b[i]))
+            sys.add(A[i], b[i])
         res = sys.rref()
         assert res.consistent
         pts = xla.lattice_points(res, caps=[int(c) for c in caps])
@@ -114,7 +114,7 @@ def test_lattice_points_against_brute_force():
 def test_lattice_points_fractional_pivot_rejected():
     # 2x = 1 over the integers has no lattice point
     sys = xla.LinearSystem(1)
-    sys.add({0: 2}, 1)
+    sys.add([2], 1)
     res = sys.rref()
     assert res.consistent  # consistent over Q
     assert xla.lattice_points(res, caps=[3]) == []
@@ -131,7 +131,7 @@ def test_entries_beyond_int64_stay_exact():
 
     # x0 + big x1 = big over 0 <= x0 <= big, 0 <= x1 <= 1
     sys = xla.LinearSystem(2)
-    sys.add({0: 1, 1: big}, big)
+    sys.add([1, big], big)
     res = sys.rref()
     assert res.coeffs.dtype == object
     assert xla.lattice_points(res, caps=[big, 1]) == [[big, 0], [0, 1]]

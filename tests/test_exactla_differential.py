@@ -1,5 +1,6 @@
 """The integer echelon core against sympy, and the lattice enumerator
-against brute force, on small random integer systems drawn by hypothesis.
+against brute force, on small random integer systems drawn by hypothesis;
+and the reduced form's independence of row order and repeated rows.
 
 Both libraries are optional: without them this module is skipped.
 """
@@ -69,7 +70,7 @@ def test_rref_matches_sympy(A, data):
     b = data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
     sys = xla.LinearSystem(n)
     for row, rhs in zip(A, b):
-        sys.add({j: v for j, v in enumerate(row) if v}, rhs)
+        sys.add(row, rhs)
     res = sys.rref()
     R, pivots = sympy.Matrix([row + [rhs] for row, rhs in zip(A, b)]).rref()
     assert res.consistent == (n not in pivots)
@@ -91,6 +92,28 @@ def test_rref_matches_sympy(A, data):
 
 
 @SETTINGS
+@hypothesis.given(matrices(), st.data())
+def test_rref_ignores_row_order_and_repeats(A, data):
+    # the reduced form is canonical, so a system may be stated in any order
+    # and with repeated rows
+    b = data.draw(st.lists(st.integers(-6, 6), min_size=len(A), max_size=len(A)))
+    eqs = list(zip(A, b))
+    repeats = data.draw(st.lists(st.sampled_from(eqs), max_size=2 * len(eqs)))
+    shuffled = data.draw(st.permutations(eqs + repeats))
+
+    def reduced(rows):
+        sys = xla.LinearSystem(len(A[0]))
+        for row, rhs in rows:
+            sys.add(row, rhs)
+        res = sys.rref()
+        if not res.consistent:
+            return False
+        return res.pivot_cols, res.lead.tolist(), res.coeffs.tolist(), res.rhs.tolist()
+
+    assert reduced(shuffled) == reduced(eqs)
+
+
+@SETTINGS
 @hypothesis.given(
     st.integers(1, 3).flatmap(
         lambda m: st.integers(1, 5).flatmap(
@@ -109,7 +132,7 @@ def test_lattice_points_match_the_box(case):
     b = [sum(a * x for a, x in zip(row, x0)) for row in A]
     sys = xla.LinearSystem(n)
     for row, rhs in zip(A, b):
-        sys.add({j: v for j, v in enumerate(row) if v}, rhs)
+        sys.add(row, rhs)
     pts = xla.lattice_points(sys.rref(), caps)
     box = [
         list(x)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fusioncat import CertificationError
 from fusioncat import fusion as fr
 from fusioncat import graphalgebra as ga
 from fusioncat import weights as wt
@@ -142,7 +143,27 @@ def test_unit_rows_and_conjugation(graph_algebra):
 
 
 def test_closure_exact(graph_algebra):
-    assert ga.closure_defect(graph_algebra.G) == 0
+    assert ga.closure_defect(graph_algebra.G, graph_algebra.G) == 0
+
+
+def test_closure_defect_counts_the_failing_pairs(graph_algebra, quantum_symmetries):
+    # one entry raised by 1 breaks 39 of the 144 ordered pairs of the graph
+    # algebra, and 169 of the 2304 of the quantum symmetries
+    G = {a: M.copy() for a, M in graph_algebra.G.items()}
+    G[5][2, 3] += 1
+    assert ga.closure_defect(G, G) == 39
+    O = {p: M.copy() for p, M in quantum_symmetries.O.items()}
+    O[(6, 1)][3, 7] += 1
+    assert ga.closure_defect(O, O) == 169
+
+
+def test_doublet_system_ranks(annular):
+    # 432 unknowns: rank 417 leaves 15 free columns on the kept branch; the
+    # crossed branch has rank 420
+    res = ga._doublet_system(annular, self_conjugate_first=True)[0].rref()
+    assert res.consistent and res.rank == 417 and len(res.free_cols) == 15
+    res = ga._doublet_system(annular, self_conjugate_first=False)[0].rref()
+    assert res.consistent and res.rank == 420
 
 
 def test_doublet_product_table(graph_algebra):
@@ -302,7 +323,7 @@ def test_regular_matrices_close(quantum_symmetries):
         row = np.zeros(48, dtype=np.int64)
         row[ga.pair_index(p)] = 1
         assert np.array_equal(oc.O[p][0], row)
-    assert ga.oc_closure_defect(oc) == 0
+    assert ga.closure_defect(oc.O, oc.O) == 0
 
 
 def test_regular_matrix_block_support(quantum_symmetries):
@@ -331,7 +352,7 @@ def test_regular_matrix_block_support(quantum_symmetries):
 def test_dual_action_represents(dual_matrices, quantum_symmetries):
     SX = dual_matrices
     assert np.array_equal(SX[(1, 1)], np.eye(12, dtype=np.int64))
-    assert ga.dual_rep_defect(SX, quantum_symmetries) == 0
+    assert ga.closure_defect(SX, quantum_symmetries.O) == 0
 
 
 def test_dual_dimension_sums(dual_matrices, quantum_symmetries):
@@ -356,6 +377,17 @@ def test_essential_factorization(slot_map, invariant, base_data):
     assert np.array_equal(smap.E[1] @ smap.Ered[1].T, invariant.matrix)
     for (a, b), W in smap.W0.items():
         assert np.array_equal(W, smap.E[a] @ smap.Ered[b].T), (a, b)
+
+
+def test_slot_map_rejects_a_corrupted_product(
+    chiral_lift, parity, annular, base_data, quantum_symmetries
+):
+    oc = quantum_symmetries
+    O = {p: M.copy() for p, M in oc.O.items()}
+    O[(6, 1)][3, 7] += 1
+    bad = ga.OcAlgebra(galg=oc.galg, pairs=oc.pairs, O=O)
+    with pytest.raises(CertificationError, match="product identity"):
+        ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, bad)
 
 
 def test_slot_assignment_is_a_bijection(slot_map):
@@ -413,6 +445,13 @@ def test_matrix_units_and_traces(graph_algebra):
     # the two-dimensional summand shows up twice in the regular module
     assert abs(mu[(9, 9)].trace() - 2) < 1e-9
     assert abs(mu[(10, 10)].trace() - 2) < 1e-9
+
+
+def test_matrix_units_reject_a_corrupted_algebra(graph_algebra):
+    G = {a: M.copy() for a, M in graph_algebra.G.items()}
+    G[5][2, 3] += 1
+    with pytest.raises(CertificationError, match="matrix_units"):
+        ga.matrix_units(ga.GraphAlgebra(G=G, doublet_survivors=2))
 
 
 def test_center_dimensions(graph_algebra, quantum_symmetries):

@@ -167,6 +167,11 @@ def test_module_graph_matches_component_zero(chiral_lift, module_graph):
 def test_parity_involution(chiral_lift, parity):
     P = parity.P
     assert parity.fixed_points == 12
+    # the fixed slots are exactly those of self-transposed members, the
+    # bound the search must reach
+    ws = chiral_lift.fam.ws
+    self_transposed = [np.array_equal(ws[i], ws[i].T) for i, _ in chiral_lift.slots]
+    assert list(np.diag(P) == 1) == self_transposed
     assert np.array_equal(P @ P, np.eye(48, dtype=np.int64))
     assert P[0, 0] == 1
     # right action commutes with the left one across sample labels
