@@ -2,14 +2,18 @@
 
 Every artifact is one JSON file named by the sha256 of its canonical form
 (sorted keys, compact separators, integer matrices as integer arrays,
-complex entries as [re, im] pairs), next to a human-readable index. Writes
-go through a temp file and an atomic replace; the store assumes a single
-writer and any number of readers.
+complex entries as [re, im] pairs), next to a human-readable index. Objects
+are written to a unique temp file in the same directory and renamed into
+place; the index only ever gains whole lines, appended. So any number of
+writers and readers may share one catalog: concurrent puts of one record
+write the same bytes, and an index line is never lost, though a race may
+repeat it.
 """
 
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -149,13 +153,20 @@ class Catalog:
 
     def put(self, rec: ArtifactRecord) -> str:
         validate_record(rec)
-        h = rec.content_hash
+        data = rec.to_json().encode()
+        h = hashlib.sha256(data).hexdigest()
         self.objects.mkdir(parents=True, exist_ok=True)
         path = self.objects / f"{h}.json"
         if not path.exists():
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(rec.to_json())
-            os.replace(tmp, path)
+            fd, tmp = tempfile.mkstemp(dir=self.objects, prefix=f".{h}.", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    os.fchmod(fd, 0o644)  # mkstemp makes it private
+                    fh.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
         self._index_add(h, rec.kind)
         return h
 
@@ -167,24 +178,20 @@ class Catalog:
 
     def find(self, kind: str) -> list:
         """Hashes of the given kind, lexicographically sorted."""
+        return sorted({h for h, k in self._index_entries() if k == kind})
+
+    def _index_entries(self) -> list:
         if not self.index.exists():
             return []
-        out = []
-        for line in self.index.read_text().splitlines():
-            if line.strip():
-                h, k = line.split()
-                if k == kind:
-                    out.append(h)
-        return sorted(out)
+        return [tuple(line.split()) for line in self.index.read_text().splitlines() if line.strip()]
 
     def _index_add(self, h: str, kind: str):
-        lines = set()
-        if self.index.exists():
-            lines = {l for l in self.index.read_text().splitlines() if l.strip()}
-        lines.add(f"{h}  {kind}")
-        tmp = self.index.with_suffix(".txt.tmp")
-        tmp.write_text("\n".join(sorted(lines)) + "\n")
-        os.replace(tmp, self.index)
+        if (h, kind) in self._index_entries():
+            return
+        # one short write in append mode: concurrent writers never clobber
+        # each other's lines
+        with open(self.index, "a") as fh:
+            fh.write(f"{h}  {kind}\n")
 
 
 # --- DOT emission -----------------------------------------------------------

@@ -95,7 +95,8 @@ def quantum_dimensions(spec: wt.AlgebraSpec, k: int) -> np.ndarray:
     dim_q = prod over positive roots (i..j) of [sum (lam_t + 1)] / [j-i+1]
     with [m] = sin(pi m / kappa) / sin(pi / kappa).
     """
-    assert spec.family == "A"
+    if spec.family != "A":
+        raise ValueError(f"q-deformed Weyl dimensions cover the A series only, not {spec.name}")
     n = spec.rank
     kappa = k + spec.dual_coxeter
     qint = lambda m: np.sin(np.pi * m / kappa) / np.sin(np.pi / kappa)

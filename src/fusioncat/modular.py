@@ -3,12 +3,18 @@
 The s matrix is the Weyl-alternating Gaussian sum over traceless partial-sum
 coordinates, normalized so the vacuum row is positive; t is the diagonal of
 conformal dimensions shifted by the central charge. This is the first module
-where floats appear. The exact layer feeds it Fractions and every identity
-downstream of here carries a tolerance.
+where floats appear, and every identity downstream of here carries a
+tolerance.
 
-The alternating sum is O(r^2 N!) which is perfectly fine for rank <= 3; the
-guard below is deliberate, nobody has audited the phase conventions beyond
-that.
+Every Kac-Peterson phase is rational: scaled by N, the coordinates of
+lam + rho are integers, so each Weyl permutation gives all r^2 phase
+numerators as one integer matrix product. The cost is N! such products and
+N! vectorized exponentials. The floats are formed in the order the scalar
+sum would form them (numerator / N^2, times -2 pi, over kappa, then exp of
+i times that), so s does not depend on how the sum is batched.
+
+Phase conventions are audited for rank <= 3 only; the guard below is
+deliberate.
 """
 
 from dataclasses import dataclass
@@ -35,27 +41,27 @@ class ModularData:
 
 
 def modular_data(spec: wt.AlgebraSpec, k: int) -> ModularData:
-    assert spec.family == "A" and spec.rank <= 3, "phase conventions audited for A1..A3 only"
+    if spec.family != "A" or spec.rank > 3:
+        raise ValueError(f"phase conventions audited for A1..A3 only, not {spec.name}")
     N = spec.rank + 1
     kappa = k + spec.dual_coxeter
     labels = wt.enumerate_alcove(spec, k)
     r = len(labels)
     index = {la: i for i, la in enumerate(labels)}
 
-    shifted = [wt.barycentric(tuple(x + 1 for x in la)) for la in labels]
-    group = wt.weyl_group(N)
-    perms = list(group.items())
-
+    # N times the barycentric coordinates of lam + rho, one row per label
+    B = np.array(
+        [[int(N * x) for x in wt.barycentric(tuple(x + 1 for x in la))] for la in labels],
+        dtype=np.int64,
+    )
     s = np.zeros((r, r), dtype=complex)
-    for a in range(r):
-        ca = shifted[a]
-        for b in range(a + 1):
-            cb = shifted[b]
-            z = 0j
-            for p, sg in perms:
-                e = sum(ca[p[i]] * cb[i] for i in range(N))
-                z += sg * np.exp(-2j * np.pi * float(e) / kappa)
-            s[a, b] = s[b, a] = z
+    for p, sg in wt.weyl_group(N).items():
+        # this order of roundings is the scalar sum's; see the module docstring
+        phase = (-2 * np.pi) * ((B[:, p] @ B.T) / N**2) / kappa
+        s += sg * np.exp(1j * phase)
+    # entry (a, b) with a >= b is the sum with lam_a permuted; mirror it
+    upper = np.triu_indices(r, 1)
+    s[upper] = s.T[upper]
     sigma = (1j) ** (N * (N - 1) // 2) * N ** -0.5 * float(kappa) ** (-spec.rank / 2)
     s *= sigma
 

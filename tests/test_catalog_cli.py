@@ -6,6 +6,7 @@ honestly: its PASS/FAIL lines are the release checks' own outcomes, and it
 exits 1 exactly when some check fails.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -91,6 +92,50 @@ def test_store_put_get_find(store):
     assert store.put(rec) == h
     assert len(list(store.objects.iterdir())) == 1
     assert store.index.read_text() == f"{h}  fusion-ring\n"
+
+
+WRITER = """
+import sys
+from fusioncat import catalog as cat
+
+store = cat.Catalog(sys.argv[1])
+worker = int(sys.argv[2])
+for i in range(40):
+    for level in (1000 * worker + i, i % 8):  # its own record, then a shared one
+        store.put(cat.ArtifactRecord("fusion-ring", cat.make_provenance(), {
+            "algebra": "A1", "level": level, "labels": [[0], [1]],
+            "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+        }))
+"""
+
+
+def test_concurrent_writers_lose_nothing(tmp_path):
+    """Three processes put into one catalog at once, partly the same
+    records; every object and every index line must survive."""
+    root = tmp_path / "shared"
+    src = Path(cat.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", WRITER, str(root), str(w)], env=env,
+                         stderr=subprocess.PIPE, text=True)
+        for w in (1, 2, 3)
+    ]
+    for p in procs:
+        _, err = p.communicate(timeout=120)
+        assert p.returncode == 0, err
+    levels = [1000 * w + i for w in (1, 2, 3) for i in range(40)] + list(range(8))
+    rec = small_record()
+    expect = sorted(
+        cat.ArtifactRecord(rec.kind, rec.provenance, {**rec.payload, "level": level}).content_hash
+        for level in levels
+    )
+    store = cat.Catalog(root)
+    assert sorted(p.name for p in store.objects.iterdir()) == [f"{h}.json" for h in expect]
+    for h in expect:
+        assert hashlib.sha256((store.objects / f"{h}.json").read_bytes()).hexdigest() == h
+    assert store.find("fusion-ring") == expect
+    lines = store.index.read_text().splitlines()
+    assert {tuple(line.split()) for line in lines} == {(h, "fusion-ring") for h in expect}
 
 
 def test_store_missing(store):
@@ -214,6 +259,28 @@ def test_optimized_interpreter_writes_the_same_objects(store, tmp_path, capsys,
     names = sorted(p.name for p in store.objects.iterdir())
     assert len(names) == 6
     assert sorted(p.name for p in (optimized / "objects").iterdir()) == names
+
+
+# ROADMAP's golden hashes; the provenance of each names fusioncat 0.1.0
+GOLDEN = {
+    "af4599e4d623893fc81eabc4dc5b54b270b6a6eb0c31182a250dc9df68aa4934": "fusion-ring",
+    "52136f0e3b795caba2a3bf2d2701eb5cae861233df46ddfb1cd19578af355943": "invariant",
+    "1197a15384cab50dfeed99e4d52b7e34e81ff80c933f898decbc79b46079cee5": "toric-family",
+    "41bf156b0cd36d829063f04da990832101a73acd4dc8774d5ebd278b2a5329c1": "graph-algebra",
+    "1b7389a4b3d76d138a6bcccb2c8a441672281605086cf67eec64a154e23b24ab": "oc-graph",
+    "163dcdaa422b77ee664ffcab7abc5f9cba208a8cf8507a4617e213f9b2ee6f8b": "modular-data",
+}
+
+
+def test_ocneanu_writes_the_golden_objects(store, capsys,
+                                           graph_algebra, quantum_symmetries, slot_map):
+    """Every record downstream of the modular data names its hash in the
+    provenance, so this pins the floats of s and t end to end."""
+    assert cli.main(["ocneanu"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in store.objects.iterdir()) == sorted(f"{h}.json" for h in GOLDEN)
+    for h, kind in GOLDEN.items():
+        assert store.find(kind) == [h]
 
 
 def test_cli_export_missing(store, capsys):

@@ -57,6 +57,11 @@ def test_quantum_dimensions_closed_forms():
     assert abs((dims**2).sum() - 128 * (3 + 2 * sq2)) < 1e-6
 
 
+def test_quantum_dimensions_reject_the_b_series():
+    with pytest.raises(ValueError, match="A series"):
+        fr.quantum_dimensions(wt.algebra("B", 3), 1)
+
+
 def test_quantum_dimensions_match_perron():
     dims = fr.quantum_dimensions(A3, 4)
     mats = fr.fusion_matrices(A3, 4)

@@ -5,6 +5,11 @@ checked through relations (unitarity, the braid relation, the conjugation
 square) and through integrality of the induced fusion numbers.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,3 +79,63 @@ def test_fusion_conjugation_transpose():
     for lam, N in mats.items():
         lbar = wt.conjugate(wt.algebra("A", 3), lam)
         assert np.array_equal(mats[lbar], N.T)
+
+
+def per_pair_reference(spec, k):
+    """The Kac-Peterson sum one (a, b) pair and one Weyl permutation at a
+    time, with exact Fraction phases; s must match it bit for bit."""
+    N = spec.rank + 1
+    kappa = k + spec.dual_coxeter
+    labels = wt.enumerate_alcove(spec, k)
+    r = len(labels)
+    shifted = [wt.barycentric(tuple(x + 1 for x in la)) for la in labels]
+    perms = list(wt.weyl_group(N).items())
+    s = np.zeros((r, r), dtype=complex)
+    for a in range(r):
+        for b in range(a + 1):
+            z = 0j
+            for p, sg in perms:
+                e = sum(shifted[a][p[i]] * shifted[b][i] for i in range(N))
+                z += sg * np.exp(-2j * np.pi * float(e) / kappa)
+            s[a, b] = s[b, a] = z
+    s *= (1j) ** (N * (N - 1) // 2) * N ** -0.5 * float(kappa) ** (-spec.rank / 2)
+    c = wt.central_charge(spec, k)
+    hs = [wt.conformal_dimension(spec, k, la) for la in labels]
+    t = np.diag([np.exp(2j * np.pi * float(h - c / 24)) for h in hs])
+    index = {la: i for i, la in enumerate(labels)}
+    conj = np.array([index[wt.conjugate(spec, la)] for la in labels])
+    return s, t, hs, conj
+
+
+@pytest.mark.parametrize("rank,k", [(1, 60), (2, 10), (3, 4)])
+def test_integer_phase_products_match_the_per_pair_sum_bit_for_bit(rank, k):
+    spec = wt.algebra("A", rank)
+    data = md.modular_data(spec, k)
+    s, t, hs, conj = per_pair_reference(spec, k)
+    # compared as bits, so signed zeros too: the catalog writes -0.0 and 0.0 differently
+    assert np.array_equal(data.s.view(np.int64), s.view(np.int64))
+    assert np.array_equal(data.t, t)
+    assert data.hs == hs
+    assert np.array_equal(data.conj_perm, conj)
+
+
+def test_unaudited_algebras_raise_under_python_O():
+    """The input guard is a ValueError, so it survives python -O."""
+    with pytest.raises(ValueError, match="A1..A3"):
+        md.modular_data(wt.algebra("A", 4), 2)
+    with pytest.raises(ValueError, match="A1..A3"):
+        md.modular_data(wt.algebra("B", 2), 1)
+    src = Path(md.__file__).resolve().parents[1]
+    code = (
+        "from fusioncat import modular as md, weights as wt\n"
+        "try:\n"
+        "    md.modular_data(wt.algebra('A', 4), 2)\n"
+        "except ValueError as e:\n"
+        "    print('raised:', e)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("raised: phase conventions audited for A1..A3 only")
