@@ -17,6 +17,7 @@ import numpy as np
 
 from . import CertificationError
 from . import embedding as emb
+from . import exactla as xla
 from . import fusion as fr
 from . import graphalgebra as ga
 from . import modular as md
@@ -200,12 +201,16 @@ def check_splitting():
     from collections import Counter
 
     mult = Counter(fam.mult)
-    rebuilt_ok = True
-    for (l, m), co in fam.decomp.items():
-        K = sum(c * w for c, w in zip(co, fam.ws))
-        if not np.array_equal(K, fam.K[l, m]):
-            rebuilt_ok = False
-            break
+    # every writing at once: coefficients (1225, 33) times the stacked
+    # members; a writing names only the members found before it
+    pairs = list(fam.decomp)
+    C = np.zeros((len(pairs), len(fam.ws)), dtype=np.int64)
+    for row, p in zip(C, pairs):
+        row[: len(fam.decomp[p])] = fam.decomp[p]
+    W = np.stack(fam.ws).reshape(len(fam.ws), -1)
+    dt = xla.product_dtype(len(fam.ws) * int(np.abs(C).max()) * int(np.abs(W).max()))
+    l, m = np.array(pairs).T
+    rebuilt_ok = np.array_equal(C.astype(dt) @ W.astype(dt), fam.K[l, m].reshape(len(pairs), -1))
     ok = (
         fam.rank == 33
         and sp.norm_census(fam) == CENSUS
@@ -234,9 +239,10 @@ def check_chiral_generators():
     labels = lift.fam.labels
     V = np.stack([lift.Vs[l] for l in labels])
     R = np.stack([par.Rs[l] for l in labels])
-    VR = np.einsum("lab,mbc->lmac", V, R, optimize=True)
-    RV = np.einsum("mab,lbc->lmac", R, V, optimize=True)
-    commute_ok = np.array_equal(VR, RV)
+    dt = xla.product_dtype(V.shape[-1] * int(np.abs(V).max()) * int(np.abs(R).max()))
+    V, R = V.astype(dt), R.astype(dt)
+    # [l, m] holds V_l R_m on the left and R_m V_l on the right
+    commute_ok = np.array_equal(V[:, None] @ R[None], R[None] @ V[:, None])
     ok = blocks_ok and transpose_ok and commute_ok
     detail = (
         f"four identical 12x12 blocks: {blocks_ok}; right fundamental is the "
@@ -291,11 +297,8 @@ def check_graph_algebra():
     reversal_bad = sum(
         prod(a, b) != prod(T[b], a) for a in range(1, 13) for b in range(1, 13)
     )
-    fracs = ga.crossed_branch_fractions(pl.annular())
-    crossed_ok = (
-        ga.doublet_solutions(pl.annular(), self_conjugate_first=False) == []
-        and len(fracs) > 0
-    )
+    fracs, crossed_sols = ga.crossed_branch(pl.annular())
+    crossed_ok = crossed_sols == [] and len(fracs) > 0
     ok = table_ok and twist_ok and conj_ok and crossed_ok
     detail = (
         f"product table exact: {table_ok}; twist anti-homomorphism "

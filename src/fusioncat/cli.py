@@ -269,15 +269,9 @@ def build_parser():
     q.add_argument("--base", required=True, help="compact name, like 'SU(4)'")
 
     stage("invariant", cmd_invariant, "solve and store the flagship modular invariant")
-
-    q = stage("split", cmd_split, "run modular splitting and store the toric family")
-    q.add_argument("--fixture", type=_fixture, default="e4")
-
-    q = stage("realize", cmd_realize, "solve and store the graph algebra")
-    q.add_argument("--fixture", type=_fixture, default="e4")
-
-    q = stage("ocneanu", cmd_ocneanu, "build and store the quantum-symmetry basis")
-    q.add_argument("--fixture", type=_fixture, default="e4")
+    stage("split", cmd_split, "run modular splitting and store the toric family")
+    stage("realize", cmd_realize, "solve and store the graph algebra")
+    stage("ocneanu", cmd_ocneanu, "build and store the quantum-symmetry basis")
 
     q = stage("verify", cmd_verify, "run the twelve release checks")
     q.add_argument("--fixture", type=_fixture, default="e4")

@@ -13,7 +13,9 @@ is ever formed: the integer-preserving elimination of Bareiss (1968),
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", with row contents divided out. Arithmetic is numpy int64 when
 an explicit bound keeps every intermediate below 2**62, Python ints
-(object arrays) otherwise.
+(object arrays) otherwise. product_dtype applies the same rule to integer
+matrix products elsewhere in the package, with float64 (BLAS) first: its
+sums of integers are exact up to 2**53.
 """
 
 from dataclasses import dataclass
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import CertificationError
 
-__all__ = ["IntSpan", "coeff_splits", "square_split_options", "LinearSystem", "RrefResult",
-           "lattice_points"]
+__all__ = ["product_dtype", "IntSpan", "coeff_splits", "square_split_options", "LinearSystem",
+           "RrefResult", "lattice_points"]
 
 # int64 holds every intermediate value below this bound
 _SAFE = 2**62
@@ -33,6 +35,13 @@ _SAFE = 2**62
 def _exact(bound):
     """The dtype that holds every integer of magnitude below `bound`."""
     return np.int64 if bound < _SAFE else object
+
+
+def product_dtype(bound):
+    """The dtype in which an integer matrix product is exact when no partial
+    sum exceeds `bound` in magnitude: float64 up to 2**53, where BLAS adds
+    integers without rounding, else the exact integer dtype."""
+    return np.float64 if bound <= 2**53 else _exact(bound + 1)
 
 
 def _absmax(a) -> int:

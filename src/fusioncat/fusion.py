@@ -9,6 +9,7 @@ reused later on 12x12 and 48x48 module adjacencies.
 
 import numpy as np
 
+from . import CertificationError
 from . import modular as md
 from . import weights as wt
 
@@ -83,7 +84,8 @@ def fusion_matrices(spec: wt.AlgebraSpec, k: int):
         F010 = fundamental_matrix(spec, k, (0, 1, 0))
         F001 = fundamental_matrix(spec, k, (0, 0, 1))
         mats = su4_tower(F100, F010, F001, k)
-        assert all(m.min() >= 0 for m in mats.values()), "recursion left the cone"
+        if any(m.min() < 0 for m in mats.values()):
+            raise CertificationError("ring", "the tower recursion left the nonnegative cone")
         return mats
     # lower ranks: straight from the s matrix
     return md.verlinde_matrices(md.modular_data(spec, k))

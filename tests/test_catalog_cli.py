@@ -229,6 +229,14 @@ def test_cli_bad_arguments(store, capsys):
     assert store.find("modular-data") == [] and store.find("fusion-ring") == []
 
 
+def test_flagship_stages_take_no_fixture(store, capsys):
+    # only verify names the shipped fixture; the stage commands reject it
+    for command in ("split", "realize", "ocneanu"):
+        assert cli.main([command, "--fixture", "e4"]) == 64, command
+        assert "unrecognized arguments: --fixture" in capsys.readouterr().err
+    assert not store.root.exists()
+
+
 def test_cli_catalog_option_beats_the_environment(store, tmp_path, capsys):
     chosen = tmp_path / "chosen"
     assert cli.main(["--catalog", str(chosen), "modular", "--algebra", "A1", "--level", "1"]) == 0

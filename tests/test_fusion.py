@@ -8,6 +8,7 @@ formula against the Perron vector of the generator graph.
 import numpy as np
 import pytest
 
+from fusioncat import CertificationError
 from fusioncat import fusion as fr
 from fusioncat import modular as md
 from fusioncat import weights as wt
@@ -85,3 +86,17 @@ def test_generator_graph_level1():
     N = mats[(1, 0, 0)]
     assert (N.sum(axis=0) == 1).all() and (N.sum(axis=1) == 1).all()
     assert np.array_equal(np.linalg.matrix_power(N, 4), np.eye(4, dtype=np.int64))
+
+
+def test_a_tower_that_leaves_the_cone_is_rejected(monkeypatch):
+    tower = fr.su4_tower
+
+    def broken(*args):
+        mats = tower(*args)
+        mats[(1, 1, 0)] = mats[(1, 1, 0)].copy()
+        mats[(1, 1, 0)][0, 0] = -1
+        return mats
+
+    monkeypatch.setattr(fr, "su4_tower", broken)
+    with pytest.raises(CertificationError, match="ring"):
+        fr.fusion_matrices(A3, 3)

@@ -10,15 +10,20 @@ the reversal identities that do hold are the twisted and conjugated
 anti-homomorphisms.
 """
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from fusioncat import CertificationError
+from fusioncat import acceptance as acc
+from fusioncat import exactla as xla
 from fusioncat import fusion as fr
 from fusioncat import graphalgebra as ga
+from fusioncat import pipeline as pl
 from fusioncat import weights as wt
 
 SQ2 = np.sqrt(2)
@@ -121,8 +126,9 @@ def test_doublet_branch_counts(annular, graph_algebra):
 
 
 def test_crossed_branch_forces_half_integers(annular):
-    fracs = ga.crossed_branch_fractions(annular)
+    fracs, sols = ga.crossed_branch(annular)
     assert fracs == [Fraction(1, 2)] * 8
+    assert sols == []
 
 
 def test_canonical_solution_rows(graph_algebra):
@@ -155,6 +161,25 @@ def test_closure_defect_counts_the_failing_pairs(graph_algebra, quantum_symmetri
     O = {p: M.copy() for p, M in quantum_symmetries.O.items()}
     O[(6, 1)][3, 7] += 1
     assert ga.closure_defect(O, O) == 169
+
+
+def test_closure_defect_past_the_float_bound(graph_algebra, monkeypatch):
+    # scaled by s, both sides of every product scale by s^2, so the counts
+    # hold; the partial sums pass 2**53, where float64 rounds them (it
+    # miscounts here), so the products must run in exact integers
+    s = 3**17
+    chosen, pick = [], xla.product_dtype
+
+    def spy(bound):
+        chosen.append(pick(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(xla, "product_dtype", spy)
+    G = {a: s * M for a, M in graph_algebra.G.items()}
+    assert ga.closure_defect(G, G) == 0
+    G[5][2, 3] += s
+    assert ga.closure_defect(G, G) == 39
+    assert chosen == [np.int64, np.int64]
 
 
 def test_doublet_system_ranks(annular):
@@ -454,11 +479,56 @@ def test_matrix_units_reject_a_corrupted_algebra(graph_algebra):
         ga.matrix_units(ga.GraphAlgebra(G=G, doublet_survivors=2))
 
 
+def svd_center_dimension(mats):
+    """Reference: n minus the float rank of every commutator [B, A] of basis
+    matrices, each as a column over the coefficients of B."""
+    mats = [M.astype(float) for M in mats]
+    big = np.concatenate(
+        [np.stack([(B @ A - A @ B).reshape(-1) for B in mats], axis=1) for A in mats]
+    )
+    return len(mats) - np.linalg.matrix_rank(big)
+
+
+def s3_regular_matrices():
+    """Right-regular matrices of the symmetric group on three letters:
+    (R_y)[x, z] = 1 exactly when z = x y."""
+    group = list(permutations(range(3)))
+    index = {g: i for i, g in enumerate(group)}
+    mats = []
+    for y in group:
+        R = np.zeros((6, 6), dtype=np.int64)
+        for x in group:
+            R[index[x], index[tuple(y[x[i]] for i in range(3))]] = 1
+        mats.append(R)
+    return mats
+
+
 def test_center_dimensions(graph_algebra, quantum_symmetries):
     G = graph_algebra.G
     assert ga.center_dimension([G[a] for a in range(1, 13)]) == 9
     oc = quantum_symmetries
     assert ga.center_dimension([oc.O[p] for p in oc.pairs]) == 33
+
+
+def test_center_dimension_on_known_algebras(graph_algebra):
+    # the group algebra of S3 has one central element per conjugacy class
+    s3 = s3_regular_matrices()
+    assert ga.center_dimension(s3) == 3 == svd_center_dimension(s3)
+    # a commutative fusion ring is its own center
+    A1 = wt.algebra("A", 1)
+    for k in (1, 4, 7):
+        mats = list(fr.fusion_matrices(A1, k).values())
+        assert ga.center_dimension(mats) == k + 1 == svd_center_dimension(mats)
+    mats = [graph_algebra.G[a] for a in range(1, 13)]
+    assert ga.center_dimension(mats) == svd_center_dimension(mats)
+
+
+def test_center_dimension_rejects_constants_that_do_not_close(quantum_symmetries):
+    oc = quantum_symmetries
+    mats = [oc.O[p].copy() for p in oc.pairs]
+    mats[ga.pair_index((6, 1))][3, 7] += 1
+    with pytest.raises(CertificationError, match="center_dimension"):
+        ga.center_dimension(mats)
 
 
 def test_generic_spectra(graph_algebra, quantum_symmetries):
@@ -482,3 +552,27 @@ def test_quantum_masses():
     # the graph mass squared over the subalgebra mass reproduces the
     # alcove mass
     assert abs(graph_mass**2 / sub_mass - alcove_mass) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# release checks on a corrupted input
+# ---------------------------------------------------------------------------
+
+def test_chiral_generator_check_fails_on_a_corrupted_generator(chiral_lift, monkeypatch):
+    Vs = {lab: V.copy() for lab, V in chiral_lift.Vs.items()}
+    Vs[(1, 1, 0)][0, 5] += 1
+    monkeypatch.setattr(pl, "chiral_lift", lambda: dataclasses.replace(chiral_lift, Vs=Vs))
+    ok, detail = acc.check_chiral_generators()
+    assert not ok
+    assert detail.endswith("all 1225 left/right pairs commute: False")
+    assert "four identical 12x12 blocks: True" in detail
+
+
+def test_splitting_check_fails_on_a_corrupted_writing(family, monkeypatch):
+    decomp = dict(family.decomp)
+    co = decomp[(3, 5)]
+    decomp[(3, 5)] = (co[0] + 1, *co[1:])
+    monkeypatch.setattr(pl, "family", lambda: dataclasses.replace(family, decomp=decomp))
+    ok, detail = acc.check_splitting()
+    assert not ok
+    assert detail.endswith("all 1225 writings rebuilt: False")

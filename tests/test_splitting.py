@@ -7,7 +7,7 @@ annular dimension sums, so any regression in the discovery or lift logic
 trips immediately.
 """
 
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -96,12 +96,16 @@ def test_class_actions_exact(family):
 
 def _brute_force_normal_fills(Vt, unk, slot_of):
     """The sweep the structured lift replaced: fill every assignment and
-    test V V^T == V^T V on the whole matrix."""
+    test V V^T == V^T V on the whole matrix. The fills go in stacks of at
+    most 729, whose products are batched in float64; their integer entries
+    are small, so every sum is exact."""
     out = []
-    for assign in product(*[range(rr + 1) for _, _, rr in unk]):
-        V = sp._fill(Vt, unk, slot_of, assign)
-        if np.array_equal(V @ V.T, V.T @ V):
-            out.append(assign)
+    assigns = product(*[range(rr + 1) for _, _, rr in unk])
+    while chunk := list(islice(assigns, 729)):
+        V = np.stack([sp._fill(Vt, unk, slot_of, assign) for assign in chunk]).astype(float)
+        VT = V.transpose(0, 2, 1)
+        normal = (V @ VT == VT @ V).all(axis=(1, 2))
+        out += [assign for assign, ok in zip(chunk, normal) if ok]
     return out
 
 
