@@ -201,16 +201,20 @@ def check_splitting():
     from collections import Counter
 
     mult = Counter(fam.mult)
-    # every writing at once: coefficients (1225, 33) times the stacked
-    # members; a writing names only the members found before it
-    pairs = list(fam.decomp)
-    C = np.zeros((len(pairs), len(fam.ws)), dtype=np.int64)
-    for row, p in zip(C, pairs):
-        row[: len(fam.decomp[p])] = fam.decomp[p]
-    W = np.stack(fam.ws).reshape(len(fam.ws), -1)
+    # every writing at once: C[l, m] holds the coefficients of K[l, m] over
+    # the members, zero-padded, since a writing names only the members found
+    # before it
+    r = len(fam.labels)
+    C = np.zeros((r, r, len(fam.ws)), dtype=np.int64)
+    for (l, m), c in fam.decomp.items():
+        C[l, m, : len(c)] = c
+    W = np.stack(fam.ws)
     dt = xla.product_dtype(len(fam.ws) * int(np.abs(C).max()) * int(np.abs(W).max()))
-    l, m = np.array(pairs).T
-    rebuilt_ok = np.array_equal(C.astype(dt) @ W.astype(dt), fam.K[l, m].reshape(len(pairs), -1))
+    # [l, a] holds sum_j C[l, m, j] W_j[a, d] over (m, d): a stack of small
+    # products, each below the size at which BLAS starts threads
+    rebuilt = C.astype(dt)[:, None] @ W.astype(dt).transpose(1, 0, 2)[None]
+    equal = (rebuilt == fam.K.transpose(0, 2, 1, 3)).all(axis=(1, 3))
+    rebuilt_ok = all(equal[p] for p in fam.decomp)
     ok = (
         fam.rank == 33
         and sp.norm_census(fam) == CENSUS
@@ -241,8 +245,9 @@ def check_chiral_generators():
     R = np.stack([par.Rs[l] for l in labels])
     dt = xla.product_dtype(V.shape[-1] * int(np.abs(V).max()) * int(np.abs(R).max()))
     V, R = V.astype(dt), R.astype(dt)
-    # [l, m] holds V_l R_m on the left and R_m V_l on the right
-    commute_ok = np.array_equal(V[:, None] @ R[None], R[None] @ V[:, None])
+    # one V_l against every R_m per step: [m] holds V_l R_m on the left and
+    # R_m V_l on the right, so no more than 35 products are held at once
+    commute_ok = all(np.array_equal(v @ R, R @ v) for v in V)
     ok = blocks_ok and transpose_ok and commute_ok
     detail = (
         f"four identical 12x12 blocks: {blocks_ok}; right fundamental is the "

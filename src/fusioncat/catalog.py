@@ -64,13 +64,18 @@ def canonical_json(obj) -> str:
 
 
 def int_matrix(m):
-    return [[int(x) for x in row] for row in np.asarray(m)]
+    """Nested lists of Python ints; bool entries encode as 1 and 0."""
+    a = np.asarray(m)
+    if a.dtype.kind == "b" or (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)):
+        return a.astype(np.int64).tolist()
+    # entries past int64 (object arrays, uint64) convert one at a time
+    return [[int(x) for x in row] for row in a]
 
 
 def complex_matrix(m):
-    return [
-        [[float(np.real(z)), float(np.imag(z))] for z in row] for row in np.asarray(m)
-    ]
+    """Nested lists of [re, im] float pairs."""
+    a = np.asarray(m, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,8 @@ def edges_of(mat, names, directed=True):
                 if M[i, j]:
                     out.append([names[i], names[j], int(M[i, j])])
     else:
-        assert np.array_equal(M, M.T), "undirected edge class needs a symmetric matrix"
+        if not np.array_equal(M, M.T):
+            raise ValueError("undirected edge class needs a symmetric matrix")
         for i in range(M.shape[0]):
             for j in range(i, M.shape[1]):
                 if M[i, j]:

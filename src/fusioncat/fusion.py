@@ -1,30 +1,39 @@
-"""Fusion rings of the level-k A-series categories.
+"""Fusion rings of the level-k A-series categories, in integers only.
 
-For rank 3 the full tower of fusion matrices is grown from the three
-generator adjacencies by the standard Chebyshev-style recursion on columns
-of the weight triangle; rank 1 and 2 just take the Verlinde numbers. The
-tower function is deliberately size-agnostic because the same recursion is
-reused later on 12x12 and 48x48 module adjacencies.
+Every ring is grown from generator adjacencies by the truncated Pieri rule,
+the Kac-Walton formula (Walton, Nucl. Phys. B340, 1990). Tensoring with the
+vector representation F adds each of its weights eps_1..eps_{n+1} to a
+label and drops what leaves the alcove, so
+N_lam = F N_{lam-eps_1} - sum_{i>=2} N_{lam-eps_1+eps_i}, summed over the
+dominant terms only. A label with first Dynkin label 0 takes the transpose
+of its conjugate's matrix. Ranks 1 and 2 need nothing else; rank 3 also
+needs the middle generator for the labels (0, l, 0). The rank-3 tower is
+deliberately size-agnostic because the same recursion is reused later on
+12x12 and 48x48 module adjacencies. Nothing here reads the s matrix: the
+Verlinde numbers of modular.py are an independent oracle.
 """
 
 import numpy as np
 
 from . import CertificationError
-from . import modular as md
 from . import weights as wt
 
 __all__ = [
     "GENERATOR_WEIGHTS",
     "fundamental_matrix",
     "su4_tower",
+    "pieri_tower",
     "fusion_matrices",
     "quantum_dimensions",
     "perron_vector",
 ]
 
 
-# weight systems of the three generator representations of A3
+# weight systems of the vector representations of A1 and A2 and of the
+# three generator representations of A3
 GENERATOR_WEIGHTS = {
+    (1,): [(1,), (-1,)],
+    (1, 0): [(1, 0), (-1, 1), (0, -1)],
     (1, 0, 0): [(1, 0, 0), (-1, 1, 0), (0, -1, 1), (0, 0, -1)],
     (0, 1, 0): [(0, 1, 0), (1, -1, 1), (1, 0, -1), (-1, 0, 1), (-1, 1, -1), (0, -1, 0)],
     (0, 0, 1): [(0, 0, 1), (1, -1, 0), (0, 1, -1), (-1, 0, 0)],
@@ -77,18 +86,57 @@ def su4_tower(F100, F010, F001, k: int):
     return N
 
 
+def pieri_tower(spec: wt.AlgebraSpec, k: int):
+    """Every level-k fusion matrix of A1 or A2, from the vector
+    representation alone; keyed by label.
+
+    F X is formed without a matrix product: row i of F X is the sum of the
+    rows of X at the alcove neighbours of label i, one gather per weight of
+    the vector representation.
+    """
+    if spec.family != "A" or spec.rank > 2:
+        raise ValueError(f"the vector Pieri tower covers A1 and A2, not {spec.name}")
+    labels = wt.enumerate_alcove(spec, k)
+    idx = {la: i for i, la in enumerate(labels)}
+    r = len(labels)
+    eps = GENERATOR_WEIGHTS[(1,) + (0,) * (spec.rank - 1)]
+    shift = lambda la, e: tuple(x + y for x, y in zip(la, e))
+    # row r of the padded operand is zero and stands for "left the alcove"
+    nbrs = np.array([[idx.get(shift(la, e), r) for la in labels] for e in eps])
+    padded = np.zeros((r + 1, r), dtype=np.int64)
+
+    N = {labels[0]: np.eye(r, dtype=np.int64)}
+    # canonical order: a label comes after everything of lower level, and
+    # after its conjugate when its first Dynkin label is 0
+    for la in labels[1:]:
+        if la[0] == 0:
+            N[la] = N[wt.conjugate(spec, la)].T
+            continue
+        lo = (la[0] - 1,) + la[1:]
+        padded[:r] = N[lo]
+        term = padded[nbrs].sum(axis=0)
+        for e in eps[1:]:
+            sub = shift(lo, e)
+            if min(sub) >= 0:
+                term -= N[sub]
+        N[la] = term
+    return N
+
+
 def fusion_matrices(spec: wt.AlgebraSpec, k: int):
-    """All fusion matrices at level k, keyed by label."""
-    if spec.family == "A" and spec.rank == 3:
+    """All fusion matrices at level k, keyed by label, for A1..A3."""
+    if spec.family != "A" or spec.rank > 3:
+        raise ValueError(f"fusion rings cover A1..A3 only, not {spec.name}")
+    if spec.rank == 3:
         F100 = fundamental_matrix(spec, k, (1, 0, 0))
         F010 = fundamental_matrix(spec, k, (0, 1, 0))
         F001 = fundamental_matrix(spec, k, (0, 0, 1))
         mats = su4_tower(F100, F010, F001, k)
-        if any(m.min() < 0 for m in mats.values()):
-            raise CertificationError("ring", "the tower recursion left the nonnegative cone")
-        return mats
-    # lower ranks: straight from the s matrix
-    return md.verlinde_matrices(md.modular_data(spec, k))
+    else:
+        mats = pieri_tower(spec, k)
+    if any(m.min() < 0 for m in mats.values()):
+        raise CertificationError("ring", "the tower recursion left the nonnegative cone")
+    return mats
 
 
 def quantum_dimensions(spec: wt.AlgebraSpec, k: int) -> np.ndarray:

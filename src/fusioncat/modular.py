@@ -82,7 +82,8 @@ def verlinde_tensor(data: ModularData) -> np.ndarray:
 
 def verlinde_matrices(data: ModularData, tol: float = 1e-6):
     """Fusion matrices keyed by label, rounded to int; raises if any entry
-    sits further than tol from an integer."""
+    sits further than tol from an integer. The oracle that the integer
+    towers of fusion.py are checked against."""
     ten = verlinde_tensor(data)
     drift = np.abs(ten - np.round(ten)).max()
     if drift > tol:

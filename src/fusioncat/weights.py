@@ -68,10 +68,12 @@ class AlgebraSpec:
 
 @lru_cache(maxsize=None)
 def algebra(family: str, rank: int) -> AlgebraSpec:
-    assert family in ("A", "B"), family
-    assert rank >= 1
-    if family == "B":
-        assert rank >= 2, "B1 is A1; ask for that instead"
+    if family not in ("A", "B"):
+        raise ValueError(f"unsupported family {family!r}")
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
+    if family == "B" and rank < 2:
+        raise ValueError("B1 is A1; ask for that instead")
     return AlgebraSpec(family, rank)
 
 
@@ -119,7 +121,8 @@ def weight_level(spec: AlgebraSpec, lam) -> int:
 def enumerate_alcove(spec: AlgebraSpec, k: int):
     """All integrable highest weights at level k, in canonical order:
     ascending level, lexicographically descending within a level."""
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"level must be nonnegative, got {k}")
     cm = spec.comarks
     out = [
         w

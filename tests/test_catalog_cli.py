@@ -82,6 +82,38 @@ def test_every_kind_round_trips(graph_algebra, quantum_symmetries, slot_map, mod
         assert back.content_hash == rec.content_hash
 
 
+def _int_matrix_per_entry(m):
+    return [[int(x) for x in row] for row in np.asarray(m)]
+
+
+def _complex_matrix_per_entry(m):
+    return [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in np.asarray(m)]
+
+
+def test_matrix_builders_write_the_per_entry_bytes():
+    """The array-native builders serialize exactly as a per-entry
+    conversion does: bools as 1 and 0, big integers in full, -0.0 kept."""
+    rng = np.random.default_rng(11)
+    big = np.array([[2**63, -(2**64) - 5], [3, 2**70]], dtype=object)
+    ints = [
+        rng.integers(-(2**62), 2**62, size=(5, 7)),
+        rng.integers(-(2**31), 2**31, size=(4, 4)).astype(np.int32),
+        rng.integers(0, 256, size=(3, 6)).astype(np.uint8),
+        rng.integers(0, 2, size=(6, 6)).astype(bool),
+        np.array([[2**64 - 1, 0]], dtype=np.uint64),
+        big,
+        np.zeros((0, 3), dtype=np.int64),
+    ]
+    for m in ints:
+        assert cat.canonical_json(cat.int_matrix(m)) == cat.canonical_json(_int_matrix_per_entry(m))
+    assert cat.canonical_json(cat.int_matrix(ints[3][:1, :2] | True)) == "[[1,1]]"
+    z = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    z[0, 0], z[1, 1], z[2, 2] = complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0)
+    for m in (z, z.astype(np.complex64), z.real, rng.integers(-9, 9, size=(3, 3))):
+        assert cat.canonical_json(cat.complex_matrix(m)) == cat.canonical_json(_complex_matrix_per_entry(m))
+    assert cat.canonical_json(cat.complex_matrix(z[:1, :1])) == "[[[-0.0,1.0]]]"
+
+
 def test_store_put_get_find(store):
     rec = small_record()
     h = store.put(rec)
@@ -200,6 +232,17 @@ def test_cli_fusion_stores(store, capsys):
     out = capsys.readouterr().out
     assert "stored fusion-ring" in out and "10 matrices" in out
     assert len(store.find("fusion-ring")) == 1
+
+
+def test_cli_fusion_objects_of_the_low_ranks_are_pinned(store, capsys):
+    # taken when these rings still came from rounded Verlinde numbers
+    for algebra, level, h in (
+        ("A1", "10", "86f6cf69d7bb6c3213acfd9e66e4a182d454b4dc2ee70babaef98afdf9e20657"),
+        ("A2", "4", "a88e29cd21e9597e01535a53365e995b4f2eb20ddfb04e842238a08e732deb46"),
+    ):
+        assert cli.main(["fusion", "--algebra", algebra, "--level", level]) == 0
+        assert f"stored fusion-ring {h} " in capsys.readouterr().out
+    assert len(store.find("fusion-ring")) == 2
 
 
 def test_cli_embed_scan(store, capsys):

@@ -1,8 +1,8 @@
 """Fusion-ring oracles.
 
-The recursion tower is held against the Verlinde numbers (an independent
-construction through the s matrix), and the q-deformed dimension product
-formula against the Perron vector of the generator graph.
+The recursion towers of every rank are held against the Verlinde numbers
+(an independent construction through the s matrix), and the q-deformed
+dimension product formula against the Perron vector of the generator graph.
 """
 
 import numpy as np
@@ -13,6 +13,8 @@ from fusioncat import fusion as fr
 from fusioncat import modular as md
 from fusioncat import weights as wt
 
+A1 = wt.algebra("A", 1)
+A2 = wt.algebra("A", 2)
 A3 = wt.algebra("A", 3)
 
 
@@ -24,6 +26,39 @@ def test_tower_matches_verlinde(k):
     assert set(built) == set(oracle)
     for la in oracle:
         assert np.array_equal(built[la], oracle[la]), la
+
+
+@pytest.mark.parametrize(
+    "spec,k",
+    [(A1, k) for k in [*range(1, 41), 119]] + [(A2, k) for k in range(1, 15)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_pieri_tower_matches_verlinde(spec, k):
+    oracle = md.verlinde_matrices(md.modular_data(spec, k))
+    built = fr.fusion_matrices(spec, k)
+    assert list(built) == wt.enumerate_alcove(spec, k)
+    for la in oracle:
+        assert built[la].dtype == np.int64, la
+        assert np.array_equal(built[la], oracle[la]), la
+
+
+def test_rings_of_every_rank_skip_the_s_matrix(monkeypatch):
+    assert md not in vars(fr).values()
+
+    def refuse(*args):
+        raise AssertionError("the fusion layer read modular data")
+
+    monkeypatch.setattr(md, "modular_data", refuse)
+    monkeypatch.setattr(md, "verlinde_tensor", refuse)
+    for spec, k in ((A1, 12), (A2, 5), (A3, 2)):
+        mats = fr.fusion_matrices(spec, k)
+        assert all(m.dtype == np.int64 for m in mats.values())
+
+
+def test_fusion_rings_reject_what_they_do_not_cover():
+    for spec in (wt.algebra("A", 4), wt.algebra("B", 2)):
+        with pytest.raises(ValueError, match="A1..A3"):
+            fr.fusion_matrices(spec, 1)
 
 
 def test_ring_closure_a3_level4():
@@ -100,3 +135,17 @@ def test_a_tower_that_leaves_the_cone_is_rejected(monkeypatch):
     monkeypatch.setattr(fr, "su4_tower", broken)
     with pytest.raises(CertificationError, match="ring"):
         fr.fusion_matrices(A3, 3)
+
+
+def test_a_corrupted_a2_tower_is_rejected(monkeypatch):
+    tower = fr.pieri_tower
+
+    def broken(*args):
+        mats = tower(*args)
+        mats[(1, 1)] = mats[(1, 1)].copy()
+        mats[(1, 1)][2, 0] = -1
+        return mats
+
+    monkeypatch.setattr(fr, "pieri_tower", broken)
+    with pytest.raises(CertificationError, match="ring"):
+        fr.fusion_matrices(A2, 3)

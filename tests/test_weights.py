@@ -6,8 +6,14 @@ written, and is the reference the implementation has to hit exactly.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import permutations
+from pathlib import Path
+
+import pytest
 
 from fusioncat import weights as wt
 
@@ -148,3 +154,38 @@ def test_simple_reflection_fixture():
     c2 = wt.barycentric(lam2)
     s2 = (c2[1], c2[0], c2[2], c2[3])
     assert wt.labels_from_barycentric(s2) == (-2, 3, 3)
+
+
+# each line must raise ValueError, with or without python -O
+BAD_INPUTS = (
+    "wt.algebra('C', 3)",
+    "wt.algebra('A', 0)",
+    "wt.algebra('B', 1)",
+    "wt.enumerate_alcove(wt.algebra('A', 2), -1)",
+    "cat.edges_of([[0, 1], [0, 0]], ['a', 'b'], directed=False)",
+)
+
+
+def test_input_checks_raise_under_python_O():
+    """The input checks are ValueErrors, not asserts, so python -O keeps them."""
+    from fusioncat import catalog as cat
+
+    for line in BAD_INPUTS:
+        with pytest.raises(ValueError):
+            eval(line, {"wt": wt, "cat": cat})
+    code = (
+        "from fusioncat import catalog as cat, weights as wt\n"
+        f"for line in {BAD_INPUTS!r}:\n"
+        "    try:\n"
+        "        eval(line)\n"
+        "        print('accepted:', line)\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+    )
+    src = Path(wt.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["raised"] * len(BAD_INPUTS)
