@@ -24,6 +24,7 @@ from itertools import product
 
 import numpy as np
 
+from . import CertificationError
 from . import modular as md
 from . import weights as wt
 
@@ -115,7 +116,8 @@ def branch_candidates(base_spec, k, ambient_spec, ambient_level=1):
     conformal dimension exceeds the ambient one by a nonnegative integer."""
     cb = wt.central_charge(base_spec, k)
     ca = wt.central_charge(ambient_spec, ambient_level)
-    assert cb == ca, f"central charges differ: {cb} vs {ca}"
+    if cb != ca:
+        raise ValueError(f"not a conformal embedding: central charges {cb} and {ca} differ")
     base_labels = wt.enumerate_alcove(base_spec, k)
     hs = {mu: wt.conformal_dimension(base_spec, k, mu) for mu in base_labels}
     out = []
@@ -154,13 +156,15 @@ def solve_invariant(data: md.ModularData, classes, box: int = 4, tol: float = 1e
     idx, s, t = data.index, data.s, data.t
     r = len(data.labels)
     vac = 0
-    assert data.labels[0] == (0,) * data.spec.rank
-
+    if data.labels[0] != (0,) * data.spec.rank:
+        raise CertificationError("invariant", f"label 0 is {data.labels[0]}, not the vacuum")
     vac_classes = [c for c in classes if c.ambient_h == 0]
-    assert len(vac_classes) == 1, "expected exactly one vacuum class"
+    if len(vac_classes) != 1:
+        raise CertificationError("invariant", f"{len(vac_classes)} vacuum classes, not one")
     order = vac_classes + [c for c in classes if c is not vac_classes[0]]
     sups = [[idx[mu] for mu in c.support] for c in order]
-    assert vac in sups[0]
+    if vac not in sups[0]:
+        raise CertificationError("invariant", "the vacuum class does not branch to the vacuum")
 
     # after peeling class j, coordinates that no later class touches must
     # carry no residual

@@ -7,15 +7,16 @@ d x_p + sum_f a_f x_f = b over the free unknowns) and lattice_points (the
 bounded nonnegative integer points of that solution space).
 
 The core's rows are primitive, positive in their own pivot column and zero
-in every other pivot column. A vector is reduced against all of them in one
-step after scaling by the lcm of their pivot entries, so no rational number
-is ever formed: the integer-preserving elimination of Bareiss (1968),
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", with row contents divided out. Arithmetic is numpy int64 when
-an explicit bound keeps every intermediate below 2**62, Python ints
-(object arrays) otherwise. product_dtype applies the same rule to integer
-matrix products elsewhere in the package, with float64 (BLAS) first: its
-sums of integers are exact up to 2**53.
+in every other pivot column. A block of vectors is reduced against all of
+them in one product after scaling by the lcm of their pivot entries, so no
+rational number is ever formed: the integer-preserving elimination of
+Bareiss (1968), "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", with row contents divided out. What is left of the
+block is brought to the same form and merged in, again one product for the
+old rows. Arithmetic is numpy int64 when an explicit bound keeps every
+intermediate below 2**62, Python ints (object arrays) otherwise.
+product_dtype applies the same rule to integer matrix products, with
+float64 (BLAS) first: its sums of integers are exact up to 2**53.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ __all__ = ["product_dtype", "IntSpan", "coeff_splits", "square_split_options", "
 
 # int64 holds every intermediate value below this bound
 _SAFE = 2**62
+# multiply-adds in one float64 product, well below the size OpenBLAS threads
+_SMALL = 2**18
 
 
 def _exact(bound):
@@ -40,7 +43,17 @@ def _exact(bound):
 def product_dtype(bound):
     """The dtype in which an integer matrix product is exact when no partial
     sum exceeds `bound` in magnitude: float64 up to 2**53, where BLAS adds
-    integers without rounding, else the exact integer dtype."""
+    integers without rounding, else the exact integer dtype.
+
+    In float64, state the work as stacks of small products, never as one
+    wide product. OpenBLAS runs a product of about 10**6 multiply-adds or
+    more on several threads, and on a 2-vCPU machine that costs more than it
+    saves: the 48 right-hand sides (48, 48) @ (48, 35) of slot_symmetry_map
+    took 0.3 ms as one stack and 8 ms as one (2304, 48) @ (48, 35) product,
+    with more CPU time than wall time, and closure_defect's stacks ran 4x
+    faster than one (8a, a) @ (a, na) product. A stack also bounds the
+    working set: one (2304, 48) @ (48, 1225) product is fast but holds a
+    22.6 MB result."""
     return np.float64 if bound <= 2**53 else _exact(bound + 1)
 
 
@@ -53,58 +66,126 @@ class _Echelon:
     columns; the columns after them (a right-hand side, coordinate tags)
     ride along in every row operation."""
 
-    def __init__(self, npivot, width):
+    def __init__(self, npivot, rows):
+        """`rows` must be reduced against each other: the pivot of each, its
+        first nonzero column among the first `npivot`, is zero in the
+        others. They are kept primitive and positive at their pivots."""
         self.npivot = npivot
-        self._buf = np.zeros((8, width), dtype=np.int64)  # rows, then spare room
-        self.pivots = np.zeros(0, dtype=np.intp)
-        self.lead = []  # pivot entry of each row, positive
-        self.top = []  # largest absolute entry of each row
+        self.pivots = (rows[:, :npivot] != 0).argmax(axis=1)
+        at = np.arange(len(rows)), self.pivots
+        rows = _primitive(rows) * np.where(rows[at] > 0, 1, -1)[:, None]
+        self._buf = _fit(rows)  # the rows, then spare room
+        self.lead = rows[at].tolist()
+        self.top = np.abs(rows).max(axis=1).tolist() if rows.size else []  # largest |entry|
 
     @property
     def rows(self):
         return self._buf[: len(self.lead)]
 
-    def reduce(self, v, vmax):
-        """(w, c): w = c v minus a combination of the rows, zero in every
-        pivot column, with c > 0. `vmax` bounds the entries of v."""
-        a = v[self.pivots]
-        hit = a.nonzero()[0]
+    def reduce(self, V, vmax):
+        """(W, D): every row of W is D times that row of V minus a
+        combination of the rows, zero in every pivot column, with D > 0.
+        `vmax` bounds the entries of V. One product serves the whole block,
+        and only over the columns where it can be nonzero: the pivot
+        columns cancel by construction."""
+        A = V[:, self.pivots]
+        hit = A.any(axis=0).nonzero()[0]
         if not hit.size:
-            return v, 1
-        lead = [self.lead[i] for i in hit]
+            return V, 1
+        A, piv, rows = A[:, hit], self.pivots[hit], hit.tolist()
+        lead = [self.lead[i] for i in rows]
         D = lcm(*lead)
-        coef = [int(a[i]) * (D // l) for i, l in zip(hit, lead)]
-        dt = _exact(D * vmax + sum(abs(c) * self.top[i] for c, i in zip(coef, hit)))
-        R = self._buf[hit].astype(dt, copy=False)
-        return D * v.astype(dt, copy=False) - np.array(coef, dtype=dt) @ R, D
+        scale = [D // l for l in lead]
+        reach = max(s * self.top[i] for s, i in zip(scale, rows))
+        psum = len(rows) * _absmax(A) * reach
+        dt, pdt = _exact(D * vmax + psum), product_dtype(psum)
+        R = self._buf[hit]
+        cols = R.any(axis=0)
+        cols[piv] = False
+        cols = cols.nonzero()[0]
+        C = A if D == 1 else A.astype(dt) * np.array(scale, dtype=dt)
+        C, B = C.astype(pdt), R[:, cols].astype(pdt)
+        W = V.astype(dt)
+        if D != 1:
+            W *= D
+        W[:, piv] = 0
+        # stacked row slices keep each float64 product below the size that
+        # OpenBLAS threads
+        step = max(1, _SMALL // max(1, B.size))
+        for s in range(0, len(W), step):
+            W[s : s + step, cols] -= _integral(C[s : s + step] @ B, dt)
+        return W, D
 
-    def insert(self, w):
-        """Add a reduced row whose pivot part is nonzero, and clear its
-        pivot column from the other rows."""
-        p = int(w[: self.npivot].nonzero()[0][0])
-        w = w // (int(np.gcd.reduce(w)) * (1 if w[p] > 0 else -1))
-        wp, wmax = int(w[p]), _absmax(w)
-        hit = self.rows[:, p].nonzero()[0]
+    def merge(self, new):
+        """Add the rows of `new`, an echelon of rows reduced against these,
+        and clear its pivot columns from these rows in one reduction."""
+        if not new.lead:
+            return
+        n, k = len(self.lead), len(new.lead)
+        hit = self.rows[:, new.pivots].any(axis=1).nonzero()[0]
         if hit.size:
-            f = self._buf[hit, p]
-            dt = _exact(wp * max(self.top[i] for i in hit) + _absmax(f) * wmax)
-            R = wp * self._buf[hit].astype(dt) - np.outer(f.astype(dt), w.astype(dt))
-            R //= np.gcd.reduce(R, axis=1)[:, None]
+            R = _primitive(new.reduce(self._buf[hit], max(self.top[i] for i in hit))[0])
             self._store(hit, R)
-            for i, row in zip(hit, R):
-                self.lead[i], self.top[i] = int(row[self.pivots[i]]), _absmax(row)
-        if len(self.lead) == len(self._buf):
-            self._buf = np.concatenate([self._buf, np.zeros_like(self._buf)])
-        self._store([len(self.lead)], w[None])
-        self.pivots = np.append(self.pivots, p)
-        self.lead.append(wp)
-        self.top.append(wmax)
+            lead = R[np.arange(len(hit)), self.pivots[hit]]
+            for i, l, t in zip(hit.tolist(), lead.tolist(), np.abs(R).max(axis=1).tolist()):
+                self.lead[i], self.top[i] = l, t
+        if n + k > len(self._buf):
+            buf = np.empty((2 * n + k, self._buf.shape[1]), dtype=self._buf.dtype)
+            buf[:n] = self.rows
+            self._buf = buf
+        self._store(np.arange(n, n + k), new.rows)
+        self.pivots = np.concatenate([self.pivots, new.pivots])
+        self.lead += new.lead
+        self.top += new.top
 
     def _store(self, at, R):
-        # the buffer turns to Python ints for good once a row outgrows int64
-        if R.dtype == object and self._buf.dtype != object and _absmax(R) >= _SAFE:
+        # the rows turn to Python ints for good once one outgrows int64
+        R = _fit(R)
+        if R.dtype == object:
             self._buf = self._buf.astype(object)
         self._buf[at] = R
+
+
+def _echelonize(W, npivot):
+    """The echelon of W's row space, for rows W already reduced against
+    another echelon; None when some combination of them is zero in the
+    first `npivot` columns but not in the rest.
+
+    In rounds: of the first rows to lead in each column, those that are
+    zero where the others lead are reduced already; they join, and the rest
+    is reduced against them in one product. The last leading column always
+    joins, and on sparse blocks a round takes dozens of rows."""
+    out = _Echelon(npivot, W[:0])
+    while len(W := W[W.any(axis=1)]):
+        lc = (W[:, :npivot] != 0).argmax(axis=1)
+        if not W[np.arange(len(W)), lc].all():
+            return None
+        first = np.unique(lc, return_index=True)[1]
+        alone = first[np.count_nonzero(W[first][:, lc[first]], axis=1) == 1]
+        step = _Echelon(npivot, W[alone])
+        out.merge(step)
+        rest = np.ones(len(W), dtype=bool)
+        rest[alone] = False
+        W = step.reduce(W[rest], _absmax(W))[0]
+    return out
+
+
+def _integral(P, dt):
+    """An exact integer product P in dtype dt (Python ints, not floats, when
+    dt is object)."""
+    return P.astype(np.int64).astype(dt) if P.dtype == np.float64 else P.astype(dt)
+
+
+def _fit(R):
+    """R in int64 when its entries allow it, else Python ints."""
+    return R.astype(np.int64) if R.dtype == object and _absmax(R) < _SAFE else R
+
+
+def _primitive(R):
+    """Every row of R divided by its content; a zero row stays zero."""
+    g = np.gcd.reduce(R, axis=1)
+    g[g == 0] = 1
+    return R // g[:, None]
 
 
 class IntSpan:
@@ -122,9 +203,10 @@ class IntSpan:
         v = v.astype(_exact(vmax))
         if self._core is None:
             self._n = len(v)
-            self._core = _Echelon(self._n, 2 * self._n)
+            self._core = _Echelon(self._n, np.zeros((0, 2 * self._n), dtype=np.int64))
         # one tag column per basis vector; the rank is at most n
-        return self._core.reduce(np.concatenate([v, np.zeros(self._n, dtype=v.dtype)]), vmax)
+        W, c = self._core.reduce(np.concatenate([v, np.zeros(self._n, dtype=v.dtype)])[None], vmax)
+        return W[0], c
 
     def coords(self, vec):
         """(numerators, denominator) of vec over the inserted basis, in
@@ -143,7 +225,7 @@ class IntSpan:
             return False
         # the new row is c * vec minus earlier rows: tag the new basis vector
         w[self._n + self.rank] = c
-        self._core.insert(w)
+        self._core.merge(_Echelon(self._n, w[None]))
         return True
 
     @property
@@ -194,28 +276,38 @@ class RrefResult:
 
 
 class LinearSystem:
-    """Exact linear system A x = b, given one dense integer row at a time
-    and reduced as the rows arrive. The reduced form is canonical, so it
-    does not depend on the order of the rows or on repeats among them.
-    Inconsistency is detected on insertion and reported by rref()."""
+    """Exact linear system A x = b, given as blocks of dense integer rows and
+    reduced as they arrive. The reduced form is canonical, so it does not
+    depend on the order of the rows, on repeats among them or on how they
+    are split into blocks. Inconsistency is detected on insertion and
+    reported by rref()."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._core = _Echelon(ncols, ncols + 1)  # the last column is the right-hand side
+        # the last column is the right-hand side
+        self._core = _Echelon(ncols, np.zeros((0, ncols + 1), dtype=np.int64))
         self._consistent = True
 
-    def add(self, row, rhs=0):
-        """Append the equation row . x = rhs; `row` has ncols integers."""
+    def add(self, rows, rhs=0):
+        """Append the equations rows . x = rhs: `rows` is one row of ncols
+        integers or a block of them, `rhs` a number or one per row.
+
+        The block is reduced against the echelon in one product, what is
+        left is brought to reduced form on its own, and that is merged in
+        with one more product for the old rows. A block that contradicts
+        itself or the echelon makes the system inconsistent; from then on
+        rows are ignored."""
         if not self._consistent:
             return
-        v = np.append(np.asarray(row), rhs)
-        big = _absmax(v)
-        w, _ = self._core.reduce(v.astype(_exact(big)), big)
-        if not w[:-1].any():
-            if w[-1]:
-                self._consistent = False
-            return
-        self._core.insert(w)
+        A = np.atleast_2d(np.asarray(rows))
+        V = np.column_stack([A, np.broadcast_to(np.asarray(rhs), len(A))])
+        big = _absmax(V)
+        W, _ = self._core.reduce(V.astype(_exact(big)), big)
+        new = _echelonize(W, self.ncols)
+        if new is None:
+            self._consistent = False
+        else:
+            self._core.merge(new)
 
     def rref(self) -> RrefResult:
         core = self._core
@@ -243,11 +335,8 @@ def lattice_points(res: RrefResult, caps):
     free, piv = res.free_cols, res.pivot_cols
     cf = [int(caps[c]) for c in free]
     top = [int(d) * int(caps[p]) for d, p in zip(res.lead, piv)]
-    reach = [
-        abs(int(b)) + sum(abs(int(x)) * c for x, c in zip(row, cf)) + t
-        for b, row, t in zip(res.rhs, res.coeffs, top)
-    ]
-    dt = _exact(max(reach, default=0))
+    # no value met below exceeds this in magnitude
+    dt = _exact(_absmax(res.rhs) + _absmax(res.coeffs) * sum(cf) + max(top, default=0))
     A, rhs, lead = res.coeffs.astype(dt), res.rhs.astype(dt), res.lead.astype(dt)
 
     def suffix(P):  # row k: sums over the free columns k.., last row zero

@@ -163,7 +163,10 @@ def quantum_dimensions(spec: wt.AlgebraSpec, k: int) -> np.ndarray:
 
 def perron_vector(adj, base: int = 0, tol: float = 1e-12, itmax: int = 10000):
     """Positive eigenvector of an irreducible nonnegative matrix, scaled to
-    1.0 at `base`. Power iteration on adj + I (the shift kills periodicity)."""
+    1.0 at `base`. Power iteration on adj + I (the shift kills periodicity);
+    since adj + I >= I, every iterate stays positive at `base`."""
+    if (adj < 0).any():
+        raise ValueError("the Perron vector needs a nonnegative matrix")
     size = adj.shape[0]
     A = adj.astype(float) + np.eye(size)
     v = np.ones(size) / np.sqrt(size)
@@ -176,5 +179,4 @@ def perron_vector(adj, base: int = 0, tol: float = 1e-12, itmax: int = 10000):
         v = w
     else:
         raise RuntimeError("power iteration did not settle")
-    assert v[base] > 0
     return v / v[base]

@@ -163,8 +163,7 @@ def _doublet_system(annular, self_conjugate_first):
         A = np.zeros((len(rhs), 3 * n), dtype=np.int64)
         for u, M in parts:
             A[:, block[u] * n : (block[u] + 1) * n] += M
-        for row, b in zip(A, rhs):
-            sys.add(row, b)
+        sys.add(A, rhs)
 
     zero = np.zeros(n, dtype=np.int64)
     for X in block:
@@ -240,12 +239,10 @@ def closure_defect(mats, regular):
     the algebra: (G, G) for the graph algebra, (O, O) for the quantum
     symmetries, (SX, O) for their dual action.
 
-    Eight left factors at a time, each side is one stacked product of a x a
-    blocks: X_x X_y for every y, and sum_z (R_y)[x, z] X_z one row of the X
-    at a time. On two cores these stacks of small products ran 4x faster
-    than one wide (8a, a) @ (a, n a) product, which OpenBLAS threads. A
-    bound from the largest entries caps every partial sum, so the products
-    run in float64 while it is at most 2**53 and in exact integers past it."""
+    Eight left factors at a time, each side is one stack of a x a products
+    (see product_dtype): X_x X_y for every y, and sum_z (R_y)[x, z] X_z one
+    row of the X at a time, in the dtype product_dtype picks from a bound
+    on every partial sum."""
     X = np.stack(list(mats.values()))
     R = np.stack(list(regular.values()))
     n, a, _ = X.shape
@@ -470,22 +467,30 @@ def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
             pair_of[z] = p
     _require(len(set(pair_of.values())) == 48, "slot_map", "the slot assignment is not a bijection")
 
-    # the product identity over every pair of slots certifies the assignment
+    # the product identity over every pair of slots certifies the assignment:
+    # (V_l R_m)[x, y] = sum_z (O_conj(y))[x, z] (W_z)[l, m], indexed by pairs
     slot_of = {p: z for z, p in pair_of.items()}
     order = [slot_of[p] for p in pairs]
-    n = len(labels)
-    Wstack = np.stack([Wslot[z] for z in order])
-    Vstack = np.stack([lift.Vs[lab] for lab in labels])
-    # R[w, (y, m)] = (R_m)[w, slot of y]
-    R = np.stack([parity.Rs[lab][:, order] for lab in labels], axis=2).reshape(len(order), -1)
-    # row x of the regular matrix of conj(y) expands the slot product x.y
+    at = np.ix_(order, order)
+    V = np.stack([lift.Vs[lab][at] for lab in labels])
+    Rm = np.stack([parity.Rs[lab][at] for lab in labels])
+    W = np.stack([Wslot[z] for z in order])
     Oconj = np.stack([oc.O[conjugate_pair(y)] for y in pairs])
-    for x in pairs:
-        # lhs[y, l, m] = (V_l R_m)[slot of x, slot of y]
-        lhs = (Vstack[:, slot_of[x]] @ R).reshape(n, len(order), n).transpose(1, 0, 2)
-        bad = (lhs != np.tensordot(Oconj[:, pair_index(x)], Wstack, axes=(1, 0))).any(axis=(1, 2))
-        _require(not bad.any(), "slot_map",
-                 f"the product identity fails at ({x}, {pairs[int(bad.argmax())]})")
+    npairs = len(pairs)
+    vmax, rmax, wmax, omax = (int(np.abs(M).max()) for M in (V, Rm, W, Oconj))
+    dt = xla.product_dtype(npairs * max(vmax * rmax, omax * wmax))
+    V, Rm, W, Oconj = (M.astype(dt) for M in (V, Rm, W, Oconj))
+    bad = np.zeros((npairs, npairs), dtype=bool)
+    for l in range(len(labels)):
+        # lhs[m, x, y] = (V_l R_m)[x, y]; rhs[y, x, m] = sum_z (O_conj(y))[x, z] (W_z)[l, m]
+        lhs = V[l][None] @ Rm
+        rhs = Oconj @ W[:, l, :]
+        bad |= (lhs != rhs.transpose(2, 1, 0)).any(axis=0)
+    if bad.any():
+        x, y = np.argwhere(bad)[0]
+        raise CertificationError(
+            "slot_map", f"the product identity fails at ({pairs[x]}, {pairs[y]})"
+        )
 
     W0 = {p: Wslot[slot_of[p]] for p in pairs}
     return SlotMap(pair_of=pair_of, slot_of=slot_of, E=E, Ered=Ered, W0=W0)

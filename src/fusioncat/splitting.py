@@ -80,8 +80,17 @@ class SplitFamily:
 
 
 def _family_tensor(mats, labels, M):
-    NT = np.stack([mats[la] for la in labels])
-    return np.einsum("lab,bc,mdc->lmad", NT, M, NT, optimize=True)
+    """K[l, m] = N_l M N_m^T, one l at a time as a stack of small products."""
+    N = np.stack([mats[la] for la in labels])
+    r = len(labels)
+    nmax, mmax = int(np.abs(N).max()), int(np.abs(M).max())
+    dt = xla.product_dtype(r * r * nmax * nmax * mmax)
+    Nd, NdT = N.astype(dt), N.transpose(0, 2, 1).astype(dt)
+    Md = M.astype(dt)
+    K = np.empty((r, r, r, r), dtype=np.int64)
+    for l in range(r):
+        K[l] = (Nd[l] @ Md)[None] @ NdT
+    return K
 
 
 def modular_splitting(mats, labels, M) -> SplitFamily:
@@ -151,9 +160,7 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
                 if i == nW:
                     if Rm.max() == 0:
                         return
-                    g = 0
-                    for x in Rm.flat:
-                        g = int(np.gcd(g, int(x)))
+                    g = int(np.gcd.reduce(Rm, axis=None))
                     for rr in range(1, g + 1):
                         if g % rr:
                             continue
@@ -178,7 +185,7 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
 
             sub_rec(0, Kmat.copy(), [], 0)
             if not writings:
-                raise RuntimeError(f"no consistent writing for pair {(l, m)}")
+                raise CertificationError("family", f"no consistent writing for pair {(l, m)}")
             sigs = {(w[1].tobytes(), w[2], tuple(w[3])) for w in writings}
             if len(sigs) > 1:
                 used_slots = sum(mult)

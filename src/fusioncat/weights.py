@@ -10,6 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial
+
+from . import CertificationError
 
 __all__ = [
     "AlgebraSpec",
@@ -107,7 +110,8 @@ def quadratic_form(spec: AlgebraSpec):
 def inner(spec: AlgebraSpec, x, y) -> Fraction:
     Q = quadratic_form(spec)
     n = spec.rank
-    assert len(x) == n and len(y) == n
+    if len(x) != n or len(y) != n:
+        raise ValueError(f"{spec.name} weights have {n} Dynkin labels, not {len(x)} and {len(y)}")
     return sum(
         (Fraction(x[i]) * Q[i][j] * y[j] for i in range(n) for j in range(n)),
         start=Fraction(0),
@@ -151,7 +155,8 @@ def conjugate(spec: AlgebraSpec, lam):
 
 def n_ality(spec: AlgebraSpec, lam) -> int:
     """Z_{N} grading of an A-series weight (congruence class of the rep)."""
-    assert spec.family == "A"
+    if spec.family != "A":
+        raise ValueError(f"n-ality is graded for the A series only, not {spec.name}")
     N = spec.rank + 1
     return sum((i + 1) * x for i, x in enumerate(lam)) % N
 
@@ -196,9 +201,8 @@ def weyl_group(N: int):
                     seen[q] = -seen[p]
                     nxt.append(q)
         frontier = nxt
-    import math
-
-    assert len(seen) == math.factorial(N)
+    if len(seen) != factorial(N):
+        raise CertificationError("weyl_group", f"the closure has {len(seen)} elements, not {N}!")
     return seen
 
 

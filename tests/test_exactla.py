@@ -140,7 +140,8 @@ def test_entries_beyond_int64_stay_exact():
 def test_forced_python_int_path_gives_identical_points(annular, monkeypatch):
     sys, caps = ga._doublet_system(annular, self_conjugate_first=True)
     fast = xla.lattice_points(sys.rref(), caps)
-    # with no int64 headroom every operation takes the Python-int path
+    # with no int64 headroom the rows and their sums are Python ints; small
+    # products still run exactly in float64
     monkeypatch.setattr(xla, "_SAFE", 1)
     sys, caps = ga._doublet_system(annular, self_conjugate_first=True)
     res = sys.rref()

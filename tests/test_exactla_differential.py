@@ -113,6 +113,40 @@ def test_rref_ignores_row_order_and_repeats(A, data):
     assert reduced(shuffled) == reduced(eqs)
 
 
+@pytest.mark.parametrize("safe", [xla._SAFE, 1], ids=["int64", "python-int"])
+@SETTINGS
+@hypothesis.given(matrices(max_rows=6), st.data())
+def test_block_add_matches_row_by_row(safe, A, data):
+    # the same rows, shuffled and repeated, added one at a time and in
+    # blocks give the same reduced form, or are both inconsistent; with
+    # safe = 1 the rows and their sums are Python ints
+    b = data.draw(st.lists(st.integers(-6, 6), min_size=len(A), max_size=len(A)))
+    eqs = list(zip(A, b))
+    repeats = data.draw(st.lists(st.sampled_from(eqs), max_size=2 * len(eqs)))
+    rows, rhs = zip(*data.draw(st.permutations(eqs + repeats)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    bounds = [0, *cuts, len(rows)]
+
+    def reduced(blocks):
+        sys = xla.LinearSystem(len(A[0]))
+        for block, r in blocks:
+            sys.add(block, r)
+        res = sys.rref()
+        if not res.consistent:
+            return False
+        return res.pivot_cols, res.lead.tolist(), res.coeffs.tolist(), res.rhs.tolist()
+
+    saved, xla._SAFE = xla._SAFE, safe
+    try:
+        one = reduced(zip(rows, rhs))
+        blocks = reduced(
+            (list(rows[s:e]), list(rhs[s:e])) for s, e in zip(bounds, bounds[1:]) if e > s
+        )
+    finally:
+        xla._SAFE = saved
+    assert blocks == one
+
+
 @SETTINGS
 @hypothesis.given(
     st.integers(1, 3).flatmap(

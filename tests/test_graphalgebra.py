@@ -415,6 +415,47 @@ def test_slot_map_rejects_a_corrupted_product(
         ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, bad)
 
 
+def _exact_products(monkeypatch):
+    """Route product_dtype to the exact integer dtype; returns the dtypes
+    it chose."""
+    chosen = []
+
+    def exact(bound):
+        chosen.append(xla._exact(bound + 1))
+        return chosen[-1]
+
+    monkeypatch.setattr(xla, "product_dtype", exact)
+    return chosen
+
+
+def test_slot_map_on_exact_products(
+    chiral_lift, parity, annular, base_data, quantum_symmetries, slot_map, monkeypatch
+):
+    chosen = _exact_products(monkeypatch)
+    smap = ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, quantum_symmetries)
+    assert chosen == [np.int64]
+    assert smap.pair_of == slot_map.pair_of and smap.slot_of == slot_map.slot_of
+    for got, want in ((smap.E, slot_map.E), (smap.Ered, slot_map.Ered), (smap.W0, slot_map.W0)):
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float64", "int64"])
+def test_slot_map_names_the_first_failing_pair(
+    exact, chiral_lift, parity, annular, base_data, quantum_symmetries, monkeypatch
+):
+    # row 3 of the regular matrix of (6, 1) = conj((11, 1)) expands the slot
+    # product of (4, 1) with (11, 1)
+    if exact:
+        _exact_products(monkeypatch)
+    oc = quantum_symmetries
+    O = {p: M.copy() for p, M in oc.O.items()}
+    O[(6, 1)][3, 7] += 1
+    bad = ga.OcAlgebra(galg=oc.galg, pairs=oc.pairs, O=O)
+    with pytest.raises(CertificationError, match=r"fails at \(\(4, 1\), \(11, 1\)\)$"):
+        ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, bad)
+
+
 def test_slot_assignment_is_a_bijection(slot_map):
     assert sorted(slot_map.pair_of) == list(range(48))
     assert len(set(slot_map.pair_of.values())) == 48

@@ -12,6 +12,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
+from fusioncat import CertificationError
 from fusioncat import splitting as sp
 
 SQ2 = np.sqrt(2)
@@ -65,6 +66,14 @@ def test_family_rank_and_slots(family):
     assert family.norms.max() == 128
     # every member is discovered at norm 8 or below
     assert max(t["norm"] for t in family.trace) == 8
+
+
+def test_no_consistent_writing_is_a_certification_error(ring, base_data, invariant, monkeypatch):
+    # with no slot split for any coefficient, the first pair outside the
+    # span (the vacuum pair) has no writing at all
+    monkeypatch.setattr(sp.xla, "coeff_splits", lambda total, sq: [])
+    with pytest.raises(CertificationError, match=r"^family: no consistent writing for pair \(0, 0\)"):
+        sp.modular_splitting(ring, base_data.labels, invariant.matrix)
 
 
 def test_norm_census(family):

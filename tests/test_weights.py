@@ -13,8 +13,12 @@ from fractions import Fraction as F
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fusioncat import CertificationError
+from fusioncat import embedding as emb
+from fusioncat import fusion as fr
 from fusioncat import weights as wt
 
 A1 = wt.algebra("A", 1)
@@ -163,6 +167,10 @@ BAD_INPUTS = (
     "wt.algebra('B', 1)",
     "wt.enumerate_alcove(wt.algebra('A', 2), -1)",
     "cat.edges_of([[0, 1], [0, 0]], ['a', 'b'], directed=False)",
+    "wt.inner(wt.algebra('A', 3), (1, 0), (0, 0, 1))",
+    "wt.n_ality(wt.algebra('B', 2), (1, 0))",
+    "emb.branch_candidates(wt.algebra('A', 3), 4, wt.algebra('B', 6), 1)",
+    "fr.perron_vector(np.array([[-1, 0], [0, 0]]))",
 )
 
 
@@ -172,9 +180,10 @@ def test_input_checks_raise_under_python_O():
 
     for line in BAD_INPUTS:
         with pytest.raises(ValueError):
-            eval(line, {"wt": wt, "cat": cat})
+            eval(line, {"wt": wt, "cat": cat, "emb": emb, "fr": fr, "np": np})
     code = (
-        "from fusioncat import catalog as cat, weights as wt\n"
+        "import numpy as np\n"
+        "from fusioncat import catalog as cat, embedding as emb, fusion as fr, weights as wt\n"
         f"for line in {BAD_INPUTS!r}:\n"
         "    try:\n"
         "        eval(line)\n"
@@ -189,3 +198,53 @@ def test_input_checks_raise_under_python_O():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["raised"] * len(BAD_INPUTS)
+
+
+# each line must raise CertificationError from the invariant stage, with or
+# without python -O; A1_K2 is the modular data of A1 at level 2
+DERIVED_FAILURES = (
+    "emb.solve_invariant(replace(A1_K2, labels=A1_K2.labels[::-1]), [])",
+    "emb.solve_invariant(A1_K2, [])",
+    "emb.solve_invariant(A1_K2, [emb.BranchClass((0,), F(0), ((2,),))])",
+)
+
+
+def test_derived_checks_raise_under_python_O(monkeypatch):
+    """The checks on derived facts are CertificationErrors, not asserts, so
+    python -O keeps them too."""
+    from dataclasses import replace
+
+    from fusioncat import modular as md
+
+    env = {"emb": emb, "replace": replace, "F": F, "A1_K2": md.modular_data(A1, 2)}
+    for line in DERIVED_FAILURES:
+        with pytest.raises(CertificationError, match="^invariant: "):
+            eval(line, env)
+    monkeypatch.setattr(wt, "factorial", lambda n: 0)
+    with pytest.raises(CertificationError, match="^weyl_group: "):
+        wt.weyl_group.__wrapped__(3)
+    code = (
+        "from dataclasses import replace\n"
+        "from fractions import Fraction as F\n"
+        "from fusioncat import CertificationError, embedding as emb, modular as md, weights as wt\n"
+        "A1_K2 = md.modular_data(wt.algebra('A', 1), 2)\n"
+        f"for line in {DERIVED_FAILURES!r}:\n"
+        "    try:\n"
+        "        eval(line)\n"
+        "        print('accepted:', line)\n"
+        "    except CertificationError as e:\n"
+        "        print('raised', e.stage)\n"
+        "wt.factorial = lambda n: 0\n"
+        "try:\n"
+        "    wt.weyl_group.__wrapped__(3)\n"
+        "    print('accepted: a Weyl group of the wrong order')\n"
+        "except CertificationError as e:\n"
+        "    print('raised', e.stage)\n"
+    )
+    src = Path(wt.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["raised invariant"] * len(DERIVED_FAILURES) + ["raised weyl_group"]
