@@ -141,7 +141,7 @@ def check_conformal_dimensions():
     return ok, detail
 
 
-def check_modular_relations(tol=1e-9):
+def check_modular_relations():
     data = pl.base_data()
     s, t = data.s, data.t
     eye = np.eye(len(data.labels))
@@ -154,10 +154,10 @@ def check_modular_relations(tol=1e-9):
         np.abs(C @ C - eye).max(),
         np.abs(np.linalg.matrix_power(t, 64) - eye).max(),
     )
-    return res < tol, f"max relation residual {res:.2e} (tol {tol:.0e})"
+    return res < 1e-9, f"max relation residual {res:.2e} (tol 1e-09)"
 
 
-def check_fusion_recursion(tol=1e-6):
+def check_fusion_recursion():
     spec = wt.algebra("A", 3)
     worst = 0.0
     for k in range(1, 5):
@@ -168,10 +168,10 @@ def check_fusion_recursion(tol=1e-6):
             worst = max(worst, float(np.abs(ten[i] - np.round(ten[i].real)).max()))
             if not np.array_equal(rec[lam], np.round(ten[i].real).astype(np.int64)):
                 return False, f"recursion and trace formula disagree at level {k}, {lam}"
-    return worst < tol, f"levels 1..4 equal entrywise; max rounding defect {worst:.2e}"
+    return worst < 1e-6, f"levels 1..4 equal entrywise; max rounding defect {worst:.2e}"
 
 
-def check_invariant(tol=1e-7):
+def check_invariant():
     data = pl.base_data()
     M = pl.invariant().matrix
     u = _indicator(data.labels, U_SUP)
@@ -187,7 +187,7 @@ def check_invariant(tol=1e-7):
         np.array_equal(M, block)
         and int(M.trace()) == 12
         and int((M.T @ M).trace()) == 48
-        and res < tol
+        and res < 1e-7
     )
     detail = (
         f"block form with coefficient 4 on the spinor square: {np.array_equal(M, block)}; "
@@ -256,7 +256,7 @@ def check_chiral_generators():
     return ok, detail
 
 
-def check_masses(tol=1e-9):
+def check_masses():
     graph = pl.module_graph()
     data = pl.base_data()
     beta = graph.dims[5]
@@ -265,7 +265,7 @@ def check_masses(tol=1e-9):
     alcove_mass = ga.quantum_mass(qd)
     graph_mass = ga.quantum_mass(ga.GRAPH_DIMS.values())
     sub_mass = ga.quantum_mass(ga.GRAPH_DIMS[a] for a in ga.SUBALGEBRA)
-    dims_ok = all(abs(graph.dims[a] - ga.GRAPH_DIMS[a]) < tol for a in range(1, 13))
+    dims_ok = all(abs(graph.dims[a] - ga.GRAPH_DIMS[a]) < 1e-9 for a in range(1, 13))
     res = max(
         abs(beta - np.sqrt(2 * (2 + SQ2))),
         abs(mu010 - (2 + SQ2)),
@@ -274,7 +274,7 @@ def check_masses(tol=1e-9):
         abs(sub_mass - 4),
         abs(graph_mass**2 / sub_mass - alcove_mass),
     )
-    ok = dims_ok and res < tol
+    ok = dims_ok and res < 1e-9
     detail = f"vertex dimension list as displayed: {dims_ok}; max mass residual {res:.2e}"
     return ok, detail
 
@@ -323,7 +323,8 @@ def check_realization():
 
     closure_ok = ga.closure_defect(oc.O, oc.O) == 0
 
-    # the four displayed block patterns, rebuilt here on purpose
+    # the four displayed block patterns: the only copy in the package, so
+    # they check oc_matrices' derivation from the product rule
     Z = np.zeros((12, 12), dtype=np.int64)
 
     def pattern(a, b):
@@ -396,10 +397,10 @@ def check_dimension_sums():
     return ok, detail
 
 
-def check_block_structures(tol=1e-9):
+def check_block_structures():
     galg = pl.graph_algebra()
     try:
-        ga.matrix_units(galg, tol=tol)
+        ga.matrix_units(galg)
         units_ok = True
     except CertificationError:
         units_ok = False
@@ -418,7 +419,7 @@ def check_block_structures(tol=1e-9):
         and 32 + 4 * 4 == 48
     )
     detail = (
-        f"matrix units at {tol:.0e}: {units_ok}; centers {c12} and {c48}; "
+        f"matrix units at 1e-09: {units_ok}; centers {c12} and {c48}; "
         f"generic multiplicities {m12[-3:]}... and 32 ones + four 4s: {m48 == [1] * 32 + [4] * 4}; "
         f"32+16=48"
     )

@@ -253,14 +253,14 @@ def fusion_ring_record(spec, level, labels, mats, inputs=None) -> ArtifactRecord
     return ArtifactRecord("fusion-ring", make_provenance(inputs), payload)
 
 
-def modular_data_record(data, tol=1e-9, inputs=None) -> ArtifactRecord:
+def modular_data_record(data, inputs=None) -> ArtifactRecord:
     payload = {
         "algebra": f"{data.spec.family}{data.spec.rank}",
         "level": int(data.level),
         "labels": [list(l) for l in data.labels],
         "s": complex_matrix(data.s),
         "t_diagonal": [[float(z.real), float(z.imag)] for z in np.diag(data.t)],
-        "tol": float(tol),
+        "tol": 1e-9,
         "conformal_dimensions": [str(h) for h in data.hs],
         "central_charge": str(data.central_charge),
     }

@@ -110,54 +110,51 @@ def cmd_embed_scan(args):
     return EX_OK
 
 
-def _store_flagship_modular(store):
+# kind -> the kinds its flagship record names as inputs, in dependency order
+_FLAGSHIP_INPUTS = {
+    "fusion-ring": (),
+    "modular-data": (),
+    "invariant": ("modular-data",),
+    "toric-family": ("fusion-ring", "invariant"),
+    "graph-algebra": ("toric-family",),
+    "oc-graph": ("graph-algebra", "toric-family"),
+}
+
+
+def _flagship_record(kind, inputs):
     from . import pipeline as pl
 
-    return store.put(cat.modular_data_record(pl.base_data()))
+    if kind == "fusion-ring":
+        return cat.fusion_ring_record(pl.spec(), pl.LEVEL, pl.base_data().labels, pl.ring())
+    if kind == "modular-data":
+        return cat.modular_data_record(pl.base_data())
+    if kind == "invariant":
+        return cat.invariant_record(pl.invariant(), pl.base_data(), pl.AMBIENT, inputs=inputs)
+    if kind == "toric-family":
+        return cat.toric_family_record(pl.family(), pl.chiral_lift(), inputs=inputs)
+    if kind == "graph-algebra":
+        return cat.graph_algebra_record(pl.graph_algebra(), pl.module_graph(), inputs=inputs)
+    return cat.oc_graph_record(pl.quantum_symmetries(), pl.slot_map(), inputs=inputs)
 
 
-def _store_flagship_fusion(store):
-    from . import pipeline as pl
-
-    data = pl.base_data()
-    return store.put(cat.fusion_ring_record(pl.spec(), pl.LEVEL, data.labels, pl.ring()))
-
-
-def _store_flagship_invariant(store):
-    from . import pipeline as pl
-
-    mh = _store_flagship_modular(store)
-    rec = cat.invariant_record(
-        pl.invariant(), pl.base_data(), pl.AMBIENT, inputs={"modular-data": mh}
-    )
-    return store.put(rec)
-
-
-def _store_flagship_family(store):
-    from . import pipeline as pl
-
-    fh = _store_flagship_fusion(store)
-    ih = _store_flagship_invariant(store)
-    rec = cat.toric_family_record(
-        pl.family(), pl.chiral_lift(), inputs={"fusion-ring": fh, "invariant": ih}
-    )
-    return store.put(rec)
-
-
-def _store_flagship_algebra(store):
-    from . import pipeline as pl
-
-    th = _store_flagship_family(store)
-    rec = cat.graph_algebra_record(
-        pl.graph_algebra(), pl.module_graph(), inputs={"toric-family": th}
-    )
-    return store.put(rec)
+def _store_flagship(store, kind):
+    """Put the flagship record of `kind` and every record it depends on,
+    each once and in dependency order; returns kind -> hash of each."""
+    needed = {kind}
+    for k in reversed(_FLAGSHIP_INPUTS):  # inputs come before their users
+        if k in needed:
+            needed.update(_FLAGSHIP_INPUTS[k])
+    hashes = {}
+    for k, deps in _FLAGSHIP_INPUTS.items():
+        if k in needed:
+            hashes[k] = store.put(_flagship_record(k, {d: hashes[d] for d in deps}))
+    return hashes
 
 
 def cmd_invariant(args):
     from . import pipeline as pl
 
-    h = _store_flagship_invariant(_catalog(args))
+    h = _store_flagship(_catalog(args), "invariant")["invariant"]
     M = pl.invariant().matrix
     print(f"stored invariant {h} (trace {int(M.trace())}, gram trace {int((M.T @ M).trace())})")
     return EX_OK
@@ -166,7 +163,7 @@ def cmd_invariant(args):
 def cmd_split(args):
     from . import pipeline as pl
 
-    h = _store_flagship_family(_catalog(args))
+    h = _store_flagship(_catalog(args), "toric-family")["toric-family"]
     fam = pl.family()
     print(f"stored toric-family {h} (rank {fam.rank}, {fam.slot_count} slots)")
     return EX_OK
@@ -175,23 +172,13 @@ def cmd_split(args):
 def cmd_realize(args):
     from . import pipeline as pl
 
-    h = _store_flagship_algebra(_catalog(args))
+    h = _store_flagship(_catalog(args), "graph-algebra")["graph-algebra"]
     print(f"stored graph-algebra {h} ({pl.graph_algebra().doublet_survivors} closure-exact solutions)")
     return EX_OK
 
 
 def cmd_ocneanu(args):
-    from . import pipeline as pl
-
-    store = _catalog(args)
-    gh = _store_flagship_algebra(store)
-    th = _store_flagship_family(store)
-    rec = cat.oc_graph_record(
-        pl.quantum_symmetries(),
-        pl.slot_map(),
-        inputs={"graph-algebra": gh, "toric-family": th},
-    )
-    h = store.put(rec)
+    h = _store_flagship(_catalog(args), "oc-graph")["oc-graph"]
     print(f"stored oc-graph {h} (48 basis pairs)")
     return EX_OK
 

@@ -161,19 +161,20 @@ def quantum_dimensions(spec: wt.AlgebraSpec, k: int) -> np.ndarray:
     return out
 
 
-def perron_vector(adj, base: int = 0, tol: float = 1e-12, itmax: int = 10000):
+def perron_vector(adj, base: int = 0):
     """Positive eigenvector of an irreducible nonnegative matrix, scaled to
-    1.0 at `base`. Power iteration on adj + I (the shift kills periodicity);
-    since adj + I >= I, every iterate stays positive at `base`."""
+    1.0 at `base`. Power iteration on adj + I (the shift kills periodicity)
+    until no entry moves by 1e-12, at most 10000 steps; since adj + I >= I,
+    every iterate stays positive at `base`."""
     if (adj < 0).any():
         raise ValueError("the Perron vector needs a nonnegative matrix")
     size = adj.shape[0]
     A = adj.astype(float) + np.eye(size)
     v = np.ones(size) / np.sqrt(size)
-    for _ in range(itmax):
+    for _ in range(10000):
         w = A @ v
         w /= np.linalg.norm(w)
-        if np.abs(w - v).max() < tol:
+        if np.abs(w - v).max() < 1e-12:
             v = w
             break
         v = w

@@ -26,15 +26,16 @@ solve of that branch gives both its forced half-integer cells and its empty
 lattice enumeration.
 
 On top of the algebra sit the 48-element quantum symmetries: sector-reduced
-basis pairs, the four block patterns for their regular matrices, the dual
-annular action on the graph, the essential-matrix factorization of the toric
-family, and the block diagonalization into matrix units. The center of
+basis pairs, their regular matrices derived from the product rule
+(x (x) s)(a (x) b) = xa (x) bs, the dual annular action on the graph, the
+slot map that names each toric slot by its component's canonical naming
+and certifies it by the essential-matrix factorization and the product
+identity, and the block diagonalization into matrix units. The center of
 either algebra is an exact integer rank on its structure constants, taken
 once closure has certified them. A failed check raises CertificationError,
 so the certification also runs under python -O.
 """
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ import numpy as np
 
 from . import CertificationError
 from . import exactla as xla
+from . import splitting as sp
 
 __all__ = [
     "TWIST",
@@ -92,13 +94,7 @@ SECTOR_RED = {
     11: (11, 1), 12: (11, 2), 5: (11, 9),
 }
 
-_SQ2 = np.sqrt(2)
-_SW = np.sqrt(2 + _SQ2)
-GRAPH_DIMS = {
-    1: 1.0, 2: 1.0, 3: 1 + _SQ2, 4: 1 + _SQ2,
-    5: _SQ2 * _SW, 6: _SW, 7: _SW, 8: 2 + _SQ2, 9: _SQ2,
-    10: _SQ2 * _SW, 11: _SW, 12: _SW,
-}
+GRAPH_DIMS = {a: dim for a, (_, dim) in sp.VERTEX_TARGETS.items()}
 
 
 @dataclass
@@ -321,36 +317,18 @@ class OcAlgebra:
 
 
 def oc_matrices(galg: GraphAlgebra) -> OcAlgebra:
-    """Regular matrices of the 48 basis pairs, one block pattern per sector."""
+    """Regular matrices of the 48 basis pairs, from the product rule
+    (x (x) s)(a (x) b) = xa (x) bs: the left factors multiply as the graph
+    algebra does, the right factor in the opposite order, as a right action
+    does, and reduce_pair writes each product pair over the basis."""
     G = galg.G
-    Z = np.zeros((12, 12), dtype=np.int64)
-
-    def O_of(a, b):
-        Ga = G[a]
-        if b == 1:
-            return np.block([[Ga, Z, Z, Z], [Z, Ga, Z, Z], [Z, Z, Ga, Z], [Z, Z, Z, Ga]])
-        if b == 3:
-            return np.block([
-                [Z, Ga, Z, Z],
-                [Ga, Ga @ (G[1] + G[2]), Z, Z],
-                [Z, Z, G[2] @ Ga, G[9] @ Ga],
-                [Z, Z, G[9] @ Ga, Ga]])
-        if b == 6:
-            return np.block([
-                [Z, Z, Ga, Z],
-                [Z, Z, Ga, G[9] @ Ga],
-                [Z, G[9] @ Ga, Z, Z],
-                [Ga, G[2] @ Ga, Z, Z]])
-        if b == 11:
-            return np.block([
-                [Z, Z, Z, Ga],
-                [Z, Z, G[9] @ Ga, G[2] @ Ga],
-                [Ga, Ga, Z, Z],
-                [Z, G[9] @ Ga, Z, Z]])
-        raise ValueError(b)
-
+    # red[c, t] = c (x) t over the basis pairs, for any two vertices
+    red = np.array([[reduce_pair(G, c, t) for t in range(1, 13)] for c in range(1, 13)])
+    # right[s, b, c] = c (x) bs = sum_t (G_s)[b, t] red[c, t]
+    right = np.tensordot(np.stack([G[s] for s in SECTOR_VALUES]), red, axes=(2, 1))
     pairs = basis_pairs()
-    O = {p: O_of(*p) for p in pairs}
+    # the row of (x, s) in O_(a, b) is xa (x) bs = sum_c (G_a)[x, c] right[s, b, c]
+    O = {(a, b): (G[a] @ right[:, b - 1]).reshape(48, 48) for a, b in pairs}
     _require(np.array_equal(O[(1, 1)], np.eye(48, dtype=np.int64))
              and all(v.min() >= 0 for v in O.values()),
              "quantum_symmetries", "the regular matrices are not a unital nonnegative family")
@@ -420,52 +398,35 @@ class SlotMap:
 def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
     """Identify each of the 48 toric slots with a basis pair.
 
-    The sector of a slot comes from its component -- the vacuum component is
-    sector 1 and the right fundamental generators anchor the other three --
-    and the vertex from matching the slot's toric matrix against the
-    essential factorization. Matching is ambiguous exactly on the doublet
-    copies; those are taken in sorted order, and the choice is gauge (every
-    alternative is an automorphism), which the product identity check at the
-    end confirms.
+    The vertex of a slot is its name in the canonical naming of its
+    component (component_graphs, the naming the module graph uses). The
+    sector comes from the component: the vacuum component is sector 1 and
+    the right fundamental generators anchor the other three. Each slot's
+    toric matrix must then factor as W_z = E_a Ered_b^T, and the product
+    identity over every pair of slots certifies the whole assignment.
     """
     E = essential_matrices(annular, labels)
     Ered = reduced_essential(E)
     pairs = oc.pairs
-    Wcand = {p: E[p[0]] @ Ered[p[1]].T for p in pairs}
     Wslot = {z: lift.fam.ws[i] for z, (i, _) in enumerate(lift.slots)}
 
-    _require(Counter(w.tobytes() for w in Wcand.values())
-             == Counter(w.tobytes() for w in Wslot.values()),
-             "slot_map", "the essential factorization does not reproduce the toric family")
-
+    vertex_of, comp_of = {}, {}
+    for c, (ordering, _, _) in enumerate(sp.component_graphs(lift)):
+        for a, z in enumerate(ordering, start=1):
+            vertex_of[z], comp_of[z] = a, c
     # sectors: component of slot 0 is 1; unit rows of the right generators
     # anchor the rest
-    from .splitting import _components
-
-    compid = _components(lift.V100, lift.V010, lift.V001)
-    sector_of_comp = {int(compid[0]): 1}
+    sector_of_comp = {comp_of[0]: 1}
     for lab, sector in (((1, 0, 0), 11), ((0, 1, 0), 3), ((0, 0, 1), 6)):
         row = np.nonzero(parity.Rs[lab][0])[0]
         _require(len(row) == 1, "slot_map", f"row 0 of the right action of {lab} is not a unit row")
-        sector_of_comp[int(compid[int(row[0])])] = sector
+        sector_of_comp[comp_of[int(row[0])]] = sector
     _require(len(sector_of_comp) == 4, "slot_map", "the four sectors sit on fewer components")
-
-    compat = {}
-    for z in range(48):
-        b = sector_of_comp[int(compid[z])]
-        compat[z] = sorted(
-            (a, b) for a in range(1, 13) if Wslot[z].tobytes() == Wcand[(a, b)].tobytes()
-        )
-    pair_of = {z: compat[z][0] for z in range(48) if len(compat[z]) == 1}
-    groups = defaultdict(list)
-    for z in range(48):
-        if len(compat[z]) != 1:
-            groups[tuple(compat[z])].append(z)
-    for cands, zs in groups.items():
-        _require(len(cands) == len(zs) == 2, "slot_map", f"slots {zs} match {cands}")
-        for z, p in zip(sorted(zs), cands):
-            pair_of[z] = p
+    pair_of = {z: (vertex_of[z], sector_of_comp[comp_of[z]]) for z in range(len(lift.slots))}
     _require(len(set(pair_of.values())) == 48, "slot_map", "the slot assignment is not a bijection")
+    for z, (a, b) in pair_of.items():
+        _require(np.array_equal(Wslot[z], E[a] @ Ered[b].T),
+                 "slot_map", f"slot {z} does not factor as E_{a} Ered_{b}^T")
 
     # the product identity over every pair of slots certifies the assignment:
     # (V_l R_m)[x, y] = sum_z (O_conj(y))[x, z] (W_z)[l, m], indexed by pairs
@@ -510,14 +471,14 @@ def toric_pair_grid(lift, parity, smap: SlotMap, labels, x, y):
 # block diagonalization
 # ---------------------------------------------------------------------------
 
-def matrix_units(galg: GraphAlgebra, tol=1e-9):
+def matrix_units(galg: GraphAlgebra):
     """Matrix units of the graph algebra: eight one-dimensional idempotents
     and one 2x2 quadruple (whose representation appears twice).
 
     Coefficient table over the basis, entries in the field generated by
-    sqrt(2), sqrt(2+sqrt(2)) and i; floating evaluation, checked to tol.
+    sqrt(2), sqrt(2+sqrt(2)) and i; floating evaluation, checked to 1e-9.
     """
-    u = _SQ2
+    u = np.sqrt(2)
     v = u + 1.0
     w = u + 2.0
     sw = np.sqrt(w)
@@ -555,8 +516,8 @@ def matrix_units(galg: GraphAlgebra, tol=1e-9):
     rules += [(mu[(a, b)] @ mu[(b, c)], mu[(a, c)]) for a in two for b in two for c in two]
     rules += [(mu[(a, a)] @ m, Z) for a in two for m in singles]
     rules.append((sum(singles) + mu[(9, 9)] + mu[(10, 10)], np.eye(12)))
-    _require(all(np.abs(A - B).max() < tol for A, B in rules),
-             "matrix_units", f"the matrix units fail their relations at tolerance {tol:g}")
+    _require(all(np.abs(A - B).max() < 1e-9 for A, B in rules),
+             "matrix_units", "the matrix units fail their relations at tolerance 1e-09")
     return mu
 
 
@@ -572,24 +533,23 @@ def center_dimension(regular):
     mats = dict(enumerate(R))
     _require(closure_defect(mats, mats) == 0, "center_dimension",
              "the regular matrices do not close, so they are no algebra's structure constants")
-    # system[(y, z), x] = (R_y)[x, z] - (R_x)[y, z]
-    system = (R.transpose(0, 2, 1) - R.transpose(1, 2, 0)).reshape(n * n, n)
-    span = xla.IntSpan()
-    for column in system.T:
-        span.add(column)
-    return n - span.rank
+    # row (y, z), column x: (R_y)[x, z] - (R_x)[y, z]
+    system = xla.LinearSystem(n)
+    system.add((R.transpose(0, 2, 1) - R.transpose(1, 2, 0)).reshape(n * n, n))
+    return n - system.rref().rank
 
 
-def generic_eigenvalue_multiplicities(mats, seed=5, tol=1e-6):
-    """Sorted eigenvalue-cluster sizes of a random element of the span."""
-    rng = np.random.default_rng(seed)
+def generic_eigenvalue_multiplicities(mats):
+    """Sorted eigenvalue-cluster sizes of a random element of the span,
+    eigenvalues within 1e-6 counting as one."""
+    rng = np.random.default_rng(5)
     mats = list(mats)
     A = sum(c * M.astype(float) for c, M in zip(rng.standard_normal(len(mats)), mats))
     ev = np.sort_complex(np.linalg.eigvals(A))
     clusters = []
     for val in ev:
         for c in clusters:
-            if abs(c[0] - val) < tol:
+            if abs(c[0] - val) < 1e-6:
                 c.append(val)
                 break
         else:

@@ -80,14 +80,14 @@ def verlinde_tensor(data: ModularData) -> np.ndarray:
     return np.einsum("lb,mb,nb->lmn", ratios, s, s.conj()).real
 
 
-def verlinde_matrices(data: ModularData, tol: float = 1e-6):
+def verlinde_matrices(data: ModularData):
     """Fusion matrices keyed by label, rounded to int; raises if any entry
-    sits further than tol from an integer. The oracle that the integer
+    sits further than 1e-6 from an integer. The oracle that the integer
     towers of fusion.py are checked against."""
     ten = verlinde_tensor(data)
     drift = np.abs(ten - np.round(ten)).max()
-    if drift > tol:
-        raise ValueError(f"fusion numbers {drift:.3g} away from integers (tol {tol})")
+    if drift > 1e-6:
+        raise ValueError(f"fusion numbers {drift:.3g} away from integers (tol 1e-06)")
     out = {}
     for i, la in enumerate(data.labels):
         out[la] = np.round(ten[i]).astype(np.int64)

@@ -22,11 +22,14 @@ The chain here is long but each stage has a sharp contract:
     and swap-invariant, which the code checks rather than assumes: a failed
     check raises CertificationError.
 4.  parity_involution: the vertex involution P conjugating the left action
-    into a commuting right action; canonical pick has the maximal number of
-    fixed points and is the first such in lexicographic search order.
+    into a commuting right action, built from the transpose map on the
+    family: copy c of a member goes to copy c of its transpose, which fixes
+    the most slots any such involution can; the commutation is checked.
 5.  extract_module_graph: cut the 48 slots into the four twist components,
     read off the 12-vertex quantum graph, and name its vertices by their
-    grading and Perron weight.
+    grading and Perron weight. component_graphs names every component the
+    same way, and the slot map of graphalgebra reads each slot's vertex
+    from that naming.
 
 Stages return plain dataclasses; nothing here touches the embedding layer.
 """
@@ -51,6 +54,7 @@ __all__ = [
     "toric_coefficient_grid",
     "ModuleGraph",
     "extract_module_graph",
+    "component_graphs",
     "annular_matrices",
 ]
 
@@ -234,11 +238,11 @@ def _conjugation(mats, labels):
     return np.array(conj)
 
 
-def norm_census(fam: SplitFamily, upto: int = 8):
-    """Distinct matrices among the K[l, m] at each norm 1..upto."""
+def norm_census(fam: SplitFamily):
+    """Distinct matrices among the K[l, m] at each norm 1..8."""
     r = len(fam.labels)
     out = {}
-    for n in range(1, upto + 1):
+    for n in range(1, 9):
         seen = set()
         for l in range(r):
             for m in range(r):
@@ -460,64 +464,31 @@ class ParityData:
 def parity_involution(lift: ChiralLift) -> ParityData:
     """Involution P with P V_f P commuting with the whole left family.
 
-    Searched depth first over transpose-compatible slot assignments: slot z
-    may go to any slot in cand[z]. Only a slot with z in cand[z] (the slot of
-    a self-transposed member) can be fixed, so their number bounds the fixed
-    points. The canonical pick is the first involution found that reaches
-    that bound; CertificationError when none does.
+    Transposition permutes the family members, and P sends copy c of member
+    i to copy c of the member equal to W_i^T. Its fixed slots are those of
+    self-transposed members, the most any transpose-compatible involution
+    can fix. Any other such involution is P Q with Q a product of doublet
+    swaps, which lift_chiral_generators certifies as automorphisms, so it
+    gives the same P V_f P. P^2 = I and the commutation with every left
+    generator are checked; CertificationError when either fails.
     """
     fam = lift.fam
-    size = len(lift.slots)
-    wb = {w.tobytes(): i for i, w in enumerate(fam.ws)}
-    tpose = [wb[w.T.copy().tobytes()] for w in fam.ws]
-    cand = {
-        z: sorted(lift.slot_of[tpose[i]]) for z, (i, cp) in enumerate(lift.slots)
-    }
-    bound = sum(z in cand[z] for z in range(size))
-    VF = {"100": lift.V100, "010": lift.V010, "001": lift.V001}
-    best = None
-
-    def accept(Pm):
-        if not np.array_equal(Pm @ Pm, np.eye(size, dtype=np.int64)):
-            return False
-        for Vf in VF.values():
-            Rf = Pm @ Vf @ Pm
-            for Vg in VF.values():
-                if not np.array_equal(Rf @ Vg, Vg @ Rf):
-                    return False
-        return True
-
-    assign = [None] * size
-    used = set()
-
-    def dfs(z):
-        nonlocal best
-        if best is not None:
-            return
-        if z == size:
-            Pm = np.zeros((size, size), dtype=np.int64)
-            for a, b in enumerate(assign):
-                Pm[a, b] = 1
-            if accept(Pm) and sum(1 for a, b in enumerate(assign) if a == b) == bound:
-                best = Pm
-            return
-        for y in cand[z]:
-            if y in used:
-                continue
-            if assign[y] is not None and assign[y] != z:
-                continue
-            assign[z] = y
-            used.add(y)
-            dfs(z + 1)
-            used.discard(y)
-            assign[z] = None
-
-    dfs(0)
-    if best is None:
-        raise CertificationError(
-            "parity", f"no parity involution fixes all {bound} self-transposed slots"
-        )
-    P = best
+    member = {w.tobytes(): i for i, w in enumerate(fam.ws)}
+    perm = []
+    for i, c in lift.slots:
+        j = member.get(fam.ws[i].T.tobytes())
+        if j is None or fam.mult[j] != fam.mult[i]:
+            raise CertificationError("parity", f"W_{i} transposed is no member of multiplicity {fam.mult[i]}")
+        perm.append(lift.slot_of[j][c])
+    size = len(perm)
+    P = np.eye(size, dtype=np.int64)[perm]
+    VF = (lift.V100, lift.V010, lift.V001)
+    RF = [P @ Vf @ P for Vf in VF]
+    if not (
+        np.array_equal(P @ P, np.eye(size, dtype=np.int64))
+        and all(np.array_equal(Rf @ Vg, Vg @ Rf) for Rf in RF for Vg in VF)
+    ):
+        raise CertificationError("parity", "the transpose involution does not give a commuting right action")
     Rs = {la: P @ lift.Vs[la] @ P for la in fam.labels}
     return ParityData(P, Rs, int(np.trace(P)))
 

@@ -28,7 +28,6 @@ __all__ = [
     "barycentric",
     "labels_from_barycentric",
     "weyl_group",
-    "apply_perm",
 ]
 
 
@@ -204,7 +203,3 @@ def weyl_group(N: int):
     if len(seen) != factorial(N):
         raise CertificationError("weyl_group", f"the closure has {len(seen)} elements, not {N}!")
     return seen
-
-
-def apply_perm(perm, coords):
-    return tuple(coords[perm[i]] for i in range(len(perm)))

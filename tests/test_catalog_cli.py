@@ -334,6 +334,24 @@ def test_ocneanu_writes_the_golden_objects(store, capsys,
         assert store.find(kind) == [h]
 
 
+def test_ocneanu_puts_each_record_once(store, capsys, monkeypatch,
+                                      graph_algebra, quantum_symmetries, slot_map):
+    put = cat.Catalog.put
+    kinds = []
+
+    def counting_put(self, rec):
+        kinds.append(rec.kind)
+        return put(self, rec)
+
+    monkeypatch.setattr(cat.Catalog, "put", counting_put)
+    assert cli.main(["ocneanu"]) == 0
+    capsys.readouterr()
+    # dependency order: every record after the records it names as inputs
+    assert kinds == ["fusion-ring", "modular-data", "invariant", "toric-family",
+                     "graph-algebra", "oc-graph"]
+    assert sorted(p.name for p in store.objects.iterdir()) == sorted(f"{h}.json" for h in GOLDEN)
+
+
 def test_cli_export_missing(store, capsys):
     assert cli.main(["export", "--kind", "oc-graph"]) == 2
     assert "missing artifact" in capsys.readouterr().err

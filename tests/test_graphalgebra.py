@@ -24,6 +24,7 @@ from fusioncat import exactla as xla
 from fusioncat import fusion as fr
 from fusioncat import graphalgebra as ga
 from fusioncat import pipeline as pl
+from fusioncat import splitting as sp
 from fusioncat import weights as wt
 
 SQ2 = np.sqrt(2)
@@ -454,6 +455,38 @@ def test_slot_map_names_the_first_failing_pair(
     bad = ga.OcAlgebra(galg=oc.galg, pairs=oc.pairs, O=O)
     with pytest.raises(CertificationError, match=r"fails at \(\(4, 1\), \(11, 1\)\)$"):
         ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, bad)
+
+
+def _renamed_components(monkeypatch, chiral_lift, a, b):
+    """Route the slot map to a naming of the vacuum component in which the
+    vertices a and b trade slots."""
+    comps = sp.component_graphs(chiral_lift)
+    ordering = list(comps[0][0])
+    ordering[a - 1], ordering[b - 1] = ordering[b - 1], ordering[a - 1]
+    comps[0] = (ordering, *comps[0][1:])
+    monkeypatch.setattr(sp, "component_graphs", lambda lift: comps)
+    return ordering
+
+
+def test_slot_map_rejects_a_naming_that_swaps_two_vertices(
+    chiral_lift, parity, annular, base_data, quantum_symmetries, monkeypatch
+):
+    # the vacuum slot now carries the name 2, and it is the first slot checked
+    ordering = _renamed_components(monkeypatch, chiral_lift, 1, 2)
+    assert ordering[1] == 0
+    with pytest.raises(CertificationError,
+                       match=r"^slot_map: slot 0 does not factor as E_2 Ered_1\^T$"):
+        ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, quantum_symmetries)
+
+
+def test_slot_map_naming_of_doublet_copies_is_gauge(
+    chiral_lift, parity, annular, base_data, quantum_symmetries, slot_map, monkeypatch
+):
+    # the copies 3 and 4 share a toric matrix and the swap is an
+    # automorphism, so the other naming passes every check
+    ordering = _renamed_components(monkeypatch, chiral_lift, 3, 4)
+    smap = ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, quantum_symmetries)
+    assert smap.pair_of[ordering[2]] == (3, 1) and slot_map.pair_of[ordering[2]] == (4, 1)
 
 
 def test_slot_assignment_is_a_bijection(slot_map):

@@ -7,6 +7,7 @@ annular dimension sums, so any regression in the discovery or lift logic
 trips immediately.
 """
 
+import dataclasses
 from itertools import islice, product
 
 import numpy as np
@@ -194,6 +195,60 @@ def test_parity_involution(chiral_lift, parity):
         la, lb = (labels[i] for i in rng.integers(0, len(labels), size=2))
         R, V = parity.Rs[la], chiral_lift.Vs[lb]
         assert np.array_equal(R @ V, V @ R), (la, lb)
+
+
+def _transpose_compatible_involutions(lift):
+    """Every involution of the slots that sends each slot to a slot of the
+    transposed member, as a target list, in lexicographic order."""
+    fam = lift.fam
+    member = {w.tobytes(): i for i, w in enumerate(fam.ws)}
+    cand = [lift.slot_of[member[fam.ws[i].T.tobytes()]] for i, _ in lift.slots]
+    size = len(cand)
+    assign = [None] * size
+
+    def walk(z):
+        if z == size:
+            yield list(assign)
+        elif assign[z] is not None:  # already paired by an earlier slot
+            yield from walk(z + 1)
+        else:
+            for y in sorted(cand[z]):
+                if assign[y] is None:
+                    assign[z], assign[y] = y, z
+                    yield from walk(z + 1)
+                    assign[z] = assign[y] = None
+
+    return list(walk(0))
+
+
+def test_parity_matches_the_brute_force_involutions(chiral_lift, parity):
+    invs = _transpose_compatible_involutions(chiral_lift)
+    fixed = [sum(a == z for z, a in enumerate(inv)) for inv in invs]
+    best = [inv for inv, f in zip(invs, fixed) if f == max(fixed)]
+    # three self-transposed doublets may swap or not; six transposed doublet
+    # pairs may pair copy to copy or crosswise
+    assert len(invs) == 2 ** 9 and len(best) == 2 ** 6
+    VF = (chiral_lift.V100, chiral_lift.V010, chiral_lift.V001)
+    passing = []
+    for inv in best:
+        P = np.eye(48, dtype=np.int64)[inv]
+        RF = [P @ Vf @ P for Vf in VF]
+        if all(np.array_equal(Rf @ Vg, Vg @ Rf) for Rf in RF for Vg in VF):
+            passing.append(P)
+    # doublet swaps are automorphisms, so every one of them passes
+    assert len(passing) == len(best)
+    assert np.array_equal(passing[0], parity.P)
+    for P in passing:
+        for la, R in parity.Rs.items():
+            assert np.array_equal(P @ chiral_lift.Vs[la] @ P, R), la
+
+
+def test_parity_rejects_a_corrupted_lift(chiral_lift):
+    V010 = chiral_lift.V010.copy()
+    V010[0, 1] += 1
+    bad = dataclasses.replace(chiral_lift, V010=V010)
+    with pytest.raises(CertificationError, match="^parity: .* commuting right action"):
+        sp.parity_involution(bad)
 
 
 def test_coefficient_grid_rebuilds_every_pair(family, chiral_lift, parity):
