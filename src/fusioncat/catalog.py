@@ -2,17 +2,22 @@
 
 Every artifact is one JSON file named by the sha256 of its canonical form
 (sorted keys, compact separators, integer matrices as integer arrays,
-complex entries as [re, im] pairs), next to a human-readable index. Objects
-are written to a unique temp file in the same directory and renamed into
-place; the index only ever gains whole lines, appended. So any number of
-writers and readers may share one catalog: concurrent puts of one record
-write the same bytes, and an index line is never lost, though a race may
-repeat it.
+complex entries as [re, im] pairs), next to a human-readable index. Records
+hold their matrices as int64 and float64 ndarrays, written exactly as
+json.dumps writes the nested lists. `get` refuses a file whose bytes do not
+hash to its name; in the record it returns, every object member that is a
+rectangular integer array is an int64 ndarray. Objects are written to a
+unique temp file in the same directory and renamed into place; the index
+only ever gains whole lines, appended. So any number of writers and readers
+may share one catalog: concurrent puts of one record write the same bytes,
+and an index line is never lost, though a race may repeat it.
 """
 
 import hashlib
 import json
+import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import CertificationError, __version__
 
 __all__ = [
     "ARTIFACT_KINDS",
@@ -59,23 +64,221 @@ class MissingArtifact(KeyError):
     """Requested hash or kind is not in the catalog."""
 
 
+# --- canonical JSON ---------------------------------------------------------
+# The text is exactly json.dumps(obj, sort_keys=True, separators=(",", ":"),
+# allow_nan=False), with ndarray leaves written as their nested lists would
+# be. Integer arrays in int64 range are written by filling one uint8 buffer
+# with digits, commas and brackets, about _CHUNK entries at a time; every other
+# array goes through json.dumps(a.tolist()).
+
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+_CHUNK = 1 << 15  # entries per buffer; keeps the temporaries near 1 MB
+_INT64 = np.iinfo(np.int64)
+_COMMA, _CLOSE, _OPEN, _MINUS, _ZERO = b",][-0"
+
+
+def _int_items(a) -> bytes:
+    """Canonical text of a nonempty int64 array with ndim >= 1 and no entry
+    -2**63 (whose magnitude int64 cannot hold), without the outer brackets.
+
+    Entry i is its sign and digits, then m_i closers, a comma and m_i
+    openers, where m_i counts the trailing axes that end at it; the last
+    entry has only its closers. After the d - 1 leading openers, entry i's
+    separator ends at index base_i = (widths of entries 0..i) + d - 2."""
+    d, flat = a.ndim, a.ravel()
+    lo, hi = int(flat.min()), int(flat.max())
+    v = np.abs(flat) if lo < 0 else flat
+    w = np.full(flat.size, 2, np.intp)  # one digit and a comma
+    p = 10
+    while p <= max(hi, -lo):
+        w += v >= p
+        p *= 10
+    if lo < 0:
+        w += flat < 0
+    steps = np.cumprod(a.shape[:0:-1])
+    for step in steps:
+        w[step - 1::step] += 2
+    base = np.cumsum(w, out=w)
+    base += d - 2
+    buf = np.full(int(base[-1]) - d + 1, _COMMA, np.uint8)
+    pos = base - 1  # each entry's last digit
+    if d > 1:  # the entries that end at least one axis
+        ends = slice(steps[0] - 1, None, steps[0])
+        m = np.ones(len(pos[ends]), np.intp)
+        for step in steps[1:]:
+            m[step // steps[0] - 1::step // steps[0]] += 1
+        e = base[ends] - 2 * m
+        pos[ends] = e - 1
+        for j in range(d - 1):
+            at = m > j
+            buf[e[at] + j] = _CLOSE
+            at[-1] = False  # the last entry has no openers
+            buf[e[at] + m[at] + 1 + j] = _OPEN
+        buf[: d - 1] = _OPEN
+    if lo < 0:
+        neg = np.flatnonzero(flat < 0)
+        buf[np.where(neg > 0, base[neg - 1] + 1, d - 1)] = _MINUS
+    while v.size:
+        q = v // 10
+        digit = (v - 10 * q).astype(np.uint8)
+        digit += _ZERO
+        buf[pos] = digit
+        more = q > 0
+        v, pos = q[more], pos[more] - 1
+    return buf.tobytes()
+
+
+def _fast_ints(a) -> bool:
+    if a.dtype.kind not in "iu" or a.ndim == 0 or a.size == 0:
+        return False
+    if a.dtype == np.int64:
+        return int(a.min()) > _INT64.min
+    return a.dtype.kind == "i" or a.dtype.itemsize < 8 or int(a.max()) <= _INT64.max
+
+
+def _array_pieces(a):
+    if not _fast_ints(a):
+        yield _dumps(a.tolist())
+        return
+    rows = max(1, _CHUNK // (a.size // len(a)))
+    for i in range(0, len(a), rows):
+        yield "," if i else "["
+        yield _int_items(a[i:i + rows].astype(np.int64, copy=False)).decode("ascii")
+    yield "]"
+
+
+def _pieces(obj):
+    """Canonical JSON of obj as a sequence of str pieces. json's own encoder
+    writes every part that holds no ndarray."""
+    if isinstance(obj, np.ndarray):
+        yield from _array_pieces(obj)
+        return
+    try:
+        text = _dumps(obj)
+    except TypeError:  # an ndarray somewhere inside, or a true type error
+        if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+            sep = "{"
+            for k in sorted(obj):
+                yield f"{sep}{_dumps(k)}:"
+                yield from _pieces(obj[k])
+                sep = ","
+            yield "}"
+        elif isinstance(obj, (list, tuple)):
+            sep = "["
+            for x in obj:
+                yield sep
+                yield from _pieces(x)
+                sep = ","
+            yield "]"
+        else:
+            raise
+    else:
+        yield text
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return "".join(_pieces(obj))
+
+
+def _sha256(obj) -> str:
+    digest = hashlib.sha256()
+    for piece in _pieces(obj):
+        digest.update(piece.encode())
+    return digest.hexdigest()
+
+
+# --- decoding ---------------------------------------------------------------
+# An array that is an object member (or the whole text) and reads as a
+# rectangular integer tensor decodes to an int64 ndarray: np.fromstring on a
+# batch of top-level items at a time, with the shape read off the brackets.
+# The batch is accepted only if re-encoding it gives back its text byte for
+# byte; every other value is left to json's own scanner.
+
+_JSON = json.JSONDecoder()
+_OPENERS = re.compile(r"\[+")
+
+
+def _tensor_at(s, idx):
+    """(array, end) for the integer tensor whose text starts at s[idx], or
+    None."""
+    d = _OPENERS.match(s, idx).end() - idx
+    end = s.find("]" * d, idx) + d
+    if end < d:
+        return None
+    shape = []
+    for j in range(d - 1, 0, -1):  # trailing axes, read off the first item
+        sep = "]" * (j - 1) + "," + "[" * (j - 1)
+        first = s.find("]" * j, idx)
+        shape.append(s.count(sep, idx, first + j) + 1)
+    item = math.prod(shape)
+    sep = "]" * (d - 1) + "," + "[" * (d - 1)
+    rows = s.count(sep, idx, end) + 1
+    if rows * item > (end - idx) // 2:  # each entry needs a digit and a separator
+        return None
+    try:
+        out = np.empty((rows, *shape), np.int64)
+    except ValueError:  # more axes than an ndarray holds
+        return None
+    budget = 2 * _CHUNK  # characters per batch, about _CHUNK entries
+    row, pos = 0, idx + 1  # pos: start of the next batch of items
+    while row < len(out):
+        cut = s.find(sep, pos + budget, end)
+        cut = end - 1 if cut < 0 else cut + d - 1  # batch ends before cut
+        text = s[pos:cut]
+        try:
+            vals = np.fromstring(text.replace("[", "").replace("]", ""), np.int64, sep=",")
+        except ValueError:  # not a list of integers
+            return None
+        k, rest = divmod(vals.size, item)
+        if rest or k == 0 or row + k > len(out):
+            return None
+        batch = vals.reshape(k, *shape)
+        if _int_items(batch) != text.encode():
+            return None
+        out[row:row + k] = batch
+        row, pos = row + k, cut + 1
+    return (out, end) if pos == end else None  # no items left over
+
+
+def _scan_once(s, idx):
+    if s.startswith("{", idx):
+        return json.decoder.JSONObject((s, idx + 1), True, _scan_once, None, None, {})
+    if s.startswith("[", idx):
+        hit = _tensor_at(s, idx)
+        if hit is not None:
+            return hit
+    return _JSON.scan_once(s, idx)
+
+
+def _loads(text):
+    """json.loads(text), with integer tensors decoded as int64 ndarrays."""
+    ws = json.decoder.WHITESPACE.match
+    idx = ws(text, 0).end()
+    try:
+        obj, end = _scan_once(text, idx)
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", text, err.value) from None
+    end = ws(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return obj
 
 
 def int_matrix(m):
-    """Nested lists of Python ints; bool entries encode as 1 and 0."""
+    """An int64 array (bool entries become 1 and 0), or nested lists of
+    Python ints for entries past int64."""
     a = np.asarray(m)
     if a.dtype.kind == "b" or (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)):
-        return a.astype(np.int64).tolist()
+        return a.astype(np.int64, copy=False)
     # entries past int64 (object arrays, uint64) convert one at a time
     return [[int(x) for x in row] for row in a]
 
 
 def complex_matrix(m):
-    """Nested lists of [re, im] float pairs."""
+    """A float64 array of [re, im] pairs along a new last axis."""
     a = np.asarray(m, dtype=np.complex128)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+    return np.stack([a.real, a.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -89,14 +292,14 @@ class ArtifactRecord:
 
     @property
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        return _sha256(self.body())
 
     def to_json(self) -> str:
         return canonical_json(self.body())
 
     @classmethod
     def from_json(cls, text: str) -> "ArtifactRecord":
-        d = json.loads(text)
+        d = _loads(text)
         return cls(kind=d["kind"], provenance=d["provenance"], payload=d["payload"])
 
 
@@ -110,7 +313,8 @@ def make_provenance(inputs=None) -> dict:
 # --- schema checking --------------------------------------------------------
 # The shipped schema files are full draft-07 documents for outside consumers;
 # internally only the structural subset below is enforced (const, type,
-# required, properties), which is all the schemas use.
+# required, properties), which is all the schemas use, and an ndarray at an
+# array node must have the ndim and dtype its nested items describe.
 
 _TYPES = {
     "object": dict,
@@ -122,7 +326,22 @@ _TYPES = {
 }
 
 
+# an ndarray stands for nested arrays of these leaf types
+_ARRAY_DTYPES = {"integer": (np.int64,), "number": (np.float64, np.int64)}
+
+
+def _check_array(schema, a, path):
+    depth, leaf = 0, schema
+    while leaf.get("type") == "array":
+        depth, leaf = depth + 1, leaf.get("items", {})
+    dtypes = _ARRAY_DTYPES.get(leaf.get("type"), ())
+    if a.ndim != depth or a.dtype not in dtypes:
+        raise ValueError(f"{path}: expected a {depth}-d {leaf.get('type')} array, got {a.ndim}-d {a.dtype}")
+
+
 def _check_node(schema, value, path):
+    if isinstance(value, np.ndarray) and schema.get("type") == "array":
+        return _check_array(schema, value, path)
     if "const" in schema and value != schema["const"]:
         raise ValueError(f"{path}: expected {schema['const']!r}, got {value!r}")
     if "type" in schema and not isinstance(value, _TYPES[schema["type"]]):
@@ -179,7 +398,10 @@ class Catalog:
         path = self.objects / f"{h}.json"
         if not path.exists():
             raise MissingArtifact(h)
-        return ArtifactRecord.from_json(path.read_text())
+        data = path.read_bytes()
+        if hashlib.sha256(data).hexdigest() != h:
+            raise CertificationError("catalog", f"{path} does not hash to its name")
+        return ArtifactRecord.from_json(data.decode())
 
     def find(self, kind: str) -> list:
         """Hashes of the given kind, lexicographically sorted."""
@@ -248,7 +470,7 @@ def fusion_ring_record(spec, level, labels, mats, inputs=None) -> ArtifactRecord
         "algebra": f"{spec.family}{spec.rank}",
         "level": int(level),
         "labels": [list(l) for l in labels],
-        "matrices": [int_matrix(mats[l]) for l in labels],
+        "matrices": np.stack([int_matrix(mats[l]) for l in labels]),
     }
     return ArtifactRecord("fusion-ring", make_provenance(inputs), payload)
 

@@ -1,13 +1,15 @@
 """Command-line driver: run pipeline stages, store artifacts, verify, export.
 
-Exit codes: 0 on success, 1 when a verification check fails, 2 when a
-requested artifact is missing from the catalog, 64 on bad arguments.
+Exit codes: 0 on success, 1 when a verification check fails or a derived
+object or stored artifact fails its certification, 2 when a requested
+artifact is missing from the catalog, 64 on bad arguments.
 """
 
 import argparse
 import re
 import sys
 
+from . import CertificationError
 from . import catalog as cat
 
 EX_OK = 0
@@ -286,6 +288,9 @@ def main(argv=None) -> int:
     except cat.MissingArtifact as e:
         print(f"missing artifact: {e}", file=sys.stderr)
         return EX_MISSING
+    except CertificationError as e:
+        print(f"{parser.prog}: {e}", file=sys.stderr)
+        return EX_CHECK
 
 
 if __name__ == "__main__":

@@ -349,7 +349,10 @@ def lattice_points(res: RrefResult, caps):
     sols = []
     assign = [0] * len(free)
 
-    def dfs(depth, r):
+    # dfs is handed itself: a closure over its own name would be a reference
+    # cycle, keeping everything it closes over alive until the cyclic
+    # collector runs
+    def dfs(dfs, depth, r):
         if depth == len(free):
             if (r % lead).any():
                 return
@@ -362,8 +365,8 @@ def lattice_points(res: RrefResult, caps):
             rv = r - val * cols[depth]
             if (rv >= lo[depth + 1]).all() and (rv <= hi[depth + 1]).all():
                 assign[depth] = val
-                dfs(depth + 1, rv)
+                dfs(dfs, depth + 1, rv)
 
     if (rhs >= lo[0]).all() and (rhs <= hi[0]).all():
-        dfs(0, rhs)
+        dfs(dfs, 0, rhs)
     return sols

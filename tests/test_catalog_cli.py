@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fusioncat import CertificationError
 from fusioncat import acceptance as acc
 from fusioncat import catalog as cat
 from fusioncat import cli
@@ -53,6 +54,26 @@ def all_flagship_records(graph_algebra, quantum_symmetries, slot_map, module_gra
     ]
 
 
+def assert_same_body(got, want, path="body"):
+    """Records equal entry for entry: dicts with the same keys; wherever
+    either side is an ndarray, the same dtype, shape and values (a list
+    compares as the array it reads as); elsewhere the same type and value."""
+    if isinstance(got, np.ndarray) or isinstance(want, np.ndarray):
+        g, w = np.asarray(got), np.asarray(want)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), path
+        assert np.array_equal(g, w), path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for k in want:
+            assert_same_body(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_body(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
 # ---------------------------------------------------------------------------
 # records and the store
 # ---------------------------------------------------------------------------
@@ -78,7 +99,8 @@ def test_every_kind_round_trips(graph_algebra, quantum_symmetries, slot_map, mod
     for rec in recs:
         cat.validate_record(rec)
         back = cat.ArtifactRecord.from_json(rec.to_json())
-        assert back.body() == rec.body()
+        assert_same_body(back.body(), rec.body())
+        assert back.to_json() == rec.to_json()
         assert back.content_hash == rec.content_hash
 
 
@@ -117,13 +139,53 @@ def test_matrix_builders_write_the_per_entry_bytes():
 def test_store_put_get_find(store):
     rec = small_record()
     h = store.put(rec)
-    assert store.get(h).body() == rec.body()
+    assert_same_body(store.get(h).body(), rec.body())
+    assert store.get(h).to_json() == rec.to_json()
     assert store.find("fusion-ring") == [h]
     assert store.find("oc-graph") == []
     # idempotent: same record stores once
     assert store.put(rec) == h
     assert len(list(store.objects.iterdir())) == 1
     assert store.index.read_text() == f"{h}  fusion-ring\n"
+
+
+def test_records_hold_arrays(ring, base_data):
+    """The fusion ring is one (r, r, r) int64 tensor and reads back as one;
+    the s matrix is a float64 (r, r, 2) array."""
+    rec = cat.fusion_ring_record(pl.spec(), pl.LEVEL, base_data.labels, ring)
+    mats = rec.payload["matrices"]
+    r = len(base_data.labels)
+    assert mats.dtype == np.int64 and mats.shape == (r, r, r)
+    assert all(np.array_equal(mats[i], ring[la]) for i, la in enumerate(base_data.labels))
+    s = cat.modular_data_record(base_data).payload["s"]
+    assert s.dtype == np.float64 and s.shape == (r, r, 2)
+    back = cat.ArtifactRecord.from_json(rec.to_json())
+    assert back.payload["matrices"].dtype == np.int64
+    assert np.array_equal(back.payload["matrices"], mats)
+
+
+def test_validate_checks_array_rank_and_dtype():
+    rec = small_record()
+    arr = np.array(rec.payload["matrices"])
+    cat.validate_record(cat.ArtifactRecord(rec.kind, rec.provenance, {**rec.payload, "matrices": arr}))
+    for bad in (arr[0], arr.astype(np.float64), arr.astype(np.int32), arr[..., None]):
+        with pytest.raises(ValueError, match="matrices"):
+            cat.validate_record(cat.ArtifactRecord(rec.kind, rec.provenance, {**rec.payload, "matrices": bad}))
+
+
+def test_get_refuses_a_corrupt_object(store, capsys):
+    h = store.put(small_record())
+    path = store.objects / f"{h}.json"
+    data = bytearray(path.read_bytes())
+    at = data.index(b"A1")
+    data[at + 1] ^= 1  # "A1" becomes "A0": still valid JSON and schema
+    path.write_bytes(bytes(data))
+    with pytest.raises(CertificationError, match=f"^catalog: .*{h}.json does not hash to its name"):
+        store.get(h)
+    assert cli.main(["export", "--kind", "fusion-ring"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and f"{h}.json" in err and "Traceback" not in err
 
 
 WRITER = """

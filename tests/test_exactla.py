@@ -3,8 +3,11 @@
 The integer row-space tracker is checked against numpy's floating rank on
 random integer families, and the lattice enumerator against brute force.
 Entries beyond int64 take the Python-int path, and forcing that path on the
-flagship's doublet system must give the same points.
+flagship's doublet system must give the same points. The enumerator leaves
+no reference cycle behind.
 """
+
+import gc
 
 import numpy as np
 
@@ -148,3 +151,19 @@ def test_forced_python_int_path_gives_identical_points(annular, monkeypatch):
     assert res.coeffs.dtype == object
     slow = xla.lattice_points(res, caps)
     assert len(fast) == 48 and slow == fast
+
+
+def test_doublet_solve_leaves_no_cyclic_garbage(annular):
+    """Everything the flagship doublet solve allocates is freed by reference
+    counting: with the cyclic collector off, a collection afterwards finds
+    nothing."""
+    ga.doublet_solutions(annular)
+    gc.collect()
+    gc.disable()
+    try:
+        sols = ga.doublet_solutions(annular)
+        assert len(sols) == 48
+        del sols
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
