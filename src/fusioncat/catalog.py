@@ -4,9 +4,10 @@ Every artifact is one JSON file named by the sha256 of its canonical form
 (sorted keys, compact separators, integer matrices as integer arrays,
 complex entries as [re, im] pairs), next to a human-readable index. Records
 hold their matrices as int64 and float64 ndarrays, written exactly as
-json.dumps writes the nested lists. `get` refuses a file whose bytes do not
-hash to its name; in the record it returns, every object member that is a
-rectangular integer array is an int64 ndarray. Objects are written to a
+json.dumps writes the nested lists, with each distinct float formatted once.
+`get` refuses a file whose bytes do not hash to its name; in the record it
+returns, every object member that is a rectangular array of integers is an
+int64 ndarray, and one of floats a float64 ndarray. Objects are written to a
 unique temp file in the same directory and renamed into place; the index
 only ever gains whole lines, appended. So any number of writers and readers
 may share one catalog: concurrent puts of one record write the same bytes,
@@ -67,84 +68,143 @@ class MissingArtifact(KeyError):
 # --- canonical JSON ---------------------------------------------------------
 # The text is exactly json.dumps(obj, sort_keys=True, separators=(",", ":"),
 # allow_nan=False), with ndarray leaves written as their nested lists would
-# be. Integer arrays in int64 range are written by filling one uint8 buffer
-# with digits, commas and brackets, about _CHUNK entries at a time; every other
+# be. An integer array, or a finite float64 array, with ndim >= 1 and at least
+# one entry is written by _items, about _CHUNK entries at a time; every other
 # array goes through json.dumps(a.tolist()).
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 _CHUNK = 1 << 15  # entries per buffer; keeps the temporaries near 1 MB
-_INT64 = np.iinfo(np.int64)
 _COMMA, _CLOSE, _OPEN, _MINUS, _ZERO = b",][-0"
 
 
-def _int_items(a) -> bytes:
-    """Canonical text of a nonempty int64 array with ndim >= 1 and no entry
-    -2**63 (whose magnitude int64 cannot hold), without the outer brackets.
+def _group_table():
+    """One little-endian word each: entry r < 10**4 is r as four digits,
+    and entry 10**4 + r is r without its leading zeros, right-aligned in
+    NUL bytes (so "0" for 0)."""
+    r, p = np.arange(10**4, dtype=np.uint16)[:, None], 10 ** np.arange(3, -1, -1, dtype=np.uint16)
+    digits = (r // p % 10 + _ZERO).astype(np.uint8)
+    lead = np.where(np.maximum(r, 1) < p, 0, digits).astype(np.uint8)
+    return np.concatenate([digits, lead]).view("<u4").ravel()
 
-    Entry i is its sign and digits, then m_i closers, a comma and m_i
-    openers, where m_i counts the trailing axes that end at it; the last
-    entry has only its closers. After the d - 1 leading openers, entry i's
-    separator ends at index base_i = (widths of entries 0..i) + d - 2."""
-    d, flat = a.ndim, a.ravel()
+
+_GROUP = _group_table()
+_SIGN = np.frombuffer(b"\0\0\0-", "<u4")[0]  # the minus sign, right-aligned
+
+
+def _digit_groups(flat):
+    """The text of each integer of flat, right-aligned in a NUL-padded row
+    of uint8: its sign word, if any entry is negative, then its digits four
+    at a time, the leading group without leading zeros and the groups above
+    it empty."""
+    v = flat.astype(np.uint64)
+    neg = flat < 0
+    np.negative(v, out=v, where=neg)  # the magnitude, also of -2**63
+    sign = int(neg.any())
+    n = (len(str(int(v.max()))) + 3) // 4
+    words = np.zeros((len(v), sign + n), "<u4")
+    if sign:
+        words[np.flatnonzero(neg), 0] = _SIGN
+    rows = np.arange(len(v))  # the entries with digits left
+    for col in range(sign + n - 1, sign - 1, -1):
+        q = v // 10**4
+        r = (v - q * 10**4).astype(np.intp)
+        r += 10**4 * (q == 0)  # the leading group
+        words[rows, col] = _GROUP[r]
+        more = np.flatnonzero(q)
+        v, rows = q[more], rows[more]
+    return words.view(np.uint8)
+
+
+def _tokens(flat):
+    """The canonical text of each entry of flat, one row of a uint8 array
+    each, padded with NUL bytes. A float is formatted as json formats it,
+    float.__repr__, once per distinct bit pattern (so -0.0 keeps its own
+    text). An integer is str of it, looked up in a table of the batch's
+    range when that is narrow, and else built from _GROUP."""
+    if flat.dtype.kind == "f":
+        bits, where = np.unique(flat.view(np.int64), return_inverse=True)
+        text = list(map(float.__repr__, bits.view(np.float64).tolist()))
+        return _gather(np.array(text, dtype=bytes), where)
     lo, hi = int(flat.min()), int(flat.max())
-    v = np.abs(flat) if lo < 0 else flat
-    w = np.full(flat.size, 2, np.intp)  # one digit and a comma
-    p = 10
-    while p <= max(hi, -lo):
-        w += v >= p
-        p *= 10
-    if lo < 0:
-        w += flat < 0
-    steps = np.cumprod(a.shape[:0:-1])
-    for step in steps:
-        w[step - 1::step] += 2
-    base = np.cumsum(w, out=w)
-    base += d - 2
-    buf = np.full(int(base[-1]) - d + 1, _COMMA, np.uint8)
-    pos = base - 1  # each entry's last digit
-    if d > 1:  # the entries that end at least one axis
-        ends = slice(steps[0] - 1, None, steps[0])
-        m = np.ones(len(pos[ends]), np.intp)
-        for step in steps[1:]:
-            m[step // steps[0] - 1::step // steps[0]] += 1
-        e = base[ends] - 2 * m
-        pos[ends] = e - 1
-        for j in range(d - 1):
-            at = m > j
-            buf[e[at] + j] = _CLOSE
-            at[-1] = False  # the last entry has no openers
-            buf[e[at] + m[at] + 1 + j] = _OPEN
-        buf[: d - 1] = _OPEN
-    if lo < 0:
-        neg = np.flatnonzero(flat < 0)
-        buf[np.where(neg > 0, base[neg - 1] + 1, d - 1)] = _MINUS
-    while v.size:
-        q = v // 10
-        digit = (v - 10 * q).astype(np.uint8)
-        digit += _ZERO
-        buf[pos] = digit
-        more = q > 0
-        v, pos = q[more], pos[more] - 1
+    if hi - lo >= flat.size // 16:  # a str costs about what 16 entries from _GROUP cost
+        return _digit_groups(flat)
+    if flat.dtype.kind == "u":
+        where = flat - flat.dtype.type(lo)
+    else:
+        where = np.subtract(flat, lo, dtype=np.int64)
+    return _gather(np.array([str(x) for x in range(lo, hi + 1)], dtype=bytes), where)
+
+
+def _gather(table, where):
+    """Row where[i] of table (an array of bytes) for every i, as a uint8
+    array of the table's width."""
+    return table.view(f"V{table.itemsize}")[where].view(np.uint8).reshape(len(where), table.itemsize)
+
+
+def _steps(item, width):
+    """step[k]: the bytes from one subitem of axis k to the next in the text
+    of an array whose items have the shape `item` and whose tokens are
+    `width` bytes each; the number of items does not enter.
+
+    The text is regular: an item over axes k.. is "[", its n_k subitems
+    each followed by a comma, and "]" in place of the last comma. Its
+    length f_k is n_k (f_{k+1} + 1) + 1, with f_d = width, so the step of
+    axis k - 1 is f_k + 1, and subitem j starts j (f_{k+1} + 1) + 1 bytes
+    into its item."""
+    step = [width + 1]
+    for n in reversed(item):
+        step.insert(0, n * step[0] + 2)
+    return step
+
+
+def _view(buf, offset, shape, step, tail=()):
+    """Strided view of buf from offset: axes of the given shape and steps,
+    then contiguous axes of the tail's shape."""
+    return np.lib.stride_tricks.as_strided(
+        buf[offset:], shape + tail, tuple(step[:len(shape)]) + (1,) * len(tail))
+
+
+def _layout(shape, tokens) -> bytes:
+    """The text of an array of the given shape (ndim >= 1, at least one
+    entry) whose entry i has the token in row i of tokens, without the
+    outer brackets. Every token is laid out at the width of the rows (see
+    _steps): the commas fill the buffer, the brackets and the tokens go in
+    through strided views, and the NUL bytes that pad the shorter tokens
+    are then dropped."""
+    d, width = len(shape), tokens.shape[1]
+    step = _steps(shape[1:], width)
+    buf = np.full(shape[0] * step[0], _COMMA, np.uint8)  # a comma after the last item too
+    for k in range(1, d):  # the brackets of the items over axes k..
+        _view(buf, k - 1, shape[:k], step)[...] = _OPEN
+        _view(buf, k - 3 + step[k - 1], shape[:k], step)[...] = _CLOSE
+    _view(buf, d - 1, shape, step, (width,))[...] = tokens.reshape(*shape, width)
+    buf = buf[:-1]
+    if not tokens.all():  # some token is shorter than the width
+        buf = buf[buf != 0]
     return buf.tobytes()
 
 
-def _fast_ints(a) -> bool:
-    if a.dtype.kind not in "iu" or a.ndim == 0 or a.size == 0:
+def _items(a) -> bytes:
+    """Canonical text of a nonempty integer or finite float64 array with
+    ndim >= 1, without the outer brackets."""
+    return _layout(a.shape, _tokens(a.ravel()))
+
+
+def _fast(a) -> bool:
+    if a.ndim == 0 or a.size == 0:
         return False
-    if a.dtype == np.int64:
-        return int(a.min()) > _INT64.min
-    return a.dtype.kind == "i" or a.dtype.itemsize < 8 or int(a.max()) <= _INT64.max
+    return a.dtype.kind in "iu" or (a.dtype == np.float64 and bool(np.isfinite(a).all()))
 
 
 def _array_pieces(a):
-    if not _fast_ints(a):
-        yield _dumps(a.tolist())
+    if not _fast(a):
+        yield _dumps(a.tolist())  # raises json's ValueError on nan and inf
         return
     rows = max(1, _CHUNK // (a.size // len(a)))
     for i in range(0, len(a), rows):
         yield "," if i else "["
-        yield _int_items(a[i:i + rows].astype(np.int64, copy=False)).decode("ascii")
+        yield _items(a[i:i + rows]).decode("ascii")
     yield "]"
 
 
@@ -190,18 +250,63 @@ def _sha256(obj) -> str:
 
 # --- decoding ---------------------------------------------------------------
 # An array that is an object member (or the whole text) and reads as a
-# rectangular integer tensor decodes to an int64 ndarray: np.fromstring on a
-# batch of top-level items at a time, with the shape read off the brackets.
-# The batch is accepted only if re-encoding it gives back its text byte for
-# byte; every other value is left to json's own scanner.
+# rectangular tensor of integers or of floats decodes to an int64 or float64
+# ndarray, one batch of top-level items at a time, with the shape read off the
+# brackets. A batch that holds a "." or an "e" is read by json's own scanner
+# and converted by np.array; any other is read as integers, with numpy digit
+# arithmetic. A batch is accepted only if _items writes its values back to its
+# text byte for byte; every other value is left to json's own scanner.
 
 _JSON = json.JSONDecoder()
 _OPENERS = re.compile(r"\[+")
 
 
+def _int_tokens(text):
+    """The integers that the runs of digits in text read as, or None for
+    no run or for a run of more than 19 digits. A run that is no integer
+    token gives a value that _items does not write as it."""
+    c = np.frombuffer(f",{text},".encode(), np.uint8)
+    digit = c - np.uint8(_ZERO)  # the other bytes wrap past 9
+    run = digit < 10
+    first, last = run & ~np.roll(run, 1), run & ~np.roll(run, -1)  # of each run
+    # np.compress picks the entries of a mask several times faster than
+    # indexing by the mask does
+    vals = np.compress(last, digit).astype(np.int64)
+    if not len(vals):
+        return None
+    if (last & ~first).any():  # a run of more than one digit
+        pos = np.flatnonzero(last)
+        width = pos + 1 - np.flatnonzero(first)
+        if width.max() > 19:
+            return None
+        for j in range(1, int(width.max())):  # the digit j places left of the last
+            vals += np.multiply(np.where(width > j, digit[pos - j], 0), 10**j, dtype=np.int64)
+    if "-" in text:
+        np.negative(vals, out=vals, where=np.compress(first, np.roll(c == _MINUS, 1)))
+    return vals
+
+
+def _read_items(text, item):
+    """The int64 or float64 array of items of shape `item` (a tuple) that
+    _items writes as `text`, or None."""
+    if "." in text or "e" in text:
+        try:
+            vals = np.array(_JSON.decode(f"[{text}]"))
+        except ValueError:  # not JSON, or ragged
+            return None
+        if vals.dtype != np.float64 or vals.shape[1:] != item:
+            return None
+    else:
+        vals = _int_tokens(text)
+        if vals is None or len(vals) % math.prod(item):
+            return None
+        vals = vals.reshape(-1, *item)
+    return vals if len(vals) and _items(vals) == text.encode() else None
+
+
 def _tensor_at(s, idx):
-    """(array, end) for the integer tensor whose text starts at s[idx], or
-    None."""
+    """(array, end) for the integer or float tensor whose text starts at
+    s[idx], or None."""
     d = _OPENERS.match(s, idx).end() - idx
     end = s.find("]" * d, idx) + d
     if end < d:
@@ -220,24 +325,21 @@ def _tensor_at(s, idx):
         out = np.empty((rows, *shape), np.int64)
     except ValueError:  # more axes than an ndarray holds
         return None
-    budget = 2 * _CHUNK  # characters per batch, about _CHUNK entries
+    head = s.find(sep, idx, end)  # the end of the first item
+    budget = _CHUNK * ((end if head < 0 else head) - idx) // item  # about _CHUNK entries
     row, pos = 0, idx + 1  # pos: start of the next batch of items
     while row < len(out):
         cut = s.find(sep, pos + budget, end)
         cut = end - 1 if cut < 0 else cut + d - 1  # batch ends before cut
-        text = s[pos:cut]
-        try:
-            vals = np.fromstring(text.replace("[", "").replace("]", ""), np.int64, sep=",")
-        except ValueError:  # not a list of integers
+        batch = _read_items(s[pos:cut], tuple(shape))
+        if batch is None or row + len(batch) > len(out):
             return None
-        k, rest = divmod(vals.size, item)
-        if rest or k == 0 or row + k > len(out):
+        if row == 0:
+            out = out.view(batch.dtype)
+        elif batch.dtype != out.dtype:
             return None
-        batch = vals.reshape(k, *shape)
-        if _int_items(batch) != text.encode():
-            return None
-        out[row:row + k] = batch
-        row, pos = row + k, cut + 1
+        out[row:row + len(batch)] = batch
+        row, pos = row + len(batch), cut + 1
     return (out, end) if pos == end else None  # no items left over
 
 

@@ -521,17 +521,21 @@ def matrix_units(galg: GraphAlgebra):
     return mu
 
 
-def center_dimension(regular):
+def center_dimension(regular, defect=None):
     """Dimension of the center of an algebra, read off its structure
     constants: `regular` lists the regular matrices in basis order, with
     x y = sum_z (R_y)[x, z] z. The element sum_x c_x x is central iff
     sum_x c_x ((R_y)[x, z] - (R_x)[y, z]) = 0 for every (y, z): an integer
     (n^2, n) system whose rank is exact. Structure constants only describe
-    an algebra that closes, so closure is certified first."""
+    an algebra that closes, so closure is certified first: defect is
+    closure_defect of the regular matrices with themselves, computed here
+    unless the caller already has it."""
     R = np.stack(list(regular))
     n = len(R)
-    mats = dict(enumerate(R))
-    _require(closure_defect(mats, mats) == 0, "center_dimension",
+    if defect is None:
+        mats = dict(enumerate(R))
+        defect = closure_defect(mats, mats)
+    _require(defect == 0, "center_dimension",
              "the regular matrices do not close, so they are no algebra's structure constants")
     # row (y, z), column x: (R_y)[x, z] - (R_x)[y, z]
     system = xla.LinearSystem(n)

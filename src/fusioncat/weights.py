@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from . import CertificationError
 
@@ -107,14 +107,22 @@ def quadratic_form(spec: AlgebraSpec):
 
 
 def inner(spec: AlgebraSpec, x, y) -> Fraction:
-    Q = quadratic_form(spec)
+    """<x, y> = sum_ij x_i Q_ij y_j for the quadratic form Q, summed over
+    the integer form D Q (see _integer_form) and divided by D once."""
+    D, M = _integer_form(spec)
     n = spec.rank
     if len(x) != n or len(y) != n:
         raise ValueError(f"{spec.name} weights have {n} Dynkin labels, not {len(x)} and {len(y)}")
-    return sum(
-        (Fraction(x[i]) * Q[i][j] * y[j] for i in range(n) for j in range(n)),
-        start=Fraction(0),
-    )
+    return Fraction(sum(a * sum(m * b for m, b in zip(row, y)) for a, row in zip(x, M)), D)
+
+
+@lru_cache(maxsize=None)
+def _integer_form(spec: AlgebraSpec):
+    """(D, M): D the lcm of the denominators of quadratic_form, M the form
+    times D, as integers."""
+    Q = quadratic_form(spec)
+    D = lcm(*(q.denominator for row in Q for q in row))
+    return D, tuple(tuple(int(q * D) for q in row) for row in Q)
 
 
 def weight_level(spec: AlgebraSpec, lam) -> int:

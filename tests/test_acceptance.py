@@ -11,6 +11,7 @@ and reports the refuted literal rule a.b = t(b).a as information only.
 import pytest
 
 from fusioncat import acceptance as acc
+from fusioncat import graphalgebra as ga
 
 
 @pytest.mark.parametrize(
@@ -22,3 +23,18 @@ def test_criterion(num, name):
     _, _, ok, detail = acc.run_criterion(num)
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} — {name}: {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+def test_criteria_10_and_12_share_one_closure_of_the_48(monkeypatch):
+    sizes = []
+    closure_defect = ga.closure_defect
+
+    def counted(mats, regular):
+        sizes.append(len(mats))
+        return closure_defect(mats, regular)
+
+    monkeypatch.setattr(ga, "closure_defect", counted)
+    acc._oc_regular.cache_clear()
+    assert acc.check_realization()[0]
+    assert acc.check_block_structures()[0]
+    assert sizes.count(48) == 1

@@ -1,8 +1,9 @@
 """The catalog's array codec against json itself, on arrays drawn by
 hypothesis: canonical_json of an ndarray is json.dumps of its nested lists
-for every dtype int_matrix accepts, and a record read back re-encodes to
-the same text and holds the entries json.loads reads. Texts the integer
-fast path must not take are read exactly as json.loads reads them.
+for every dtype int_matrix accepts and for finite float64 arrays, and a
+record read back re-encodes to the same text and holds the entries
+json.loads reads. Texts the fast paths must not take are read exactly as
+json.loads reads them.
 
 hypothesis is optional: without it this module is skipped.
 """
@@ -25,6 +26,9 @@ SETTINGS = hypothesis.settings(
 I64 = np.iinfo(np.int64)
 EDGES = [0, 1, 9, 10, 99, 100, -1, -9, -10, -100, I64.max, -I64.max, I64.min]
 DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+# floats whose shortest repr is signed zero, subnormal, in exponent form or
+# at the switch to it, or longer than the literal that made it
+SPECIAL = [-0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e22, 0.1 + 0.2, -2.2250738585072014e-308]
 
 
 def reference(obj):
@@ -62,11 +66,21 @@ def int_arrays(draw):
     return draw(hnp.arrays(dt, shape, elements=values(int(info.min), min(int(info.max), int(I64.max)))))
 
 
+@st.composite
+def float_arrays(draw):
+    """A finite float64 array whose entries repeat: drawn from a few floats
+    and the values whose text json writes in its own ways."""
+    shape = draw(shapes)
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+    return draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(pool + SPECIAL)))
+
+
 def assert_entrywise(got, want, path="text"):
-    """got is what from_json read, want what json.loads read."""
+    """got is what from_json read, want what json.loads read: the same
+    entries, with ints and floats told apart and floats to the bit."""
     if isinstance(got, np.ndarray):
-        assert got.dtype == np.int64, path
-        assert got.tolist() == want, path
+        assert got.dtype in (np.int64, np.float64), path
+        assert json.dumps(got.tolist()) == json.dumps(want), path
     elif isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), path
         for k in want:
@@ -76,7 +90,7 @@ def assert_entrywise(got, want, path="text"):
         for i, (g, w) in enumerate(zip(got, want)):
             assert_entrywise(g, w, f"{path}[{i}]")
     else:
-        assert type(got) is type(want) and got == want, path
+        assert type(got) is type(want) and json.dumps(got) == json.dumps(want), path
 
 
 @pytest.mark.parametrize("dtype", DTYPES + [np.bool_, object])
@@ -116,10 +130,61 @@ def test_record_text_reads_back_entry_for_entry(a, b):
 
 
 def test_integer_tensors_read_as_int64_arrays():
-    a = np.arange(-30, 30).reshape(3, 4, 5) * 10**15
-    back = cat.ArtifactRecord.from_json(cat.ArtifactRecord("invariant", {}, {"m": a}).to_json())
+    # both writers (a table of a narrow range, digit groups), with and
+    # without signs, and runs of one digit and of several
+    narrow = np.arange(4000).reshape(10, 20, 20) % 7
+    for a in (narrow, narrow - 3, narrow + 10**9, np.arange(-30, 30).reshape(3, 4, 5) * 10**15,
+              np.arange(60).reshape(3, 4, 5)):
+        assert cat.canonical_json(a) == reference(a.tolist())
+        back = cat.ArtifactRecord.from_json(cat.ArtifactRecord("invariant", {}, {"m": a}).to_json())
+        m = back.payload["m"]
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64 and np.array_equal(m, a)
+
+
+def test_int64_minimum_reads_as_an_int64_array():
+    text = '{"kind":"k","payload":{"m":[[-9223372036854775808,0]]},"provenance":{}}'
+    back = cat.ArtifactRecord.from_json(text)
     m = back.payload["m"]
-    assert isinstance(m, np.ndarray) and m.dtype == np.int64 and np.array_equal(m, a)
+    assert isinstance(m, np.ndarray) and m.dtype == np.int64 and m.tolist() == [[-(2**63), 0]]
+    assert back.to_json() == text
+
+
+@pytest.mark.parametrize("value", SPECIAL)
+def test_special_floats_write_as_json_writes_them(value):
+    flat = np.array([value, 1.0, value, -value])
+    for a in (flat, flat.reshape(2, 1, 2, 1), flat[:0], flat[:0].reshape(3, 0)):
+        assert cat.canonical_json(a) == reference(a.tolist())
+
+
+@SETTINGS
+@hypothesis.given(float_arrays())
+@hypothesis.example(np.array([[-0.0, 0.0], [0.0, -0.0]]))
+def test_float_leaf_writes_json_of_its_lists(a):
+    assert cat.canonical_json(a) == reference(a.tolist())
+    assert cat.canonical_json({"b": [a, 0.5], "a": a}) == reference({"b": [a.tolist(), 0.5], "a": a.tolist()})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_floats_raise_as_json_does(bad):
+    a = np.array([[1.0, bad], [0.5, 2.0]])
+    with pytest.raises(ValueError) as want:
+        reference(a.tolist())
+    with pytest.raises(ValueError) as got:
+        cat.canonical_json({"s": a})
+    assert str(got.value) == str(want.value)
+
+
+@SETTINGS
+@hypothesis.given(float_arrays(), int_arrays())
+def test_float_tensors_read_back_bit_for_bit(a, b):
+    text = cat.ArtifactRecord("modular-data", {}, {"s": a, "m": b}).to_json()
+    back = cat.ArtifactRecord.from_json(text)
+    assert back.to_json() == text
+    assert_entrywise(back.body(), json.loads(text))
+    s = back.payload["s"]
+    if a.size:
+        assert isinstance(s, np.ndarray) and s.dtype == np.float64 and s.shape == a.shape
+        assert np.array_equal(s.view(np.int64), a.view(np.int64))
 
 
 FALLBACK = [
@@ -129,9 +194,19 @@ FALLBACK = [
     '{"kind":"k","provenance":{},"payload":{"m":"[1,2]","n":"[[3]]"}}',  # digits in strings
     '{"kind":"k","provenance":{},"payload":{"m":[-0,2]}}',  # not canonical
     '{"kind":"k","provenance":{},"payload":{"m":[9223372036854775808]}}',  # past int64
-    '{"kind":"k","provenance":{},"payload":{"m":[-9223372036854775808]}}',
+    '{"kind":"k","provenance":{},"payload":{"m":[-9223372036854775809]}}',
     '{"kind":"k","provenance":{},"payload":{"m":[[],[]],"n":[]}}',  # empty
     '{"kind":"k","provenance":{},"payload":{"m":[1.5,2]}}',
+    '{"kind":"k","provenance":{},"payload":{"m":[1,2.5]}}',  # an integer among floats
+    '{"kind":"k","provenance":{},"payload":{"m":[1e5,2.5]}}',  # floats not as repr writes them
+    '{"kind":"k","provenance":{},"payload":{"m":[[1E+05],[0.5]]}}',
+    '{"kind":"k","provenance":{},"payload":{"m":[0.50,0.5]}}',
+    '{"kind":"k","provenance":{},"payload":{"m":[NaN,0.5],"n":[Infinity,-Infinity]}}',
+    '{"kind":"k","provenance":{},"payload":{"m":[[0.5, 1.5],[2.5,3.5]]}}',  # whitespace
+    '{"kind":"k","provenance":{},"payload":{"m":[[0.5,1.5],[2.5]]}}',  # ragged
+    '{"kind":"k","provenance":{},"payload":{"m":[[0.5,1.5],[2.5,3]]}}',
+    '{"kind":"k","provenance":{},"payload":{"m":[[0.5,1.5],[[2.5],3.5]]}}',  # mixed depth
+    '{"kind":"k","provenance":{},"payload":{"m":[0.5,"\u00e9"],"n":[0.5,"é"],"o":[1,"é"]}}',  # not ASCII
     '{"kind":"k","provenance":{},"payload":{"m":[[1,2],["3",4]]}}',
     '{"kind":"k","provenance":{},"payload":{"m":' + "[" * 80 + "1" + "]" * 80 + "}}",  # past numpy's axes
 ]
@@ -148,7 +223,12 @@ def test_spans_off_the_fast_path_read_as_json_loads(text):
 
 @pytest.mark.parametrize("text", ['{"kind":"k","provenance":{},"payload":{"m":[01]}}',
                                   '{"kind":"k","provenance":{},"payload":{"m":[1,2,]}}',
-                                  '{"kind":"k","provenance":{},"payload":{"m":[1,2]}} x'])
+                                  '{"kind":"k","provenance":{},"payload":{"m":[1,2]}} x',
+                                  # float() reads these tokens, json does not
+                                  '{"kind":"k","provenance":{},"payload":{"m":[inf,0.5]}}',
+                                  '{"kind":"k","provenance":{},"payload":{"m":[1_0.5,0.5]}}',
+                                  '{"kind":"k","provenance":{},"payload":{"m":[.5,0.5]}}',
+                                  '{"kind":"k","provenance":{},"payload":{"m":[+1.5,0.5]}}'])
 def test_invalid_text_raises_as_json_loads_does(text):
     with pytest.raises(json.JSONDecodeError) as want:
         json.loads(text)

@@ -605,6 +605,14 @@ def test_center_dimension_rejects_constants_that_do_not_close(quantum_symmetries
         ga.center_dimension(mats)
 
 
+def test_center_dimension_takes_the_callers_closure_defect(quantum_symmetries):
+    oc = quantum_symmetries
+    mats = [oc.O[p] for p in oc.pairs]
+    assert ga.center_dimension(mats, 0) == 33
+    with pytest.raises(CertificationError, match="center_dimension"):
+        ga.center_dimension(mats, 1)
+
+
 def test_generic_spectra(graph_algebra, quantum_symmetries):
     G = graph_algebra.G
     assert ga.generic_eigenvalue_multiplicities(

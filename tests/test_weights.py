@@ -99,6 +99,21 @@ def test_conformal_dimension_conjugation_invariant():
         assert wt.conformal_dimension(A3, 4, w) == wt.conformal_dimension(A3, 4, wbar)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 7)])
+def test_inner_matches_the_fraction_sum_over_the_form(family, rank):
+    """The integer form gives exactly sum_ij x_i Q_ij y_j summed in
+    Fractions, and h = <lam, lam + 2 rho> / (2 (k + g))."""
+    spec = wt.algebra(family, rank)
+    Q = wt.quadratic_form(spec)
+    for k in range(8):
+        for lam in wt.enumerate_alcove(spec, k):
+            shifted = tuple(x + 2 for x in lam)
+            want = sum((F(x) * Q[i][j] * shifted[j] for i, x in enumerate(lam) for j in range(rank)),
+                       start=F(0))
+            assert wt.inner(spec, lam, shifted) == want
+            assert wt.conformal_dimension(spec, k, lam) == want / (2 * (k + spec.dual_coxeter))
+
+
 def test_b7_level1():
     alc = wt.enumerate_alcove(B7, 1)
     assert len(alc) == 3
