@@ -211,7 +211,8 @@ def check_splitting():
     W = np.stack(fam.ws)
     dt = xla.product_dtype(len(fam.ws) * int(np.abs(C).max()) * int(np.abs(W).max()))
     # [l, a] holds sum_j C[l, m, j] W_j[a, d] over (m, d): a stack of small
-    # products, each below the size at which BLAS starts threads
+    # products, already in the order of K; on one BLAS thread it is as fast
+    # as one (1225, 33) @ (33, 1225) product (1.9-2.3 against 2.0-2.6 ms)
     rebuilt = C.astype(dt)[:, None] @ W.astype(dt).transpose(1, 0, 2)[None]
     equal = (rebuilt == fam.K.transpose(0, 2, 1, 3)).all(axis=(1, 3))
     rebuilt_ok = all(equal[p] for p in fam.decomp)
@@ -302,7 +303,7 @@ def check_graph_algebra():
     reversal_bad = sum(
         prod(a, b) != prod(T[b], a) for a in range(1, 13) for b in range(1, 13)
     )
-    fracs, crossed_sols = ga.crossed_branch(pl.annular())
+    fracs, crossed_sols = ga.crossed_branch(pl.annular(), pl.doublet_system())
     crossed_ok = crossed_sols == [] and len(fracs) > 0
     ok = table_ok and twist_ok and conj_ok and crossed_ok
     detail = (

@@ -19,6 +19,7 @@ product_dtype applies the same rule to integer matrix products, with
 float64 (BLAS) first: its sums of integers are exact up to 2**53.
 """
 
+import copy
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -31,7 +32,7 @@ __all__ = ["product_dtype", "IntSpan", "coeff_splits", "square_split_options", "
 
 # int64 holds every intermediate value below this bound
 _SAFE = 2**62
-# multiply-adds in one float64 product, well below the size OpenBLAS threads
+# multiply-adds in one float64 product of a stack; bounds its working set
 _SMALL = 2**18
 
 
@@ -46,14 +47,13 @@ def product_dtype(bound):
     integers without rounding, else the exact integer dtype.
 
     In float64, state the work as stacks of small products, never as one
-    wide product. OpenBLAS runs a product of about 10**6 multiply-adds or
-    more on several threads, and on a 2-vCPU machine that costs more than it
-    saves: the 48 right-hand sides (48, 48) @ (48, 35) of slot_symmetry_map
-    took 0.3 ms as one stack and 8 ms as one (2304, 48) @ (48, 35) product,
-    with more CPU time than wall time, and closure_defect's stacks ran 4x
-    faster than one (8a, a) @ (a, na) product. A stack also bounds the
-    working set: one (2304, 48) @ (48, 1225) product is fast but holds a
-    22.6 MB result."""
+    wide product: a stack bounds the working set, where one
+    (2304, 48) @ (48, 1225) product holds a 22.6 MB result. The package
+    runs OpenBLAS on one thread (see fusioncat/__init__.py), and there a
+    stack costs no more than one product: on a 2-vCPU machine the 48
+    right-hand sides (48, 48) @ (48, 35) of slot_symmetry_map took 0.18 ms
+    as one stack and 0.28 ms as one (2304, 48) @ (48, 35) product. With
+    two threads the single product took 3.3 ms."""
     return np.float64 if bound <= 2**53 else _exact(bound + 1)
 
 
@@ -82,6 +82,14 @@ class _Echelon:
     def rows(self):
         return self._buf[: len(self.lead)]
 
+    def copy(self):
+        """An echelon with the same rows that merges into this one leave
+        unchanged."""
+        out = copy.copy(self)
+        out._buf, out.pivots = self.rows.copy(), self.pivots.copy()
+        out.lead, out.top = list(self.lead), list(self.top)
+        return out
+
     def reduce(self, V, vmax):
         """(W, D): every row of W is D times that row of V minus a
         combination of the rows, zero in every pivot column, with D > 0.
@@ -109,8 +117,9 @@ class _Echelon:
         if D != 1:
             W *= D
         W[:, piv] = 0
-        # stacked row slices keep each float64 product below the size that
-        # OpenBLAS threads
+        # stacked row slices bound the working set of each float64 product
+        # to _SMALL multiply-adds; on one BLAS thread the doublet
+        # constraints reduce as fast as with one product per block
         step = max(1, _SMALL // max(1, B.size))
         for s in range(0, len(W), step):
             W[s : s + step, cols] -= _integral(C[s : s + step] @ B, dt)
@@ -308,6 +317,13 @@ class LinearSystem:
             self._consistent = False
         else:
             self._core.merge(new)
+
+    def copy(self):
+        """A system with the same equations, to extend without stating them
+        again: rows added to either leave the other unchanged."""
+        out = copy.copy(self)
+        out._core = self._core.copy()
+        return out
 
     def rref(self) -> RrefResult:
         core = self._core

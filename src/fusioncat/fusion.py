@@ -9,8 +9,10 @@ dominant terms only. A label with first Dynkin label 0 takes the transpose
 of its conjugate's matrix. Ranks 1 and 2 need nothing else; rank 3 also
 needs the middle generator for the labels (0, l, 0). The rank-3 tower is
 deliberately size-agnostic because the same recursion is reused later on
-12x12 and 48x48 module adjacencies. Nothing here reads the s matrix: the
-Verlinde numbers of modular.py are an independent oracle.
+12x12 and 48x48 module adjacencies. Both towers multiply by a generator
+without a matrix product, by gathering and adding rows, which is exact in
+int64. Nothing here reads the s matrix: the Verlinde numbers of modular.py
+are an independent oracle.
 """
 
 import numpy as np
@@ -43,24 +45,52 @@ GENERATOR_WEIGHTS = {
 def fundamental_matrix(spec: wt.AlgebraSpec, k: int, fund):
     """Level-truncated adjacency of tensoring with a generator: add each of
     its weights to the row label and keep whatever stays in the alcove."""
-    labels = wt.enumerate_alcove(spec, k)
+    return _adjacency(wt.enumerate_alcove(spec, k), GENERATOR_WEIGHTS[fund])
+
+
+def _adjacency(labels, weights):
+    """The adjacency of adding each weight to the row label, among the
+    labels."""
     idx = {la: i for i, la in enumerate(labels)}
-    r = len(labels)
-    N = np.zeros((r, r), dtype=np.int64)
+    N = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for la, i in idx.items():
-        for d in GENERATOR_WEIGHTS[fund]:
-            mu = tuple(x + y for x, y in zip(la, d))
-            if min(mu) >= 0 and sum(mu) <= k:
-                N[i, idx[mu]] += 1
+        for d in weights:
+            j = idx.get(tuple(x + y for x, y in zip(la, d)))
+            if j is not None:
+                N[i, j] += 1
     return N
+
+
+def _left_product(F):
+    """X -> F X for a nonnegative integer matrix F with few nonzeros per
+    row, exact in int64 and without a matrix product: row i of F X is the
+    sum of the rows j of X, each taken F[i, j] times, one gather per term.
+    X must be a square int64 matrix of F's size."""
+    r = F.shape[0]
+    terms = F.sum(axis=1)
+    rows, cols = np.nonzero(F)
+    reps = F[rows, cols]
+    rows, cols = rows.repeat(reps), cols.repeat(reps)
+    # term t of row i reads idx[t, i]; row r of the padded operand is zero
+    # and pads the rows with fewer terms
+    idx = np.full((terms.max(), r), r)
+    idx[np.arange(len(rows)) - (terms.cumsum() - terms)[rows], rows] = cols
+    padded = np.zeros((r + 1, r), dtype=np.int64)
+
+    def times(X):
+        padded[:r] = X
+        return padded[idx].sum(axis=0)
+
+    return times
 
 
 def su4_tower(F100, F010, F001, k: int):
     """Grow matrices for every level <= k weight of A3 out of the three
-    seeds. Works on any size; the seeds only have to satisfy the A3 fusion
-    relations for the output to mean anything.
-    """
+    seeds, nonnegative integer matrices. Works on any size; the seeds only
+    have to satisfy the A3 fusion relations for the output to mean
+    anything. The products with the seeds are row gathers."""
     size = F100.shape[0]
+    times100, times010 = _left_product(F100), _left_product(F010)
     N = {
         (0, 0, 0): np.eye(size, dtype=np.int64),
         (1, 0, 0): F100,
@@ -71,41 +101,32 @@ def su4_tower(F100, F010, F001, k: int):
         for p in range(l):
             for q in range(p + 1):
                 lab = (l - p, p - q, q)
-                term = F100 @ N[(l - p - 1, p - q, q)]
+                term = times100(N[(l - p - 1, p - q, q)])
                 for sub in [
                     (l - p - 2, p - q + 1, q),
                     (l - p - 1, p - q - 1, q + 1),
                     (l - p - 1, p - q, q - 1),
                 ]:
                     if min(sub) >= 0:
-                        term = term - N[sub]
+                        term -= N[sub]
                 N[lab] = term
         for q in range(1, l + 1):
             N[(0, l - q, q)] = N[(q, l - q, 0)].T
-        N[(0, l, 0)] = F010 @ N[(0, l - 1, 0)] - N[(1, l - 2, 1)] - N[(0, l - 2, 0)]
+        N[(0, l, 0)] = times010(N[(0, l - 1, 0)]) - N[(1, l - 2, 1)] - N[(0, l - 2, 0)]
     return N
 
 
 def pieri_tower(spec: wt.AlgebraSpec, k: int):
     """Every level-k fusion matrix of A1 or A2, from the vector
-    representation alone; keyed by label.
-
-    F X is formed without a matrix product: row i of F X is the sum of the
-    rows of X at the alcove neighbours of label i, one gather per weight of
-    the vector representation.
-    """
+    representation alone; keyed by label."""
     if spec.family != "A" or spec.rank > 2:
         raise ValueError(f"the vector Pieri tower covers A1 and A2, not {spec.name}")
     labels = wt.enumerate_alcove(spec, k)
-    idx = {la: i for i, la in enumerate(labels)}
-    r = len(labels)
     eps = GENERATOR_WEIGHTS[(1,) + (0,) * (spec.rank - 1)]
+    times = _left_product(_adjacency(labels, eps))
     shift = lambda la, e: tuple(x + y for x, y in zip(la, e))
-    # row r of the padded operand is zero and stands for "left the alcove"
-    nbrs = np.array([[idx.get(shift(la, e), r) for la in labels] for e in eps])
-    padded = np.zeros((r + 1, r), dtype=np.int64)
 
-    N = {labels[0]: np.eye(r, dtype=np.int64)}
+    N = {labels[0]: np.eye(len(labels), dtype=np.int64)}
     # canonical order: a label comes after everything of lower level, and
     # after its conjugate when its first Dynkin label is 0
     for la in labels[1:]:
@@ -113,8 +134,7 @@ def pieri_tower(spec: wt.AlgebraSpec, k: int):
             N[la] = N[wt.conjugate(spec, la)].T
             continue
         lo = (la[0] - 1,) + la[1:]
-        padded[:r] = N[lo]
-        term = padded[nbrs].sum(axis=0)
+        term = times(N[lo])
         for e in eps[1:]:
             sub = shift(lo, e)
             if min(sub) >= 0:

@@ -54,6 +54,7 @@ __all__ = [
     "JCOLS",
     "GraphAlgebra",
     "partial_algebra",
+    "shared_doublet_system",
     "doublet_solutions",
     "crossed_branch",
     "closure_defect",
@@ -137,14 +138,17 @@ def partial_algebra(annular):
     return G, {34: S34, 67: S67, 1112: S1112}
 
 
-def _doublet_system(annular, self_conjugate_first):
-    """The system of doublet_solutions over x = (vec X3, vec X6, vec X11),
-    each vec row-major, stated one integer block of rows per constraint;
-    and the cap of every cell."""
+# vec(X^T) = vec(X)[_TRANSPOSE] for a 12 x 12 X
+_TRANSPOSE = np.arange(144).reshape(12, 12).T.reshape(-1)
+
+
+def shared_doublet_system(annular):
+    """The 25 constraint blocks both conjugation branches state over
+    x = (vec X3, vec X6, vec X11), each vec row-major, one integer block of
+    rows per constraint, as one LinearSystem; and the cap of every cell."""
     knowns, sums = partial_algebra(annular)
     n = 144
     I, I12 = np.eye(n, dtype=np.int64), np.eye(12, dtype=np.int64)
-    T = I[np.arange(n).reshape(12, 12).T.reshape(-1)]  # vec(X^T) = T vec(X)
     block = {3: 0, 6: 1, 11: 2}  # unknown vertex -> its block of x
     # every G_c as const[c] + sign * X_u, with var[c] = (u, sign): a known
     # matrix, an unknown, or a doublet sum minus its unknown member
@@ -172,24 +176,36 @@ def _doublet_system(annular, self_conjugate_first):
         for Fg in (knowns[5], knowns[8]):  # [X, F] = 0 for both generators
             state([(X, np.kron(I12, Fg.T) - np.kron(Fg, I12))], zero)
         state([(X, I[:12])], I12[X - 1])  # the first row is the unit row of X
-    # conjugation transposes: X11 = X6^T, and X3 = X3^T or X3 + X3^T = G3 + G4
-    state([(11, I), (6, -T)], zero)
-    if self_conjugate_first:
-        state([(3, I - T)], zero)
-    else:
-        state([(3, I + T)], sums[34].reshape(-1))
-    return sys, np.concatenate([sums[k].reshape(-1) for k in (34, 67, 1112)])
+    # conjugation transposes: X11 = X6^T
+    state([(11, I), (6, -I[_TRANSPOSE])], zero)
+    # a copy holds the rows without the spare room the growing buffer kept
+    return sys.copy(), np.concatenate([sums[k].reshape(-1) for k in (34, 67, 1112)])
 
 
-def _solve_doublets(annular, self_conjugate_first):
+def _doublet_system(annular, self_conjugate_first, shared=None):
+    """The system of doublet_solutions and the cap of every cell: the
+    shared blocks, `shared` or stated anew, and the branch's last block,
+    X3 = X3^T or X3 + X3^T = G3 + G4, added to a copy."""
+    base, caps = shared or shared_doublet_system(annular)
+    sys, n = base.copy(), len(_TRANSPOSE)
+    I = np.eye(n, dtype=np.int64)
+    A = np.zeros((n, 3 * n), dtype=np.int64)
+    # caps[:n] is the first doublet's sum G3 + G4
+    sign, rhs = (-1, 0) if self_conjugate_first else (1, caps[:n])
+    A[:, :n] = I + sign * I[_TRANSPOSE]
+    sys.add(A, rhs)
+    return sys, caps
+
+
+def _solve_doublets(annular, self_conjugate_first, shared):
     """The reduced doublet system and its lattice points, unpacked."""
-    sys, caps = _doublet_system(annular, self_conjugate_first)
+    sys, caps = _doublet_system(annular, self_conjugate_first, shared)
     res = sys.rref()
     pts = xla.lattice_points(res, caps) if res.consistent else []
     return res, [tuple(np.array(x, dtype=np.int64).reshape(3, 12, 12)) for x in pts]
 
 
-def doublet_solutions(annular, self_conjugate_first=True):
+def doublet_solutions(annular, self_conjugate_first=True, shared=None):
     """Integer candidates for the open doublet members X3, X6, X11.
 
     Constraints: multiplication against every known row must close over the
@@ -199,16 +215,18 @@ def doublet_solutions(annular, self_conjugate_first=True):
     (X3 + X3^T equal to the doublet sum, which turns out empty).
     Every cell is capped by its doublet sum, so complements stay nonnegative
     and the enumeration of every lattice point in the box is finite.
+    `shared` is shared_doublet_system(annular), stated once for both
+    branches; without it the shared blocks are stated anew.
     """
-    return _solve_doublets(annular, self_conjugate_first)[1]
+    return _solve_doublets(annular, self_conjugate_first, shared)[1]
 
 
-def crossed_branch(annular):
+def crossed_branch(annular, shared=None):
     """The crossed conjugation branch, from one reduced system: the values
     its rational solution forces on cells outright (pivots with no free
     columns) that are proper fractions, sorted, and its integer solutions
-    as doublet_solutions lists them."""
-    res, sols = _solve_doublets(annular, self_conjugate_first=False)
+    as doublet_solutions lists them. `shared` as for doublet_solutions."""
+    res, sols = _solve_doublets(annular, False, shared)
     if not res.consistent:
         raise CertificationError(
             "graph_algebra", "the crossed branch is not even rationally solvable"
@@ -255,8 +273,10 @@ def closure_defect(mats, regular):
     return bad
 
 
-def solve_graph_algebra(annular) -> GraphAlgebra:
-    cands = doublet_solutions(annular, self_conjugate_first=True)
+def solve_graph_algebra(annular, shared=None) -> GraphAlgebra:
+    """The kept branch's closure-exact resolution; `shared` as for
+    doublet_solutions."""
+    cands = doublet_solutions(annular, True, shared)
     survivors = [
         G for G in (_assemble(annular, *t) for t in cands) if closure_defect(G, G) == 0
     ]

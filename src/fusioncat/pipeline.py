@@ -69,8 +69,15 @@ def annular():
 
 
 @lru_cache(maxsize=None)
+def doublet_system():
+    """The doublet constraints both conjugation branches share: the graph
+    algebra solves the kept branch from them, criterion 9 the crossed one."""
+    return ga.shared_doublet_system(annular())
+
+
+@lru_cache(maxsize=None)
 def graph_algebra() -> ga.GraphAlgebra:
-    return ga.solve_graph_algebra(annular())
+    return ga.solve_graph_algebra(annular(), doublet_system())
 
 
 @lru_cache(maxsize=None)

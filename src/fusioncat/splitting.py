@@ -15,7 +15,7 @@ The chain here is long but each stage has a sharp contract:
     per unit of multiplicity). Forced cells come from the multiplicity
     pattern; the only unknowns live in doublet-by-doublet blocks. Normality
     of the left generator is a quadratic form in its unknowns, evaluated
-    over every assignment by integer matrix products; the middle generator is
+    over every assignment by exact matrix products; the middle generator is
     symmetric by construction. Cross-commutation, nonnegativity of the
     recursion tower (level 2 first, which is cheap, then the whole tower)
     and the row-zero norm sums pin the rest. The solution comes out unique
@@ -336,16 +336,28 @@ def _normal_fills(Vt, unk, slot_of):
     Q_kk = B(E_k, E_k) and Q_kl = B(E_k, E_l) + B(E_l, E_k). Entries that no L
     or Q touches are fixed and must vanish in C. The assignments are
     evaluated in blocks: their monomials times the touched coefficients, as
-    one integer matrix product per block, with no fill ever built.
+    one matrix product per block, with no fill ever built.
+
+    Every product runs in the dtype xla.product_dtype picks for one bound
+    on all of them. With vmax = max(1, largest entry of V0) bounding the
+    entries of V0 and of every E_k, a product in B has partial sums of at
+    most size * vmax**2, and a coefficient is a sum of four such products.
+    A monomial is at most rmax**2, rmax the largest range of an unknown, so
+    a partial sum of mono @ coef is at most
+    len(terms) * rmax**2 * 4 * size * vmax**2.
     """
     n = len(unk)
     V0 = _fill(Vt, unk, slot_of, [0] * n)
     E = [_fill(np.zeros_like(Vt), [(i, j, 0)], slot_of, [1]) for i, j, _ in unk]
+    pairs = [(k, l) for k in range(n) for l in range(k, n)]
+    vmax = max(int(np.abs(V0).max()), 1)
+    rmax = max((rr for _, _, rr in unk), default=1)
+    dt = xla.product_dtype((1 + n + len(pairs)) * rmax * rmax * 4 * len(V0) * vmax * vmax)
+    V0, E = V0.astype(dt), [e.astype(dt) for e in E]
 
     def B(X, Y):
         return X @ Y.T - X.T @ Y
 
-    pairs = [(k, l) for k in range(n) for l in range(k, n)]
     terms = [B(V0, V0)] + [B(V0, e) + B(e, V0) for e in E]
     terms += [B(E[k], E[l]) + B(E[l], E[k]) if k != l else B(E[k], E[k]) for k, l in pairs]
     coef = np.stack(terms).reshape(len(terms), -1)
@@ -357,10 +369,8 @@ def _normal_fills(Vt, unk, slot_of):
     assigns = product(*[range(rr + 1) for _, _, rr in unk])
     # a few thousand assignments at a time keep the products small
     while chunk := list(islice(assigns, 2048)):
-        a = np.array(chunk, dtype=np.int64).reshape(-1, n)
-        mono = np.column_stack(
-            [np.ones(len(a), dtype=np.int64), a] + [a[:, k] * a[:, l] for k, l in pairs]
-        )
+        a = np.array(chunk, dtype=dt).reshape(-1, n)
+        mono = np.column_stack([np.ones(len(a), dtype=dt), a] + [a[:, k] * a[:, l] for k, l in pairs])
         out += [tup for tup, bad in zip(chunk, (mono @ coef).any(axis=1)) if not bad]
     return out
 
@@ -381,10 +391,15 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
     V100t, unk100 = _build_template(L100, fam.mult, slot_of, size)
     V010t, unk010 = _build_template(L010, fam.mult, slot_of, size)
 
+    # a fill entry never exceeds the class-level entry it splits, so a
+    # product of two generators has partial sums of at most size * lmax**2
+    lmax = int(max(L100.max(), L010.max()))
+    dt = xla.product_dtype(size * lmax * lmax)
     cands100 = []
     for assign in _normal_fills(V100t, unk100, slot_of):
         V = _fill(V100t, unk100, slot_of, assign)
-        if not np.array_equal(V @ V.T, V.T @ V):
+        Vd = V.astype(dt)
+        if not np.array_equal(Vd @ Vd.T, Vd.T @ Vd):
             raise CertificationError("chiral_lift", f"fill {assign} solves the normality form but is not normal")
         cands100.append(V)
 
@@ -408,10 +423,11 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
 
     norms0 = fam.norms[:, 0]
     sols = []
+    cands010d = [V.astype(dt) for V in cands010]
     for V100 in cands100:
-        V001 = V100.T
-        for V010 in cands010:
-            if not np.array_equal(V100 @ V010, V010 @ V100):
+        V001, V100d = V100.T, V100.astype(dt)
+        for V010, V010d in zip(cands010, cands010d):
+            if not np.array_equal(V100d @ V010d, V010d @ V100d):
                 continue
             # the level-2 tower costs a fraction of the full one, and on the
             # flagship it already rejects every fill but one
@@ -482,14 +498,22 @@ def parity_involution(lift: ChiralLift) -> ParityData:
         perm.append(lift.slot_of[j][c])
     size = len(perm)
     P = np.eye(size, dtype=np.int64)[perm]
+    # P V P is V[perm][:, perm^-1], which is V[perm][:, perm] once P @ P = I
+    # says perm is an involution
+    conj = np.ix_(perm, perm)
+    # a product of a right and a left generator has partial sums of at most
+    # size * vmax**2
     VF = (lift.V100, lift.V010, lift.V001)
-    RF = [P @ Vf @ P for Vf in VF]
+    vmax = max(int(np.abs(Vf).max()) for Vf in VF)
+    dt = xla.product_dtype(size * vmax * vmax)
+    VF = [Vf.astype(dt) for Vf in VF]
+    RF = [Vf[conj] for Vf in VF]
     if not (
         np.array_equal(P @ P, np.eye(size, dtype=np.int64))
         and all(np.array_equal(Rf @ Vg, Vg @ Rf) for Rf in RF for Vg in VF)
     ):
         raise CertificationError("parity", "the transpose involution does not give a commuting right action")
-    Rs = {la: P @ lift.Vs[la] @ P for la in fam.labels}
+    Rs = {la: lift.Vs[la][conj] for la in fam.labels}
     return ParityData(P, Rs, int(np.trace(P)))
 
 

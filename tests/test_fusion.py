@@ -42,6 +42,46 @@ def test_pieri_tower_matches_verlinde(spec, k):
         assert np.array_equal(built[la], oracle[la]), la
 
 
+def _matmul_tower(F100, F010, F001, k):
+    """su4_tower's recursion with matrix products: the reference for its
+    row gathers."""
+    N = {(0, 0, 0): np.eye(F100.shape[0], dtype=np.int64),
+         (1, 0, 0): F100, (0, 1, 0): F010, (0, 0, 1): F001}
+    for l in range(2, k + 1):
+        for p in range(l):
+            for q in range(p + 1):
+                term = F100 @ N[(l - p - 1, p - q, q)]
+                for sub in [(l - p - 2, p - q + 1, q), (l - p - 1, p - q - 1, q + 1),
+                            (l - p - 1, p - q, q - 1)]:
+                    if min(sub) >= 0:
+                        term = term - N[sub]
+                N[(l - p, p - q, q)] = term
+        for q in range(1, l + 1):
+            N[(0, l - q, q)] = N[(q, l - q, 0)].T
+        N[(0, l, 0)] = F010 @ N[(0, l - 1, 0)] - N[(1, l - 2, 1)] - N[(0, l - 2, 0)]
+    return N
+
+
+def _assert_same_tower(built, want):
+    assert list(built) == list(want)
+    for la, N in want.items():
+        assert built[la].dtype == np.int64 and np.array_equal(built[la], N), la
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_gather_tower_matches_the_product_recursion_on_the_alcove(k):
+    seeds = [fr.fundamental_matrix(A3, k, f) for f in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    _assert_same_tower(fr.su4_tower(*seeds, k), _matmul_tower(*seeds, k))
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_gather_tower_matches_the_product_recursion_on_the_slots(chiral_lift, k):
+    # the 48-slot generators have entries up to 2
+    seeds = chiral_lift.V100, chiral_lift.V010, chiral_lift.V001
+    assert max(int(V.max()) for V in seeds) == 2
+    _assert_same_tower(fr.su4_tower(*seeds, k), _matmul_tower(*seeds, k))
+
+
 def test_rings_of_every_rank_skip_the_s_matrix(monkeypatch):
     assert md not in vars(fr).values()
 

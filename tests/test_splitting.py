@@ -188,6 +188,10 @@ def test_parity_involution(chiral_lift, parity):
     assert list(np.diag(P) == 1) == self_transposed
     assert np.array_equal(P @ P, np.eye(48, dtype=np.int64))
     assert P[0, 0] == 1
+    # the right action, formed by indexing, is P V P on every label
+    assert list(parity.Rs) == chiral_lift.fam.labels and len(parity.Rs) == 35
+    for la, V in chiral_lift.Vs.items():
+        assert np.array_equal(parity.Rs[la], P @ V @ P), la
     # right action commutes with the left one across sample labels
     rng = np.random.default_rng(3)
     labels = chiral_lift.fam.labels
