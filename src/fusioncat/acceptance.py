@@ -211,20 +211,22 @@ def check_splitting():
     W = np.stack(fam.ws)
     dt = xla.product_dtype(len(fam.ws) * int(np.abs(C).max()) * int(np.abs(W).max()))
     # [l, a] holds sum_j C[l, m, j] W_j[a, d] over (m, d): a stack of small
-    # products, already in the order of K; on one BLAS thread it is as fast
-    # as one (1225, 33) @ (33, 1225) product (1.9-2.3 against 2.0-2.6 ms)
+    # products, already in the order of K, in float32 up to 2**24 and
+    # float64 up to 2**53 (see product_dtype); on one BLAS thread it is as
+    # fast as one (1225, 33) @ (33, 1225) product (1.9-2.3 against 2.0-2.6 ms)
     rebuilt = C.astype(dt)[:, None] @ W.astype(dt).transpose(1, 0, 2)[None]
     equal = (rebuilt == fam.K.transpose(0, 2, 1, 3)).all(axis=(1, 3))
     rebuilt_ok = all(equal[p] for p in fam.decomp)
+    census = sp.norm_census(fam)
     ok = (
         fam.rank == 33
-        and sp.norm_census(fam) == CENSUS
+        and census == CENSUS
         and mult == {1: 18, 2: 15}
         and fam.slot_count == 48
         and rebuilt_ok
     )
     detail = (
-        f"rank {fam.rank}, census {sp.norm_census(fam)}, "
+        f"rank {fam.rank}, census {census}, "
         f"{mult[1]}+{mult[2]} members -> {fam.slot_count} slots, "
         f"all {len(fam.decomp)} writings rebuilt: {rebuilt_ok}"
     )

@@ -16,10 +16,10 @@ block is brought to the same form and merged in, again one product for the
 old rows. Arithmetic is numpy int64 when an explicit bound keeps every
 intermediate below 2**62, Python ints (object arrays) otherwise.
 product_dtype applies the same rule to integer matrix products, with
-float64 (BLAS) first: its sums of integers are exact up to 2**53.
+the BLAS float dtypes first: float32 up to 2**24, float64 up to 2**53, where
+their sums of integers are exact.
 """
 
-import copy
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -32,7 +32,8 @@ __all__ = ["product_dtype", "IntSpan", "coeff_splits", "square_split_options", "
 
 # int64 holds every intermediate value below this bound
 _SAFE = 2**62
-# multiply-adds in one float64 product of a stack; bounds its working set
+# multiply-adds in one product of a stack, float32 up to 2**24 and float64
+# up to 2**53 (product_dtype); bounds its working set
 _SMALL = 2**18
 
 
@@ -43,17 +44,23 @@ def _exact(bound):
 
 def product_dtype(bound):
     """The dtype in which an integer matrix product is exact when no partial
-    sum exceeds `bound` in magnitude: float64 up to 2**53, where BLAS adds
-    integers without rounding, else the exact integer dtype.
+    sum exceeds `bound` in magnitude: float32 up to 2**24 and float64 up to
+    2**53, the largest integers each holds exactly, so BLAS adds them
+    without rounding; else the exact integer dtype. Every partial sum of
+    any subset of the terms is an integer no larger than the bound, so the
+    order in which BLAS adds them does not matter. float32 halves the
+    working set of the products and of the stacks they read.
 
-    In float64, state the work as stacks of small products, never as one
-    wide product: a stack bounds the working set, where one
-    (2304, 48) @ (48, 1225) product holds a 22.6 MB result. The package
-    runs OpenBLAS on one thread (see fusioncat/__init__.py), and there a
-    stack costs no more than one product: on a 2-vCPU machine the 48
-    right-hand sides (48, 48) @ (48, 35) of slot_symmetry_map took 0.18 ms
-    as one stack and 0.28 ms as one (2304, 48) @ (48, 35) product. With
-    two threads the single product took 3.3 ms."""
+    In a float dtype, state the work as stacks of small products, never as
+    one wide product: a stack bounds the working set, where one
+    (2304, 48) @ (48, 1225) float64 product holds a 22.6 MB result. The
+    package runs OpenBLAS on one thread (see fusioncat/__init__.py), and
+    there a stack costs no more than one product: on a 2-vCPU machine the
+    48 right-hand sides (48, 48) @ (48, 35) of slot_symmetry_map took
+    0.18 ms as one stack and 0.28 ms as one (2304, 48) @ (48, 35) product
+    (float64). With two threads the single product took 3.3 ms."""
+    if bound <= 2**24:
+        return np.float32
     return np.float64 if bound <= 2**53 else _exact(bound + 1)
 
 
@@ -66,14 +73,17 @@ class _Echelon:
     columns; the columns after them (a right-hand side, coordinate tags)
     ride along in every row operation."""
 
-    def __init__(self, npivot, rows):
+    def __init__(self, npivot, rows, reduced=False):
         """`rows` must be reduced against each other: the pivot of each, its
         first nonzero column among the first `npivot`, is zero in the
-        others. They are kept primitive and positive at their pivots."""
+        others. They are kept primitive and positive at their pivots;
+        `reduced` says they are so already, as the rows of an RrefResult
+        are, and the echelon keeps `rows` itself."""
         self.npivot = npivot
         self.pivots = (rows[:, :npivot] != 0).argmax(axis=1)
         at = np.arange(len(rows)), self.pivots
-        rows = _primitive(rows) * np.where(rows[at] > 0, 1, -1)[:, None]
+        if not reduced:
+            rows = _primitive(rows) * np.where(rows[at] > 0, 1, -1)[:, None]
         self._buf = _fit(rows)  # the rows, then spare room
         self.lead = rows[at].tolist()
         self.top = np.abs(rows).max(axis=1).tolist() if rows.size else []  # largest |entry|
@@ -81,14 +91,6 @@ class _Echelon:
     @property
     def rows(self):
         return self._buf[: len(self.lead)]
-
-    def copy(self):
-        """An echelon with the same rows that merges into this one leave
-        unchanged."""
-        out = copy.copy(self)
-        out._buf, out.pivots = self.rows.copy(), self.pivots.copy()
-        out.lead, out.top = list(self.lead), list(self.top)
-        return out
 
     def reduce(self, V, vmax):
         """(W, D): every row of W is D times that row of V minus a
@@ -117,9 +119,10 @@ class _Echelon:
         if D != 1:
             W *= D
         W[:, piv] = 0
-        # stacked row slices bound the working set of each float64 product
-        # to _SMALL multiply-adds; on one BLAS thread the doublet
-        # constraints reduce as fast as with one product per block
+        # the product runs in float32 up to 2**24 and in float64 up to
+        # 2**53; stacked row slices bound the working set of each to _SMALL
+        # multiply-adds, and on one BLAS thread the doublet constraints
+        # reduce as fast as with one product per block
         step = max(1, _SMALL // max(1, B.size))
         for s in range(0, len(W), step):
             W[s : s + step, cols] -= _integral(C[s : s + step] @ B, dt)
@@ -182,7 +185,7 @@ def _echelonize(W, npivot):
 def _integral(P, dt):
     """An exact integer product P in dtype dt (Python ints, not floats, when
     dt is object)."""
-    return P.astype(np.int64).astype(dt) if P.dtype == np.float64 else P.astype(dt)
+    return P.astype(np.int64).astype(dt) if P.dtype.kind == "f" else P.astype(dt)
 
 
 def _fit(R):
@@ -318,11 +321,18 @@ class LinearSystem:
         else:
             self._core.merge(new)
 
-    def copy(self):
-        """A system with the same equations, to extend without stating them
-        again: rows added to either leave the other unchanged."""
-        out = copy.copy(self)
-        out._core = self._core.copy()
+    @classmethod
+    def from_rref(cls, res):
+        """The system whose reduced form is `res`, stated from its rows
+        without reducing them again; rows added to it leave `res`
+        unchanged."""
+        out = cls(res.ncols)
+        rows = np.zeros((res.rank, res.ncols + 1), dtype=res.coeffs.dtype)
+        rows[np.arange(res.rank), res.pivot_cols] = res.lead
+        rows[:, res.free_cols] = res.coeffs
+        rows[:, -1] = res.rhs
+        out._core = _Echelon(res.ncols, rows, reduced=True)
+        out._consistent = res.consistent
         return out
 
     def rref(self) -> RrefResult:
@@ -332,7 +342,8 @@ class LinearSystem:
         free = sorted(set(range(self.ncols)) - set(piv))
         R = core.rows[order]
         lead = R[np.arange(len(piv)), piv]
-        return RrefResult(self._consistent, self.ncols, piv, free, lead, R[:, free], R[:, -1])
+        # a copy of the last column, so the result does not keep every row
+        return RrefResult(self._consistent, self.ncols, piv, free, lead, R[:, free], R[:, -1].copy())
 
 
 def lattice_points(res: RrefResult, caps):

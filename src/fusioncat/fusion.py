@@ -23,6 +23,7 @@ from . import weights as wt
 __all__ = [
     "GENERATOR_WEIGHTS",
     "fundamental_matrix",
+    "left_product",
     "su4_tower",
     "pieri_tower",
     "fusion_matrices",
@@ -61,7 +62,7 @@ def _adjacency(labels, weights):
     return N
 
 
-def _left_product(F):
+def left_product(F):
     """X -> F X for a nonnegative integer matrix F with few nonzeros per
     row, exact in int64 and without a matrix product: row i of F X is the
     sum of the rows j of X, each taken F[i, j] times, one gather per term.
@@ -84,13 +85,16 @@ def _left_product(F):
     return times
 
 
-def su4_tower(F100, F010, F001, k: int):
+def su4_tower(F100, F010, F001, k: int, gathers=None):
     """Grow matrices for every level <= k weight of A3 out of the three
     seeds, nonnegative integer matrices. Works on any size; the seeds only
     have to satisfy the A3 fusion relations for the output to mean
-    anything. The products with the seeds are row gathers."""
+    anything. The products with the seeds are row gathers: `gathers` is
+    (left_product(F100), left_product(F010)), built here when not given,
+    so a caller that grows several towers on one seed builds its table
+    once."""
     size = F100.shape[0]
-    times100, times010 = _left_product(F100), _left_product(F010)
+    times100, times010 = gathers or (left_product(F100), left_product(F010))
     N = {
         (0, 0, 0): np.eye(size, dtype=np.int64),
         (1, 0, 0): F100,
@@ -123,7 +127,7 @@ def pieri_tower(spec: wt.AlgebraSpec, k: int):
         raise ValueError(f"the vector Pieri tower covers A1 and A2, not {spec.name}")
     labels = wt.enumerate_alcove(spec, k)
     eps = GENERATOR_WEIGHTS[(1,) + (0,) * (spec.rank - 1)]
-    times = _left_product(_adjacency(labels, eps))
+    times = left_product(_adjacency(labels, eps))
     shift = lambda la, e: tuple(x + y for x, y in zip(la, e))
 
     N = {labels[0]: np.eye(len(labels), dtype=np.int64)}

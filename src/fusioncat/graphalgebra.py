@@ -4,11 +4,12 @@ symmetries.
 Both algebras are given by structure constants, and one identity states
 them: X_x X_y = sum_z (R_y)[x, z] X_z, where R_y is the regular matrix of
 y. closure_defect counts the pairs where it fails, eight left factors at a
-time, each side one stacked matrix product in float64 while a bound from
-the largest entries keeps every partial sum below 2**53 (exact integers
-past it); it certifies the graph algebra (X = R = G), the quantum
-symmetries (X = R = O) and their dual action on the graph (X = SX, R = O),
-and slot_symmetry_map checks the toric slot products the same way.
+time, each side one stacked matrix product: in float32 while a bound from
+the largest entries keeps every partial sum up to 2**24, in float64 up to
+2**53 and in exact integers past it. It certifies the graph algebra
+(X = R = G), the quantum symmetries (X = R = O) and their dual action on
+the graph (X = SX, R = O), and slot_symmetry_map checks the toric slot
+products the same way.
 
 The annular matrices pin ten of the twelve graph-algebra matrices outright
 (six vertices directly, three doublet sums, one permutation); the remaining
@@ -145,7 +146,9 @@ _TRANSPOSE = np.arange(144).reshape(12, 12).T.reshape(-1)
 def shared_doublet_system(annular):
     """The 25 constraint blocks both conjugation branches state over
     x = (vec X3, vec X6, vec X11), each vec row-major, one integer block of
-    rows per constraint, as one LinearSystem; and the cap of every cell."""
+    rows per constraint, as the reduced form of one LinearSystem; and the
+    cap of every cell. The reduced form holds only the coefficients of the
+    free columns: 411 x 21 entries where the system's rows hold 411 x 433."""
     knowns, sums = partial_algebra(annular)
     n = 144
     I, I12 = np.eye(n, dtype=np.int64), np.eye(12, dtype=np.int64)
@@ -178,16 +181,15 @@ def shared_doublet_system(annular):
         state([(X, I[:12])], I12[X - 1])  # the first row is the unit row of X
     # conjugation transposes: X11 = X6^T
     state([(11, I), (6, -I[_TRANSPOSE])], zero)
-    # a copy holds the rows without the spare room the growing buffer kept
-    return sys.copy(), np.concatenate([sums[k].reshape(-1) for k in (34, 67, 1112)])
+    return sys.rref(), np.concatenate([sums[k].reshape(-1) for k in (34, 67, 1112)])
 
 
 def _doublet_system(annular, self_conjugate_first, shared=None):
     """The system of doublet_solutions and the cap of every cell: the
-    shared blocks, `shared` or stated anew, and the branch's last block,
-    X3 = X3^T or X3 + X3^T = G3 + G4, added to a copy."""
+    shared blocks, `shared` or stated anew, restated from their reduced
+    form, and the branch's last block, X3 = X3^T or X3 + X3^T = G3 + G4."""
     base, caps = shared or shared_doublet_system(annular)
-    sys, n = base.copy(), len(_TRANSPOSE)
+    sys, n = xla.LinearSystem.from_rref(base), len(_TRANSPOSE)
     I = np.eye(n, dtype=np.int64)
     A = np.zeros((n, 3 * n), dtype=np.int64)
     # caps[:n] is the first doublet's sum G3 + G4

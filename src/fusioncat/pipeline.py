@@ -70,8 +70,10 @@ def annular():
 
 @lru_cache(maxsize=None)
 def doublet_system():
-    """The doublet constraints both conjugation branches share: the graph
-    algebra solves the kept branch from them, criterion 9 the crossed one."""
+    """The doublet constraints both conjugation branches share, in reduced
+    form: the graph algebra solves the kept branch from them, criterion 9
+    the crossed one. Each restates the system from it, so no stage holds
+    the 411 x 433 rows of the system past its own solve."""
     return ga.shared_doublet_system(annular())
 
 

@@ -426,15 +426,17 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
     cands010d = [V.astype(dt) for V in cands010]
     for V100 in cands100:
         V001, V100d = V100.T, V100.astype(dt)
+        times100 = fr.left_product(V100)
         for V010, V010d in zip(cands010, cands010d):
             if not np.array_equal(V100d @ V010d, V010d @ V100d):
                 continue
             # the level-2 tower costs a fraction of the full one, and on the
             # flagship it already rejects every fill but one
-            low = fr.su4_tower(V100, V010, V001, min(level, 2))
+            gathers = times100, fr.left_product(V010)
+            low = fr.su4_tower(V100, V010, V001, min(level, 2), gathers)
             if not all(v.min() >= 0 for v in low.values()):
                 continue
-            Vs = fr.su4_tower(V100, V010, V001, level)
+            Vs = fr.su4_tower(V100, V010, V001, level, gathers)
             if not all(v.min() >= 0 for v in Vs.values()):
                 continue
             ok = all(

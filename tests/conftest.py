@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from fusioncat import exactla as xla
 from fusioncat import pipeline as pl
 
 
@@ -61,3 +65,19 @@ def dual_matrices():
 @pytest.fixture(scope="session")
 def slot_map():
     return pl.slot_map()
+
+
+@pytest.fixture(params=[np.float64, np.int64], ids=["float64", "int64"])
+def forced_products(request, monkeypatch):
+    """Route exactla.product_dtype to one dtype at every bound, in place of
+    the float32 it picks for the flagship's bounds. Returns the forced
+    dtype and the dtypes handed out, one per call."""
+    forced = SimpleNamespace(dtype=request.param, chosen=[])
+
+    def pick(bound):
+        assert bound <= 2**53  # float64 stays exact on the flagship's bounds
+        forced.chosen.append(forced.dtype)
+        return forced.dtype
+
+    monkeypatch.setattr(xla, "product_dtype", pick)
+    return forced

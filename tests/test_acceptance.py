@@ -38,3 +38,15 @@ def test_criteria_10_and_12_share_one_closure_of_the_48(monkeypatch):
     assert acc.check_realization()[0]
     assert acc.check_block_structures()[0]
     assert sizes.count(48) == 1
+
+
+@pytest.fixture(scope="module")
+def criteria_6_and_7():
+    """Both checks with the float32 products product_dtype picks."""
+    return acc.check_splitting(), acc.check_chiral_generators()
+
+
+def test_criteria_6_and_7_on_forced_products(criteria_6_and_7, forced_products):
+    assert (acc.check_splitting(), acc.check_chiral_generators()) == criteria_6_and_7
+    assert criteria_6_and_7[0][0] and criteria_6_and_7[1][0]
+    assert forced_products.chosen == [forced_products.dtype] * 2

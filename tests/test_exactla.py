@@ -15,6 +15,18 @@ from fusioncat import exactla as xla
 from fusioncat import graphalgebra as ga
 
 
+def test_product_dtype_boundaries():
+    # float32 holds every integer up to 2**24 and float64 up to 2**53, and
+    # no integer one past either
+    assert xla.product_dtype(2**24) == np.float32
+    assert xla.product_dtype(2**24 + 1) == np.float64
+    assert xla.product_dtype(2**53) == np.float64
+    assert xla.product_dtype(2**53 + 1) == np.int64
+    assert xla.product_dtype(2**62) == object
+    assert int(np.float32(2**24)) == 2**24 and int(np.float32(2**24 + 1)) != 2**24 + 1
+    assert int(np.float64(2**53 + 1)) != 2**53 + 1
+
+
 def test_intspan_rank_matches_numpy():
     rng = np.random.default_rng(0)
     for trial in range(20):
@@ -144,7 +156,7 @@ def test_forced_python_int_path_gives_identical_points(annular, monkeypatch):
     sys, caps = ga._doublet_system(annular, self_conjugate_first=True)
     fast = xla.lattice_points(sys.rref(), caps)
     # with no int64 headroom the rows and their sums are Python ints; small
-    # products still run exactly in float64
+    # products still run exactly in float32
     monkeypatch.setattr(xla, "_SAFE", 1)
     sys, caps = ga._doublet_system(annular, self_conjugate_first=True)
     res = sys.rref()

@@ -175,3 +175,29 @@ def test_lattice_points_match_the_box(case):
     ]
     assert sorted(pts) == box
     assert x0 in pts
+
+
+@SETTINGS
+@hypothesis.given(matrices(max_rows=6), st.data())
+def test_a_system_restated_from_its_reduced_form_extends_alike(A, data):
+    # a system stated again from its reduced form has that reduced form, and
+    # one more block gives both the same; the reduced form stays as it was
+    n = len(A[0])
+    rhs = data.draw(st.lists(st.integers(-6, 6), min_size=len(A), max_size=len(A)))
+    more = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=3))
+    more_rhs = data.draw(st.lists(st.integers(-6, 6), min_size=len(more), max_size=len(more)))
+
+    def form(res):
+        if not res.consistent:
+            return False
+        return res.pivot_cols, res.lead.tolist(), res.coeffs.tolist(), res.rhs.tolist()
+
+    sys = xla.LinearSystem(n)
+    sys.add(A, rhs)
+    res = sys.rref()
+    again = xla.LinearSystem.from_rref(res)
+    assert form(again.rref()) == form(res)
+    sys.add(more, more_rhs)
+    again.add(more, more_rhs)
+    assert form(again.rref()) == form(sys.rref())
+    assert form(xla.LinearSystem.from_rref(res).rref()) == form(res)

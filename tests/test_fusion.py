@@ -82,6 +82,15 @@ def test_gather_tower_matches_the_product_recursion_on_the_slots(chiral_lift, k)
     _assert_same_tower(fr.su4_tower(*seeds, k), _matmul_tower(*seeds, k))
 
 
+def test_prebuilt_gathers_serve_several_towers(chiral_lift):
+    # the lift builds a seed's gather table once and grows towers of two
+    # levels on it
+    seeds = chiral_lift.V100, chiral_lift.V010, chiral_lift.V001
+    gathers = fr.left_product(seeds[0]), fr.left_product(seeds[1])
+    for k in (2, 4):
+        _assert_same_tower(fr.su4_tower(*seeds, k, gathers), _matmul_tower(*seeds, k))
+
+
 def test_rings_of_every_rank_skip_the_s_matrix(monkeypatch):
     assert md not in vars(fr).values()
 

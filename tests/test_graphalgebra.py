@@ -183,6 +183,27 @@ def test_closure_defect_past_the_float_bound(graph_algebra, monkeypatch):
     assert chosen == [np.int64, np.int64]
 
 
+def test_closure_defect_past_the_float32_bound(graph_algebra, monkeypatch):
+    # scaled by s, the bound on the partial sums passes 2**24, the largest
+    # integer that float32 holds exactly, but stays below 2**53: the
+    # products must run in float64. (Multiples of a power of two would stay
+    # exact in float32 here; the spy shows the choice.)
+    s = 2**11
+    chosen, pick = [], xla.product_dtype
+
+    def spy(bound):
+        chosen.append(pick(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(xla, "product_dtype", spy)
+    assert ga.closure_defect(graph_algebra.G, graph_algebra.G) == 0
+    G = {a: s * M for a, M in graph_algebra.G.items()}
+    assert ga.closure_defect(G, G) == 0
+    G[5][2, 3] += s
+    assert ga.closure_defect(G, G) == 39
+    assert chosen == [np.float32, np.float64, np.float64]
+
+
 def test_doublet_system_ranks(annular):
     # 432 unknowns: rank 417 leaves 15 free columns on the kept branch; the
     # crossed branch has rank 420
@@ -190,6 +211,17 @@ def test_doublet_system_ranks(annular):
     assert res.consistent and res.rank == 417 and len(res.free_cols) == 15
     res = ga._doublet_system(annular, self_conjugate_first=False)[0].rref()
     assert res.consistent and res.rank == 420
+
+
+def test_shared_doublet_system_is_kept_reduced(annular):
+    # the branches restate the shared blocks from their reduced form, 411
+    # rows over 21 free columns (test_doublet_system_ranks checks the
+    # restated systems); an inconsistent one stays inconsistent
+    res, caps = ga.shared_doublet_system(annular)
+    assert res.consistent and res.rank == 411 and res.coeffs.shape == (411, 21)
+    assert res.rhs.base is None  # it does not keep the system's rows alive
+    bad = dataclasses.replace(res, consistent=False)
+    assert not ga._doublet_system(annular, True, (bad, caps))[0].rref().consistent
 
 
 def test_doublet_product_table(graph_algebra):
@@ -416,39 +448,35 @@ def test_slot_map_rejects_a_corrupted_product(
         ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, bad)
 
 
-def _exact_products(monkeypatch):
-    """Route product_dtype to the exact integer dtype; returns the dtypes
-    it chose."""
-    chosen = []
-
-    def exact(bound):
-        chosen.append(xla._exact(bound + 1))
-        return chosen[-1]
-
-    monkeypatch.setattr(xla, "product_dtype", exact)
-    return chosen
-
-
-def test_slot_map_on_exact_products(
-    chiral_lift, parity, annular, base_data, quantum_symmetries, slot_map, monkeypatch
+def test_slot_map_on_forced_products(
+    chiral_lift, parity, annular, base_data, quantum_symmetries, slot_map, forced_products
 ):
-    chosen = _exact_products(monkeypatch)
+    # slot_map was built in float32; float64 and int64 give the same map
     smap = ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, quantum_symmetries)
-    assert chosen == [np.int64]
+    assert forced_products.chosen == [forced_products.dtype]
     assert smap.pair_of == slot_map.pair_of and smap.slot_of == slot_map.slot_of
     for got, want in ((smap.E, slot_map.E), (smap.Ered, slot_map.Ered), (smap.W0, slot_map.W0)):
         assert got.keys() == want.keys()
         assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["float64", "int64"])
+def test_closure_defect_on_forced_products(quantum_symmetries, forced_products):
+    # the counts the float32 products give (test_closure_defect_counts_the_failing_pairs)
+    O = {p: M.copy() for p, M in quantum_symmetries.O.items()}
+    assert ga.closure_defect(O, O) == 0
+    O[(6, 1)][3, 7] += 1
+    assert ga.closure_defect(O, O) == 169
+    assert forced_products.chosen == [forced_products.dtype] * 2
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "int64"])
 def test_slot_map_names_the_first_failing_pair(
     exact, chiral_lift, parity, annular, base_data, quantum_symmetries, monkeypatch
 ):
     # row 3 of the regular matrix of (6, 1) = conj((11, 1)) expands the slot
     # product of (4, 1) with (11, 1)
     if exact:
-        _exact_products(monkeypatch)
+        monkeypatch.setattr(xla, "product_dtype", lambda bound: np.int64)
     oc = quantum_symmetries
     O = {p: M.copy() for p, M in oc.O.items()}
     O[(6, 1)][3, 7] += 1

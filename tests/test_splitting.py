@@ -77,6 +77,13 @@ def test_no_consistent_writing_is_a_certification_error(ring, base_data, invaria
         sp.modular_splitting(ring, base_data.labels, invariant.matrix)
 
 
+def test_family_tensor_on_forced_products(family, ring, base_data, invariant, forced_products):
+    # the family's K was built in float32; float64 and int64 give the same K
+    K = sp._family_tensor(ring, base_data.labels, invariant.matrix)
+    assert forced_products.chosen == [forced_products.dtype]
+    assert K.dtype == np.int64 and np.array_equal(K, family.K)
+
+
 def test_norm_census(family):
     assert sp.norm_census(family) == CENSUS
 
