@@ -527,23 +527,18 @@ class Catalog:
 
 def edges_of(mat, names, directed=True):
     """Nonzero cells of an adjacency matrix as (source, target, mult)
-    triples; an undirected matrix must be symmetric and contributes each
-    unordered pair once."""
+    triples, row by row; an undirected matrix must be symmetric and
+    contributes each unordered pair once."""
     M = np.asarray(mat)
-    out = []
-    if directed:
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                if M[i, j]:
-                    out.append([names[i], names[j], int(M[i, j])])
-    else:
+    if not directed:
         if not np.array_equal(M, M.T):
             raise ValueError("undirected edge class needs a symmetric matrix")
-        for i in range(M.shape[0]):
-            for j in range(i, M.shape[1]):
-                if M[i, j]:
-                    out.append([names[i], names[j], int(M[i, j])])
-    return out
+        M = np.triu(M)
+    return [[names[i], names[j], int(M[i, j])] for i, j in zip(*np.nonzero(M))]
+
+
+def _edge_class(name, color, edges, directed=True, style="solid"):
+    return {"name": name, "directed": directed, "color": color, "style": style, "edges": edges}
 
 
 def emit_dot(graph: dict, name: str = "G") -> str:
@@ -615,34 +610,22 @@ def toric_family_record(fam, lift, inputs=None) -> ArtifactRecord:
     return ArtifactRecord("toric-family", make_provenance(inputs), payload)
 
 
-def graph_algebra_record(galg, graph, inputs=None) -> ArtifactRecord:
-    from . import graphalgebra as ga
-
-    names = [str(a) for a in range(1, 13)]
+def graph_algebra_record(galg, graph, qg, inputs=None) -> ArtifactRecord:
+    vertices = list(galg.G)
+    names = [str(a) for a in vertices]
     payload = {
-        "vertices": list(range(1, 13)),
-        "matrices": [int_matrix(galg.G[a]) for a in range(1, 13)],
-        "twist": [ga.TWIST[a] for a in range(1, 13)],
-        "conjugate": [ga.VERTEX_CONJ[a] for a in range(1, 13)],
-        "grading": [graph.tau[a] for a in range(1, 13)],
+        "vertices": vertices,
+        "matrices": [int_matrix(galg.G[a]) for a in vertices],
+        "twist": [qg.twist[a] for a in vertices],
+        "conjugate": [qg.conj[a] for a in vertices],
+        "grading": [graph.tau[a] for a in vertices],
         "doublet_survivors": int(galg.doublet_survivors),
         "graph": {
             "vertices": names,
             "edge_classes": [
-                {
-                    "name": "left-fundamental",
-                    "directed": True,
-                    "color": "red",
-                    "style": "solid",
-                    "edges": edges_of(graph.F100, names, directed=True),
-                },
-                {
-                    "name": "middle-fundamental",
-                    "directed": False,
-                    "color": "blue",
-                    "style": "solid",
-                    "edges": edges_of(graph.F010, names, directed=False),
-                },
+                _edge_class("left-fundamental", "red", edges_of(graph.F100, names)),
+                _edge_class("middle-fundamental", "blue", edges_of(graph.F010, names, directed=False),
+                            directed=False),
             ],
         },
     }
@@ -652,14 +635,18 @@ def graph_algebra_record(galg, graph, inputs=None) -> ArtifactRecord:
 def oc_graph_record(oc, smap, inputs=None) -> ArtifactRecord:
     from . import graphalgebra as ga
 
-    pairs = oc.pairs
+    qg, pairs = oc.qg, oc.pairs
     names = [f"{a}x{b}" for (a, b) in pairs]
     chiral = []
     for p in pairs:
-        q = ga.chiral_conjugate(oc.galg.G, p)
-        i, j = ga.pair_index(p), ga.pair_index(q)
+        q = ga.chiral_conjugate(qg, p)
+        i, j = ga.pair_index(qg, p), ga.pair_index(qg, q)
         if i < j:
             chiral.append([names[i], names[j], 1])
+    # the left generator is the vertex the left fundamental label takes 1
+    # to, in the unit's sector; the right generator is its chiral conjugate
+    left = (qg.reach[(1, 0, 0)], 1)
+    right = ga.chiral_conjugate(qg, left)
     payload = {
         "pairs": [[a, b] for (a, b) in pairs],
         "slots": [[z, list(smap.pair_of[z])] for z in sorted(smap.pair_of)],
@@ -667,27 +654,9 @@ def oc_graph_record(oc, smap, inputs=None) -> ArtifactRecord:
         "graph": {
             "vertices": names,
             "edge_classes": [
-                {
-                    "name": "left-generator",
-                    "directed": True,
-                    "color": "red",
-                    "style": "solid",
-                    "edges": edges_of(oc.O[(5, 1)], names, directed=True),
-                },
-                {
-                    "name": "right-generator",
-                    "directed": True,
-                    "color": "blue",
-                    "style": "solid",
-                    "edges": edges_of(oc.O[(9, 11)], names, directed=True),
-                },
-                {
-                    "name": "chiral-conjugation",
-                    "directed": False,
-                    "color": "black",
-                    "style": "dashed",
-                    "edges": chiral,
-                },
+                _edge_class("left-generator", "red", edges_of(oc.O[left], names)),
+                _edge_class("right-generator", "blue", edges_of(oc.O[right], names)),
+                _edge_class("chiral-conjugation", "black", chiral, directed=False, style="dashed"),
             ],
         },
     }

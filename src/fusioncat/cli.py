@@ -135,7 +135,9 @@ def _flagship_record(kind, inputs):
     if kind == "toric-family":
         return cat.toric_family_record(pl.family(), pl.chiral_lift(), inputs=inputs)
     if kind == "graph-algebra":
-        return cat.graph_algebra_record(pl.graph_algebra(), pl.module_graph(), inputs=inputs)
+        return cat.graph_algebra_record(
+            pl.graph_algebra(), pl.module_graph(), pl.quantum_graph(), inputs=inputs
+        )
     return cat.oc_graph_record(pl.quantum_symmetries(), pl.slot_map(), inputs=inputs)
 
 
@@ -153,36 +155,28 @@ def _store_flagship(store, kind):
     return hashes
 
 
-def cmd_invariant(args):
+def _summary(kind):
+    """What the store command of `kind` prints after the record's hash."""
     from . import pipeline as pl
 
-    h = _store_flagship(_catalog(args), "invariant")["invariant"]
-    M = pl.invariant().matrix
-    print(f"stored invariant {h} (trace {int(M.trace())}, gram trace {int((M.T @ M).trace())})")
-    return EX_OK
+    if kind == "invariant":
+        M = pl.invariant().matrix
+        return f"trace {int(M.trace())}, gram trace {int((M.T @ M).trace())}"
+    if kind == "toric-family":
+        return f"rank {pl.family().rank}, {pl.family().slot_count} slots"
+    if kind == "graph-algebra":
+        return f"{pl.graph_algebra().doublet_survivors} closure-exact solutions"
+    return f"{len(pl.quantum_symmetries().pairs)} basis pairs"
 
 
-def cmd_split(args):
-    from . import pipeline as pl
+def _store_command(kind):
+    """The command that stores the flagship record of `kind` and its inputs."""
+    def cmd(args):
+        h = _store_flagship(_catalog(args), kind)[kind]
+        print(f"stored {kind} {h} ({_summary(kind)})")
+        return EX_OK
 
-    h = _store_flagship(_catalog(args), "toric-family")["toric-family"]
-    fam = pl.family()
-    print(f"stored toric-family {h} (rank {fam.rank}, {fam.slot_count} slots)")
-    return EX_OK
-
-
-def cmd_realize(args):
-    from . import pipeline as pl
-
-    h = _store_flagship(_catalog(args), "graph-algebra")["graph-algebra"]
-    print(f"stored graph-algebra {h} ({pl.graph_algebra().doublet_survivors} closure-exact solutions)")
-    return EX_OK
-
-
-def cmd_ocneanu(args):
-    h = _store_flagship(_catalog(args), "oc-graph")["oc-graph"]
-    print(f"stored oc-graph {h} (48 basis pairs)")
-    return EX_OK
+    return cmd
 
 
 def cmd_verify(args):
@@ -257,10 +251,10 @@ def build_parser():
     q = stage("embed-scan", cmd_embed_scan, "scan for equal-charge ambient algebras at level 1")
     q.add_argument("--base", required=True, help="compact name, like 'SU(4)'")
 
-    stage("invariant", cmd_invariant, "solve and store the flagship modular invariant")
-    stage("split", cmd_split, "run modular splitting and store the toric family")
-    stage("realize", cmd_realize, "solve and store the graph algebra")
-    stage("ocneanu", cmd_ocneanu, "build and store the quantum-symmetry basis")
+    stage("invariant", _store_command("invariant"), "solve and store the flagship modular invariant")
+    stage("split", _store_command("toric-family"), "run modular splitting and store the toric family")
+    stage("realize", _store_command("graph-algebra"), "solve and store the graph algebra")
+    stage("ocneanu", _store_command("oc-graph"), "build and store the quantum-symmetry basis")
 
     q = stage("verify", cmd_verify, "run the twelve release checks")
     q.add_argument("--fixture", type=_fixture, default="e4")

@@ -1,44 +1,36 @@
-"""Self-fusion of the 12-vertex quantum graph and its algebra of quantum
-symmetries.
+"""Self-fusion of the quantum graph and its algebra of quantum symmetries.
 
 Both algebras are given by structure constants, and one identity states
 them: X_x X_y = sum_z (R_y)[x, z] X_z, where R_y is the regular matrix of
-y. closure_defect counts the pairs where it fails, eight left factors at a
-time, each side one stacked matrix product: in float32 while a bound from
-the largest entries keeps every partial sum up to 2**24, in float64 up to
-2**53 and in exact integers past it. It certifies the graph algebra
-(X = R = G), the quantum symmetries (X = R = O) and their dual action on
-the graph (X = SX, R = O), and slot_symmetry_map checks the toric slot
-products the same way.
+y. closure_defect counts the pairs where it fails, as stacked matrix
+products in the dtype exactla.product_dtype picks. It certifies the graph
+algebra (X = R = G), the quantum symmetries (X = R = O) and their dual
+action on the graph (X = SX, R = O).
 
-The annular matrices pin ten of the twelve graph-algebra matrices outright
-(six vertices directly, three doublet sums, one permutation); the remaining
-doublet members are recovered by an exact linear system followed by integer
-lattice enumeration and a full closure filter. The system is stated as one
-144-row integer block per constraint on the row-major vec of an unknown X:
-the closure identity with X unknown (X G_a is kron(I, G_a^T) vec X), the
-commutator with each generator F (kron(I, F^T) - kron(F, I)), the unit first
-row (a selector) and the transpose conjugation (a fixed permutation). Two
-closure-exact solutions survive, one swap orbit; the canonical
-representative is fixed by a single row predicate. The alternative doublet
-pairing (self-paired conjugation on the first doublet replaced by the crossed
-one) admits no integer solution at all, which is checked, not assumed: one
-solve of that branch gives both its forced half-integer cells and its empty
-lattice enumeration.
+The annular matrices pin ten of the twelve graph-algebra matrices outright;
+the remaining doublet members come from an exact linear system (closure
+with X unknown, commutation with the generators, a unit first row, the
+transpose conjugation), integer lattice enumeration and a closure filter.
+The survivors must form one orbit of doublet swaps, and the lexicographic
+maximum is kept. The crossed doublet pairing admits no integer solution,
+which one solve of that branch shows.
 
-On top of the algebra sit the 48-element quantum symmetries: sector-reduced
-basis pairs, their regular matrices derived from the product rule
-(x (x) s)(a (x) b) = xa (x) bs, the dual annular action on the graph, the
-slot map that names each toric slot by its component's canonical naming
-and certifies it by the essential-matrix factorization and the product
-identity, and the block diagonalization into matrix units. The center of
-either algebra is an exact integer rank on its structure constants, taken
-once closure has certified them. A failed check raises CertificationError,
-so the certification also runs under python -O.
+quantum_graph reads off the algebra conjugation (G_a^T = G_b), the twist
+(of the involutive anti-automorphisms keeping grading and Perron weight,
+the one moving the most vertices), the modular subalgebra J (the vertices
+of one T eigenvalue) and the sectors of its right cosets. On that sit the
+basis pairs of the quantum symmetries, their regular matrices from the
+product rule (x (x) s)(a (x) b) = xa (x) bs, the dual action, and the slot
+map, certified by the essential factorization and the product identity
+over every pair. The center of either algebra is an exact integer rank on
+its structure constants. A failed check raises CertificationError, so the
+certification also runs under python -O.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
+from math import isqrt
 
 import numpy as np
 
@@ -47,61 +39,23 @@ from . import exactla as xla
 from . import splitting as sp
 
 __all__ = [
-    "TWIST",
-    "VERTEX_CONJ",
-    "SECTOR_VALUES",
-    "SECTOR_RED",
-    "SUBALGEBRA",
-    "JCOLS",
-    "GraphAlgebra",
-    "partial_algebra",
-    "shared_doublet_system",
-    "doublet_solutions",
-    "crossed_branch",
-    "closure_defect",
-    "solve_graph_algebra",
-    "OcAlgebra",
-    "pair_index",
-    "reduce_pair",
-    "oc_matrices",
-    "chiral_conjugate",
-    "conjugate_pair",
-    "dual_annular",
-    "essential_matrices",
-    "reduced_essential",
-    "SlotMap",
-    "slot_symmetry_map",
-    "toric_pair_grid",
-    "matrix_units",
-    "center_dimension",
-    "generic_eigenvalue_multiplicities",
-    "quantum_mass",
+    "GraphAlgebra", "partial_algebra", "shared_doublet_system", "doublet_solutions",
+    "crossed_branch", "closure_defect", "solve_graph_algebra",
+    "QuantumGraph", "quantum_graph",
+    "OcAlgebra", "pair_index", "basis_pairs", "reduce_pair", "oc_matrices", "chiral_conjugate",
+    "conjugate_pair", "dual_annular",
+    "essential_matrices", "reduced_essential", "SlotMap", "unfactored_slots",
+    "product_identity_failures", "slot_symmetry_map", "toric_pair_grid",
+    "matrix_units", "center_dimension", "generic_eigenvalue_multiplicities", "quantum_mass",
     "GRAPH_DIMS",
 ]
-
-# involutions of the vertex set: the twist flips each doublet, conjugation
-# transposes the algebra
-TWIST = {1: 1, 2: 2, 3: 4, 4: 3, 5: 5, 6: 7, 7: 6, 8: 8, 9: 9, 10: 10, 11: 12, 12: 11}
-VERTEX_CONJ = {1: 1, 2: 2, 3: 3, 4: 4, 5: 10, 6: 11, 7: 12, 8: 8, 9: 9, 10: 5, 11: 6, 12: 7}
-
-SUBALGEBRA = (1, 2, 9)  # vertices spanning the modular subalgebra
-JCOLS = (0, 1, 8)  # the same, 0-based
-
-SECTOR_VALUES = (1, 3, 6, 11)
-# every vertex as sector * subalgebra element
-SECTOR_RED = {
-    1: (1, 1), 2: (1, 2), 9: (1, 9),
-    3: (3, 1), 4: (3, 2), 8: (3, 9),
-    6: (6, 1), 7: (6, 2), 10: (6, 9),
-    11: (11, 1), 12: (11, 2), 5: (11, 9),
-}
 
 GRAPH_DIMS = {a: dim for a, (_, dim) in sp.VERTEX_TARGETS.items()}
 
 
 @dataclass
 class GraphAlgebra:
-    G: dict  # vertex -> 12x12 nonnegative integer matrix
+    G: dict  # vertex -> nonnegative integer matrix, vertices 1..n
     doublet_survivors: int  # closure-exact solutions before the canonical pick
 
 
@@ -112,9 +66,10 @@ def _require(ok, stage, detail):
 
 def partial_algebra(annular):
     """The part of the algebra the annular family determines on its own:
-    G_1, G_2, G_5, G_8, G_9, G_10 and the three doublet sums."""
+    G_1, G_2, G_5, G_8, G_9, G_10 and the three doublet sums, keyed by the
+    doublet."""
     F = annular
-    I = np.eye(12, dtype=np.int64)
+    I = np.eye(len(F[(0, 0, 0)]), dtype=np.int64)
     G = {1: I, 2: F[(0, 0, 4)], 5: F[(1, 0, 0)], 8: F[(0, 1, 0)], 10: F[(0, 0, 1)]}
     nine2 = F[(1, 1, 1)] - 2 * F[(0, 1, 0)]
     G[9] = nine2 // 2
@@ -125,7 +80,7 @@ def partial_algebra(annular):
     # the sums are overdetermined; every route must agree
     for ok, detail in (
         (eq(G[2], F[(4, 0, 0)]), "G_2 differs between the labels (0,0,4) and (4,0,0)"),
-        (eq(G[2] @ G[2], I) and sorted(G[2].sum(0)) == [1] * 12, "G_2 is not an involution"),
+        (eq(G[2] @ G[2], I) and (G[2].sum(0) == 1).all(), "G_2 is not an involution"),
         ((nine2 % 2 == 0).all() and G[9].min() >= 0, "G_9 is not a nonnegative integer matrix"),
         (eq(S34, F[(2, 1, 0)] - I) and eq(S34, F[(2, 0, 2)]) and eq(S34, F[(0, 2, 0)]),
          "the routes to G_3 + G_4 disagree"),
@@ -136,11 +91,12 @@ def partial_algebra(annular):
         (eq(G[9] @ G[9], I + G[2]) and eq(G[2] @ G[9], G[9]), "the subalgebra relations fail"),
     ):
         _require(ok, "graph_algebra", detail)
-    return G, {34: S34, 67: S67, 1112: S1112}
+    return G, {(3, 4): S34, (6, 7): S67, (11, 12): S1112}
 
 
-# vec(X^T) = vec(X)[_TRANSPOSE] for a 12 x 12 X
-_TRANSPOSE = np.arange(144).reshape(12, 12).T.reshape(-1)
+def _transpose(size):
+    """vec(X^T) = vec(X)[_transpose(size)] for a size x size X."""
+    return np.arange(size * size).reshape(size, size).T.reshape(-1)
 
 
 def shared_doublet_system(annular):
@@ -150,20 +106,21 @@ def shared_doublet_system(annular):
     cap of every cell. The reduced form holds only the coefficients of the
     free columns: 411 x 21 entries where the system's rows hold 411 x 433."""
     knowns, sums = partial_algebra(annular)
-    n = 144
-    I, I12 = np.eye(n, dtype=np.int64), np.eye(12, dtype=np.int64)
-    block = {3: 0, 6: 1, 11: 2}  # unknown vertex -> its block of x
+    size = len(knowns[1])
+    n = size * size
+    I, In = np.eye(n, dtype=np.int64), knowns[1]
+    block = {u: k for k, (u, _) in enumerate(sums)}  # unknown vertex -> its block of x
     # every G_c as const[c] + sign * X_u, with var[c] = (u, sign): a known
     # matrix, an unknown, or a doublet sum minus its unknown member
     const = {c: M.reshape(-1) for c, M in knowns.items()}
     var = {}
-    for u, (v, S) in zip(block, ((4, sums[34]), (7, sums[67]), (12, sums[1112]))):
+    for (u, v), S in sums.items():
         const[u], var[u] = 0, (u, 1)
         const[v], var[v] = S.reshape(-1), (u, -1)
-    sys = xla.LinearSystem(3 * n)
+    sys = xla.LinearSystem(len(block) * n)
 
     def state(parts, rhs):
-        A = np.zeros((len(rhs), 3 * n), dtype=np.int64)
+        A = np.zeros((len(rhs), len(block) * n), dtype=np.int64)
         for u, M in parts:
             A[:, block[u] * n : (block[u] + 1) * n] += M
         sys.add(A, rhs)
@@ -173,15 +130,15 @@ def shared_doublet_system(annular):
         for a in (2, 5, 8, 9, 10):
             # the closure identity with X unknown: X G_a = sum_c (G_a)[X, c] G_c
             m = knowns[a][X - 1]
-            parts = [(X, np.kron(I12, knowns[a].T))]
+            parts = [(X, np.kron(In, knowns[a].T))]
             parts += [(var[c][0], -m[c - 1] * var[c][1] * I) for c in var if m[c - 1]]
-            state(parts, sum(m[c - 1] * const[c] for c in range(1, 13)))
+            state(parts, sum(m[c - 1] * const[c] for c in const))
         for Fg in (knowns[5], knowns[8]):  # [X, F] = 0 for both generators
-            state([(X, np.kron(I12, Fg.T) - np.kron(Fg, I12))], zero)
-        state([(X, I[:12])], I12[X - 1])  # the first row is the unit row of X
+            state([(X, np.kron(In, Fg.T) - np.kron(Fg, In))], zero)
+        state([(X, I[:size])], In[X - 1])  # the first row is the unit row of X
     # conjugation transposes: X11 = X6^T
-    state([(11, I), (6, -I[_TRANSPOSE])], zero)
-    return sys.rref(), np.concatenate([sums[k].reshape(-1) for k in (34, 67, 1112)])
+    state([(11, I), (6, -I[_transpose(size)])], zero)
+    return sys.rref(), np.concatenate([S.reshape(-1) for S in sums.values()])
 
 
 def _doublet_system(annular, self_conjugate_first, shared=None):
@@ -189,12 +146,13 @@ def _doublet_system(annular, self_conjugate_first, shared=None):
     shared blocks, `shared` or stated anew, restated from their reduced
     form, and the branch's last block, X3 = X3^T or X3 + X3^T = G3 + G4."""
     base, caps = shared or shared_doublet_system(annular)
-    sys, n = xla.LinearSystem.from_rref(base), len(_TRANSPOSE)
+    sys = xla.LinearSystem.from_rref(base)
+    n = len(caps) // 3
     I = np.eye(n, dtype=np.int64)
     A = np.zeros((n, 3 * n), dtype=np.int64)
     # caps[:n] is the first doublet's sum G3 + G4
     sign, rhs = (-1, 0) if self_conjugate_first else (1, caps[:n])
-    A[:, :n] = I + sign * I[_TRANSPOSE]
+    A[:, :n] = I + sign * I[_transpose(isqrt(n))]
     sys.add(A, rhs)
     return sys, caps
 
@@ -204,22 +162,18 @@ def _solve_doublets(annular, self_conjugate_first, shared):
     sys, caps = _doublet_system(annular, self_conjugate_first, shared)
     res = sys.rref()
     pts = xla.lattice_points(res, caps) if res.consistent else []
-    return res, [tuple(np.array(x, dtype=np.int64).reshape(3, 12, 12)) for x in pts]
+    size = isqrt(len(caps) // 3)
+    return res, [tuple(np.array(x, dtype=np.int64).reshape(3, size, size)) for x in pts]
 
 
 def doublet_solutions(annular, self_conjugate_first=True, shared=None):
-    """Integer candidates for the open doublet members X3, X6, X11.
-
-    Constraints: multiplication against every known row must close over the
-    twelve matrices, both generators must commute with each unknown, the
-    first row is a unit row, X11 = X6^T, and the first doublet is either
+    """Integer candidates for the open doublet members X3, X6, X11: the
+    lattice points of the doublet system, every cell capped by its doublet
+    sum so that complements stay nonnegative. The first doublet is either
     self-conjugate (X3 symmetric, the kept branch) or crossed
-    (X3 + X3^T equal to the doublet sum, which turns out empty).
-    Every cell is capped by its doublet sum, so complements stay nonnegative
-    and the enumeration of every lattice point in the box is finite.
-    `shared` is shared_doublet_system(annular), stated once for both
-    branches; without it the shared blocks are stated anew.
-    """
+    (X3 + X3^T = G3 + G4, which turns out empty). `shared` is
+    shared_doublet_system(annular), stated once for both branches; without
+    it the shared blocks are stated anew."""
     return _solve_doublets(annular, self_conjugate_first, shared)[1]
 
 
@@ -229,10 +183,7 @@ def crossed_branch(annular, shared=None):
     columns) that are proper fractions, sorted, and its integer solutions
     as doublet_solutions lists them. `shared` as for doublet_solutions."""
     res, sols = _solve_doublets(annular, False, shared)
-    if not res.consistent:
-        raise CertificationError(
-            "graph_algebra", "the crossed branch is not even rationally solvable"
-        )
+    _require(res.consistent, "graph_algebra", "the crossed branch is not even rationally solvable")
     forced = [
         Fraction(int(b), int(d))
         for d, row, b in zip(res.lead, res.coeffs, res.rhs)
@@ -241,11 +192,12 @@ def crossed_branch(annular, shared=None):
     return sorted(f for f in forced if f.denominator != 1), sols
 
 
-def _assemble(annular, X3, X6, X11):
+def _assemble(annular, *unknowns):
     knowns, sums = partial_algebra(annular)
-    G = {**knowns, 3: X3, 6: X6, 11: X11}
-    G.update({4: sums[34] - X3, 7: sums[67] - X6, 12: sums[1112] - X11})
-    return {a: G[a] for a in range(1, 13)}
+    G = dict(knowns)
+    for ((u, v), S), X in zip(sums.items(), unknowns):
+        G[u], G[v] = X, S - X
+    return dict(sorted(G.items()))
 
 
 def closure_defect(mats, regular):
@@ -253,12 +205,9 @@ def closure_defect(mats, regular):
     where mats holds the X and regular the regular matrices R that carry the
     structure constants, both dicts in basis order. 0 means the X represent
     the algebra: (G, G) for the graph algebra, (O, O) for the quantum
-    symmetries, (SX, O) for their dual action.
-
-    Eight left factors at a time, each side is one stack of a x a products
-    (see product_dtype): X_x X_y for every y, and sum_z (R_y)[x, z] X_z one
-    row of the X at a time, in the dtype product_dtype picks from a bound
-    on every partial sum."""
+    symmetries, (SX, O) for their dual action. Eight left factors at a
+    time, each side is one stack of products in the dtype product_dtype
+    picks from a bound on every partial sum."""
     X = np.stack(list(mats.values()))
     R = np.stack(list(regular.values()))
     n, a, _ = X.shape
@@ -275,113 +224,228 @@ def closure_defect(mats, regular):
     return bad
 
 
+def _structure(G):
+    """T[a, b, c] = (G_b)[a, c], 0-based: a.b = sum_c T[a, b, c] c."""
+    return np.stack([G[b] for b in sorted(G)], axis=1)
+
+
+def _relabelings(n, classes):
+    """Every permutation s of the vertices 1..n, 0-based (a goes to
+    s[a - 1] + 1), that maps each class into itself and fixes the rest."""
+    for images in product(*map(permutations, classes)):
+        s = np.arange(n)
+        for C, img in zip(classes, images):
+            s[np.subtract(C, 1)] = np.subtract(img, 1)
+        yield s
+
+
+def _single(row):
+    """b if row is the unit row of vertex b, else None."""
+    b = int(np.argmax(row))
+    return b + 1 if row[b] == 1 and np.count_nonzero(row) == 1 else None
+
+
+def canonical_survivor(survivors, doublets):
+    """The kept closure-exact resolution: the lexicographic maximum of
+    (G_1, ..., G_n) flattened. Every survivor must be the kept one relabeled
+    by swaps inside the doublets (vertex pairs), so the pick fixes a gauge
+    and nothing else."""
+    G = max(survivors, key=lambda S: tuple(np.concatenate([S[a].reshape(-1) for a in sorted(S)])))
+    T = _structure(G)
+    swaps = [np.ix_(s, s, s) for s in _relabelings(len(T), doublets)]
+    for TS in map(_structure, survivors):
+        _require(any(np.array_equal(TS[at], T) for at in swaps), "graph_algebra",
+                 "a closure-exact survivor is no doublet relabeling of the kept one")
+    return G
+
+
 def solve_graph_algebra(annular, shared=None) -> GraphAlgebra:
     """The kept branch's closure-exact resolution; `shared` as for
     doublet_solutions."""
     cands = doublet_solutions(annular, True, shared)
-    survivors = [
-        G for G in (_assemble(annular, *t) for t in cands) if closure_defect(G, G) == 0
-    ]
-    if not survivors:
-        raise CertificationError("graph_algebra", "no closure-exact doublet resolution")
-    # the survivors form one swap orbit; pick the representative whose
-    # second doublet sends vertex 3 to 5 + 7
-    picked = [
-        G for G in survivors
-        if G[6][2, 4] == 1 and G[6][2, 6] == 1 and G[6][2].sum() == 2
-    ]
-    if len(picked) != 1:
-        raise CertificationError(
-            "graph_algebra",
-            f"canonical predicate matched {len(picked)} of {len(survivors)}",
-        )
-    G = picked[0]
-    for a in range(1, 13):
-        unit_row = np.zeros(12, dtype=np.int64)
-        unit_row[a - 1] = 1
-        if G[a].min() < 0 or not np.array_equal(G[a][0], unit_row):
-            raise CertificationError("graph_algebra", f"G_{a} is not a nonnegative unit-row matrix")
-        if not np.array_equal(G[a].T, G[VERTEX_CONJ[a]]):
-            raise CertificationError("graph_algebra", f"G_{a} transposed is not G_{VERTEX_CONJ[a]}")
+    survivors = [G for G in (_assemble(annular, *t) for t in cands) if closure_defect(G, G) == 0]
+    _require(survivors, "graph_algebra", "no closure-exact doublet resolution")
+    G = canonical_survivor(survivors, tuple(partial_algebra(annular)[1]))
+    for a, Ga in G.items():
+        _require(Ga.min() >= 0 and _single(Ga[0]) == a,
+                 "graph_algebra", f"G_{a} is not a nonnegative unit-row matrix")
     return GraphAlgebra(G=G, doublet_survivors=len(survivors))
 
 
 # ---------------------------------------------------------------------------
-# quantum symmetries: the 48-element algebra of basis pairs
+# the quantum graph: conjugation, twist, modular subalgebra and sectors
 # ---------------------------------------------------------------------------
 
-def pair_index(pair):
+@dataclass
+class QuantumGraph:
+    """The structure the quantum symmetries are built on, every field read
+    off the graph algebra and the module graph by quantum_graph."""
+    G: dict  # vertex -> regular matrix of the graph algebra
+    conj: dict  # vertex -> the vertex whose matrix is its transpose
+    twist: dict  # vertex -> its image under the twist
+    J: tuple  # the modular subalgebra
+    sectors: tuple  # the representative of each coset c.J, ascending
+    red: dict  # vertex b -> (c, j), c a sector, j in J, c.j = b
+    reach: dict  # fundamental label -> the vertex its action takes 1 to
+
+
+def vertex_conjugation(G):
+    """a -> the unique b with G_a^T = G_b."""
+    match = {a: [b for b in G if np.array_equal(G[a].T, G[b])] for a in G}
+    for a, m in match.items():
+        _require(len(m) == 1, "quantum_graph", f"G_{a} transposed is not one G_b")
+    return {a: m[0] for a, m in match.items()}
+
+
+def modular_subalgebra(G, annular, hs, dims):
+    """The vertices b whose vacuum support {lam : (F_lam)[1, b] != 0} takes
+    a single value of h_lam mod 1, that is one T eigenvalue: the ambichiral
+    vertices of Boeckenhauer, Evans and Kawahigashi (CMP 1999). They must
+    hold the unit and span a subalgebra on which the Perron weights dims
+    multiply."""
+    J = tuple(b for b in G if len({hs[lab] % 1 for lab, F in annular.items() if F[0, b - 1]}) == 1)
+    _require(1 in J, "quantum_graph", "the unit is not in the modular subalgebra")
+    rest = [b - 1 for b in G if b not in J]
+    for j, k in product(J, J):
+        row = G[k][j - 1]
+        _require(not row[rest].any(), "quantum_graph", f"{j}.{k} leaves the modular subalgebra {J}")
+        dim = sum(int(row[b - 1]) * dims[b] for b in J)
+        _require(abs(dim - dims[j] * dims[k]) < 1e-9 * dim, "quantum_graph",
+                 f"the Perron weights do not multiply on {j}.{k}")
+    return J
+
+
+def sector_reduction(G, J, dims):
+    """The sectors and every vertex b as (c, j) with c.j = b: the right
+    cosets c.J, read off the rows c of the G_j where each is a single
+    vertex. The cosets must partition the vertices, |J| vertices each. The
+    sector of a coset is its vertex of least Perron weight, then least name,
+    and its own products with J must give the coset."""
+    times = {c: [_single(G[j][c - 1]) for j in J] for c in G}
+    cosets = {frozenset(t) for t in times.values() if None not in t}
+    _require(sorted(b for C in cosets for b in C) == sorted(G)
+             and all(len(C) == len(J) for C in cosets),
+             "quantum_graph", f"the cosets c.{J} do not partition the vertices")
+    red = {}
+    for C in cosets:
+        least = min(dims[b] for b in C)
+        c = min(b for b in C if dims[b] < least * (1 + 1e-9))
+        _require(set(times[c]) == C, "quantum_graph",
+                 f"the sector {c} does not reach its coset through {J}")
+        red.update((b, (c, j)) for b, j in zip(times[c], J))
+    return tuple(sorted({c for c, _ in red.values()})), dict(sorted(red.items()))
+
+
+def vertex_twist(G, tau, dims):
+    """The twist: of the relabelings that keep grading tau and Perron weight
+    dims, the involutive anti-automorphisms t, t(a.b) = t(b).t(a), the one
+    that moves the most vertices; it must be the only one that moves that
+    many."""
+    def alike(a, b):
+        return tau[a] == tau[b] and abs(dims[a] - dims[b]) < 1e-9 * dims[a]
+
+    first = {a: min(b for b in G if alike(a, b)) for a in G}
+    classes = [[a for a in G if first[a] == c] for c in sorted(set(first.values()))]
+    T = _structure(G)
+    found = [
+        s for s in _relabelings(len(T), classes)
+        if np.array_equal(s[s], np.arange(len(s)))
+        and np.array_equal(T[np.ix_(s, s, s)].transpose(1, 0, 2), T)
+    ]
+    _require(found, "quantum_graph", "no involutive anti-automorphism keeps grading and Perron weight")
+    moved = [int((s != np.arange(len(s))).sum()) for s in found]
+    most = max(moved)
+    _require(moved.count(most) == 1, "quantum_graph",
+             f"{moved.count(most)} involutive anti-automorphisms move {most} vertices")
+    s = found[moved.index(most)]
+    return {a: int(s[a - 1]) + 1 for a in G}
+
+
+def quantum_graph(galg: GraphAlgebra, graph, annular, hs) -> QuantumGraph:
+    """Derive the QuantumGraph of the graph algebra galg. graph is the
+    module graph (grading and Perron weight of every vertex), annular the
+    module action of every label and hs its conformal dimension."""
+    G, dims = galg.G, graph.dims
+    conj = vertex_conjugation(G)
+    twist = vertex_twist(G, graph.tau, dims)
+    J = modular_subalgebra(G, annular, hs, dims)
+    sectors, red = sector_reduction(G, J, dims)
+    reach = {lab: _single(F[0]) for lab, F in annular.items() if sum(lab) == 1}
+    _require(None not in reach.values(), "quantum_graph",
+             "a fundamental label does not take vertex 1 to one vertex")
+    return QuantumGraph(G, conj, twist, J, sectors, red, reach)
+
+
+# ---------------------------------------------------------------------------
+# quantum symmetries: the algebra of basis pairs
+# ---------------------------------------------------------------------------
+
+def pair_index(qg: QuantumGraph, pair):
     a, b = pair
-    return SECTOR_VALUES.index(b) * 12 + (a - 1)
+    return qg.sectors.index(b) * len(qg.G) + (a - 1)
 
 
-def basis_pairs():
-    return [(a, b) for b in SECTOR_VALUES for a in range(1, 13)]
+def basis_pairs(qg: QuantumGraph):
+    return [(a, b) for b in qg.sectors for a in qg.G]
 
 
-def reduce_pair(G, a, b):
-    """An arbitrary formal pair a (x) b written over the 48 basis pairs:
-    the subalgebra part of b crosses over and multiplies a from the left."""
-    c, j = SECTOR_RED[b]
-    vec = np.zeros(48, dtype=np.int64)
-    for z in range(12):
-        m = int(G[a][j - 1, z])
-        if m:
-            vec[pair_index((z + 1, c))] += m
+def reduce_pair(qg: QuantumGraph, a, b):
+    """An arbitrary formal pair a (x) b written over the basis pairs: the
+    subalgebra part j of b = c.j crosses over and multiplies a from the
+    left, j.a (x) c."""
+    c, j = qg.red[b]
+    n = len(qg.G)
+    vec = np.zeros(len(qg.sectors) * n, dtype=np.int64)
+    start = pair_index(qg, (1, c))
+    vec[start : start + n] = qg.G[a][j - 1]
     return vec
 
 
 @dataclass
 class OcAlgebra:
-    galg: GraphAlgebra
+    qg: QuantumGraph
     pairs: list
-    O: dict  # pair -> 48x48 nonnegative integer matrix
+    O: dict  # pair -> nonnegative integer regular matrix
 
 
-def oc_matrices(galg: GraphAlgebra) -> OcAlgebra:
-    """Regular matrices of the 48 basis pairs, from the product rule
+def oc_matrices(qg: QuantumGraph) -> OcAlgebra:
+    """Regular matrices of the basis pairs, from the product rule
     (x (x) s)(a (x) b) = xa (x) bs: the left factors multiply as the graph
     algebra does, the right factor in the opposite order, as a right action
     does, and reduce_pair writes each product pair over the basis."""
-    G = galg.G
+    G = qg.G
     # red[c, t] = c (x) t over the basis pairs, for any two vertices
-    red = np.array([[reduce_pair(G, c, t) for t in range(1, 13)] for c in range(1, 13)])
+    red = np.array([[reduce_pair(qg, c, t) for t in G] for c in G])
     # right[s, b, c] = c (x) bs = sum_t (G_s)[b, t] red[c, t]
-    right = np.tensordot(np.stack([G[s] for s in SECTOR_VALUES]), red, axes=(2, 1))
-    pairs = basis_pairs()
+    right = np.tensordot(np.stack([G[s] for s in qg.sectors]), red, axes=(2, 1))
+    pairs = basis_pairs(qg)
+    N = len(pairs)
     # the row of (x, s) in O_(a, b) is xa (x) bs = sum_c (G_a)[x, c] right[s, b, c]
-    O = {(a, b): (G[a] @ right[:, b - 1]).reshape(48, 48) for a, b in pairs}
-    _require(np.array_equal(O[(1, 1)], np.eye(48, dtype=np.int64))
+    O = {(a, b): (G[a] @ right[:, b - 1]).reshape(N, N) for a, b in pairs}
+    _require(np.array_equal(O[(1, 1)], np.eye(N, dtype=np.int64))
              and all(v.min() >= 0 for v in O.values()),
              "quantum_symmetries", "the regular matrices are not a unital nonnegative family")
-    return OcAlgebra(galg=galg, pairs=pairs, O=O)
+    return OcAlgebra(qg=qg, pairs=pairs, O=O)
 
 
-def chiral_conjugate(G, pair):
+def chiral_conjugate(qg: QuantumGraph, pair):
     """Swap the two factors and reduce; lands on a single basis pair."""
+    k = _single(reduce_pair(qg, pair[1], pair[0]))
+    _require(k, "quantum_symmetries", f"{pair} with its factors swapped is not one basis pair")
+    return basis_pairs(qg)[k - 1]
+
+
+def conjugate_pair(qg: QuantumGraph, pair):
     a, b = pair
-    vec = reduce_pair(G, b, a)
-    nz = np.nonzero(vec)[0]
-    _require(len(nz) == 1 and vec[nz[0]] == 1,
-             "quantum_symmetries", f"{pair} with its factors swapped is not one basis pair")
-    return basis_pairs()[int(nz[0])]
+    return (qg.conj[a], qg.conj[b])
 
 
-def conjugate_pair(pair):
-    a, b = pair
-    return (VERTEX_CONJ[a], VERTEX_CONJ[b])
-
-
-def dual_annular(galg: GraphAlgebra):
-    """Action of each basis pair on the graph vertices, as 12x12 matrices.
-    The right factor acts through the row view (G'_b)_{ac} = (G_a)_{bc},
-    computed on demand."""
-    G = galg.G
-    GP = {
-        b: np.array([[int(G[a][b - 1, c]) for c in range(12)] for a in range(1, 13)], dtype=np.int64)
-        for b in range(1, 13)
-    }
-    return {(a, b): G[a] @ GP[b] for (a, b) in basis_pairs()}
+def dual_annular(qg: QuantumGraph):
+    """Action of each basis pair on the graph vertices. The right factor
+    acts through the row view (G'_b)_{ac} = (G_a)_{bc}, which is
+    _structure(G)[b - 1]."""
+    G, T = qg.G, _structure(qg.G)
+    return {(a, b): G[a] @ T[b - 1] for (a, b) in basis_pairs(qg)}
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +455,13 @@ def dual_annular(galg: GraphAlgebra):
 def essential_matrices(annular, labels):
     """One rectangular matrix per vertex: rows indexed by the alcove, columns
     by the vertices, entries read off the annular family."""
-    return {
-        a: np.array([[int(annular[lab][a - 1, b]) for b in range(12)] for lab in labels], dtype=np.int64)
-        for a in range(1, 13)
-    }
+    F = np.stack([annular[lab] for lab in labels])
+    return {a: F[:, a - 1] for a in range(1, F.shape[1] + 1)}
 
 
-def reduced_essential(E):
-    """Keep only the subalgebra columns."""
-    out = {}
-    for a, Ea in E.items():
-        R = np.zeros_like(Ea)
-        for c in JCOLS:
-            R[:, c] = Ea[:, c]
-        out[a] = R
-    return out
+def reduced_essential(E, J):
+    """Keep only the columns of the modular subalgebra J."""
+    return {a: Ea * np.isin(np.arange(1, Ea.shape[1] + 1), J) for a, Ea in E.items()}
 
 
 @dataclass
@@ -415,50 +471,30 @@ class SlotMap:
     E: dict
     Ered: dict
     W0: dict  # basis pair -> toric matrix of that slot
+    qg: QuantumGraph
 
 
-def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
-    """Identify each of the 48 toric slots with a basis pair.
+def unfactored_slots(W, pair_of, E, Ered):
+    """The slots z, ascending, whose toric matrix W[z] is not E_a Ered_b^T,
+    (a, b) = pair_of[z]."""
+    return [
+        z for z, (a, b) in sorted(pair_of.items()) if not np.array_equal(W[z], E[a] @ Ered[b].T)
+    ]
 
-    The vertex of a slot is its name in the canonical naming of its
-    component (component_graphs, the naming the module graph uses). The
-    sector comes from the component: the vacuum component is sector 1 and
-    the right fundamental generators anchor the other three. Each slot's
-    toric matrix must then factor as W_z = E_a Ered_b^T, and the product
-    identity over every pair of slots certifies the whole assignment.
-    """
-    E = essential_matrices(annular, labels)
-    Ered = reduced_essential(E)
+
+def product_identity_failures(lift, parity, labels, slot_of, oc: OcAlgebra):
+    """The index pairs (x, y) into oc.pairs, ascending, where
+    (V_l R_m)[x, y] = sum_z (O_conj(y))[x, z] (W_z)[l, m] fails for some
+    labels l, m, each pair read at its slot in slot_of. Entry (l, m) of the
+    left side is toric_pair_grid at (x, conj(y)), so this checks every
+    twisted grid against its decomposition over the slot matrices."""
     pairs = oc.pairs
-    Wslot = {z: lift.fam.ws[i] for z, (i, _) in enumerate(lift.slots)}
-
-    vertex_of, comp_of = {}, {}
-    for c, (ordering, _, _) in enumerate(sp.component_graphs(lift)):
-        for a, z in enumerate(ordering, start=1):
-            vertex_of[z], comp_of[z] = a, c
-    # sectors: component of slot 0 is 1; unit rows of the right generators
-    # anchor the rest
-    sector_of_comp = {comp_of[0]: 1}
-    for lab, sector in (((1, 0, 0), 11), ((0, 1, 0), 3), ((0, 0, 1), 6)):
-        row = np.nonzero(parity.Rs[lab][0])[0]
-        _require(len(row) == 1, "slot_map", f"row 0 of the right action of {lab} is not a unit row")
-        sector_of_comp[comp_of[int(row[0])]] = sector
-    _require(len(sector_of_comp) == 4, "slot_map", "the four sectors sit on fewer components")
-    pair_of = {z: (vertex_of[z], sector_of_comp[comp_of[z]]) for z in range(len(lift.slots))}
-    _require(len(set(pair_of.values())) == 48, "slot_map", "the slot assignment is not a bijection")
-    for z, (a, b) in pair_of.items():
-        _require(np.array_equal(Wslot[z], E[a] @ Ered[b].T),
-                 "slot_map", f"slot {z} does not factor as E_{a} Ered_{b}^T")
-
-    # the product identity over every pair of slots certifies the assignment:
-    # (V_l R_m)[x, y] = sum_z (O_conj(y))[x, z] (W_z)[l, m], indexed by pairs
-    slot_of = {p: z for z, p in pair_of.items()}
     order = [slot_of[p] for p in pairs]
     at = np.ix_(order, order)
     V = np.stack([lift.Vs[lab][at] for lab in labels])
     Rm = np.stack([parity.Rs[lab][at] for lab in labels])
-    W = np.stack([Wslot[z] for z in order])
-    Oconj = np.stack([oc.O[conjugate_pair(y)] for y in pairs])
+    W = np.stack([lift.fam.ws[lift.slots[z][0]] for z in order])
+    Oconj = np.stack([oc.O[conjugate_pair(oc.qg, y)] for y in pairs])
     npairs = len(pairs)
     vmax, rmax, wmax, omax = (int(np.abs(M).max()) for M in (V, Rm, W, Oconj))
     dt = xla.product_dtype(npairs * max(vmax * rmax, omax * wmax))
@@ -469,21 +505,57 @@ def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
         lhs = V[l][None] @ Rm
         rhs = Oconj @ W[:, l, :]
         bad |= (lhs != rhs.transpose(2, 1, 0)).any(axis=0)
-    if bad.any():
-        x, y = np.argwhere(bad)[0]
-        raise CertificationError(
-            "slot_map", f"the product identity fails at ({pairs[x]}, {pairs[y]})"
-        )
+    return np.argwhere(bad)
 
-    W0 = {p: Wslot[slot_of[p]] for p in pairs}
-    return SlotMap(pair_of=pair_of, slot_of=slot_of, E=E, Ered=Ered, W0=W0)
+
+def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
+    """Identify each toric slot with a basis pair: its vertex is its name
+    in its component (component_graphs), and its sector that of its
+    component. The vacuum component is the unit's, and the right action of
+    each fundamental label carries slot 0 into the component of the sector
+    of the vertex that label takes 1 to. unfactored_slots and
+    product_identity_failures must then find nothing."""
+    qg = oc.qg
+    E = essential_matrices(annular, labels)
+    Ered = reduced_essential(E, qg.J)
+    Wslot = {z: lift.fam.ws[i] for z, (i, _) in enumerate(lift.slots)}
+
+    vertex_of, comp_of = {}, {}
+    for c, graph in enumerate(sp.component_graphs(lift)):
+        for a, z in enumerate(graph.ordering, start=1):
+            vertex_of[z], comp_of[z] = a, c
+    sector_of_comp = {comp_of[0]: 1}
+    for lab, v in qg.reach.items():
+        z = _single(parity.Rs[lab][0])
+        _require(z, "slot_map", f"row 0 of the right action of {lab} is not a unit row")
+        sector_of_comp[comp_of[z - 1]] = qg.red[v][0]
+    _require(len(sector_of_comp) == len(qg.sectors), "slot_map",
+             f"the {len(qg.sectors)} sectors sit on fewer components")
+    pair_of = {z: (vertex_of[z], sector_of_comp[comp_of[z]]) for z in range(len(lift.slots))}
+    _require(set(pair_of.values()) == set(oc.pairs), "slot_map", "the slot assignment is not a bijection")
+    unfactored = unfactored_slots(Wslot, pair_of, E, Ered)
+    if unfactored:
+        z = unfactored[0]
+        a, b = pair_of[z]
+        raise CertificationError("slot_map", f"slot {z} does not factor as E_{a} Ered_{b}^T")
+
+    # the product identity over every pair of slots certifies the assignment
+    slot_of = {p: z for z, p in pair_of.items()}
+    failures = product_identity_failures(lift, parity, labels, slot_of, oc)
+    if len(failures):
+        x, y = failures[0]
+        raise CertificationError(
+            "slot_map", f"the product identity fails at ({oc.pairs[x]}, {oc.pairs[y]})"
+        )
+    W0 = {p: Wslot[slot_of[p]] for p in oc.pairs}
+    return SlotMap(pair_of=pair_of, slot_of=slot_of, E=E, Ered=Ered, W0=W0, qg=qg)
 
 
 def toric_pair_grid(lift, parity, smap: SlotMap, labels, x, y):
     """The toric matrix of the doubly twisted pair (x, y): entry (lam, mu) is
     the slot-x/conjugate-slot-y coefficient of the twisted action."""
     zx = smap.slot_of[x]
-    zy = smap.slot_of[conjugate_pair(y)]
+    zy = smap.slot_of[conjugate_pair(smap.qg, y)]
     rows = np.stack([lift.Vs[lam][zx] for lam in labels])
     cols = np.stack([parity.Rs[mu][:, zy] for mu in labels])
     return rows @ cols.T
@@ -517,26 +589,21 @@ def matrix_units(galg: GraphAlgebra):
     ], dtype=complex)
     n = np.array([16 * w ** 1.5, 32, 16 * w ** 1.5, 32, 32, 16 * w ** 1.5, 32, 16 * w ** 1.5])
     Gc = {a: galg.G[a].astype(complex) for a in range(1, 13)}
-    mu = {}
-    for s in range(8):
-        acc = np.zeros((12, 12), dtype=complex)
-        for q in range(12):
-            acc += X[s, q] * Gc[q + 1]
-        mu[(s + 1, s + 1)] = acc / n[s]
+    stack = np.stack(list(Gc.values()))
+    mu = {(s + 1, s + 1): np.tensordot(X[s], stack, axes=1) / n[s] for s in range(8)}
     mu[(9, 9)] = (Gc[1] - Gc[2] + Gc[3] - Gc[4]) / 4
     mu[(9, 10)] = (Gc[11] - Gc[12]) / (2 * u)
     mu[(10, 10)] = (Gc[1] - Gc[2] - Gc[3] + Gc[4]) / 4
     mu[(10, 9)] = (Gc[6] - Gc[7]) / (2 * u)
 
-    Z = np.zeros((12, 12))
     singles = [mu[(s, s)] for s in range(1, 9)]
     # (product, what it must equal): orthogonal idempotents, a 2x2 matrix
     # unit system orthogonal to them, and a partition of the identity
-    rules = [(m @ m2, m if i == j else Z)
+    rules = [(m @ m2, m if i == j else 0)
              for i, m in enumerate(singles) for j, m2 in enumerate(singles)]
     two = (9, 10)
     rules += [(mu[(a, b)] @ mu[(b, c)], mu[(a, c)]) for a in two for b in two for c in two]
-    rules += [(mu[(a, a)] @ m, Z) for a in two for m in singles]
+    rules += [(mu[(a, a)] @ m, 0) for a in two for m in singles]
     rules.append((sum(singles) + mu[(9, 9)] + mu[(10, 10)], np.eye(12)))
     _require(all(np.abs(A - B).max() < 1e-9 for A, B in rules),
              "matrix_units", "the matrix units fail their relations at tolerance 1e-09")

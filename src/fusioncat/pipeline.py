@@ -4,8 +4,8 @@ embedding. Every stage is memoized so tests and the CLI can ask for any layer
 without recomputing the ones below it.
 
 Stage order: modular data -> fusion ring -> invariant -> splitting family ->
-chiral lift -> parity -> module graph -> annular matrices. The graph-algebra
-and diagonalization layers sit in their own modules and consume these.
+chiral lift -> parity -> module graph -> annular matrices -> graph algebra ->
+quantum graph -> quantum symmetries, dual matrices and slot map.
 """
 
 from functools import lru_cache
@@ -83,13 +83,19 @@ def graph_algebra() -> ga.GraphAlgebra:
 
 
 @lru_cache(maxsize=None)
+def quantum_graph() -> ga.QuantumGraph:
+    data = base_data()
+    return ga.quantum_graph(graph_algebra(), module_graph(), annular(), dict(zip(data.labels, data.hs)))
+
+
+@lru_cache(maxsize=None)
 def quantum_symmetries() -> ga.OcAlgebra:
-    return ga.oc_matrices(graph_algebra())
+    return ga.oc_matrices(quantum_graph())
 
 
 @lru_cache(maxsize=None)
 def dual_matrices():
-    return ga.dual_annular(graph_algebra())
+    return ga.dual_annular(quantum_graph())
 
 
 @lru_cache(maxsize=None)

@@ -25,16 +25,17 @@ The chain here is long but each stage has a sharp contract:
     into a commuting right action, built from the transpose map on the
     family: copy c of a member goes to copy c of its transpose, which fixes
     the most slots any such involution can; the commutation is checked.
-5.  extract_module_graph: cut the 48 slots into the four twist components,
-    read off the 12-vertex quantum graph, and name its vertices by their
-    grading and Perron weight. component_graphs names every component the
-    same way, and the slot map of graphalgebra reads each slot's vertex
-    from that naming.
+5.  component_graphs: cut the slots into the components of the left
+    generators and name the vertices of each by grading and Perron weight,
+    once per lift. extract_module_graph is the component of the vacuum
+    slot, the quantum graph; the slot map of graphalgebra reads each slot's
+    vertex from the same naming.
 
 Stages return plain dataclasses; nothing here touches the embedding layer.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 
 import numpy as np
@@ -110,15 +111,12 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
     r = len(labels)
     conj = _conjugation(mats, labels)
     K = _family_tensor(mats, labels, M)
-    norms = np.zeros((r, r), dtype=np.int64)
-    for l in range(r):
-        for m in range(r):
-            norms[l, m] = K[conj[l], conj[m]][l, m]
+    idx = np.arange(r)
+    norms = K[conj[:, None], conj[None, :], idx[:, None], idx[None, :]]
     if norms.min() < 0:
         raise CertificationError("family", "a pair has a negative norm")
 
     total_slots = int((M * M).sum())
-    flat = K.reshape(r, r, r * r)
     span = xla.IntSpan()
     ws, mult, trace = [], [], []
     decomp, processed = {}, {}
@@ -141,10 +139,7 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
 
         return [cs] if feas(0, int(norm)) else []
 
-    order = sorted(
-        ((int(norms[l, m]), l, m) for l in range(r) for m in range(r)),
-        key=lambda tup: (tup[0], tup[1], tup[2]),
-    )
+    order = sorted((int(norms[l, m]), l, m) for l in range(r) for m in range(r))
     for norm, l, m in order:
         key = K[l, m].tobytes()
         if key in processed:
@@ -240,16 +235,10 @@ def _conjugation(mats, labels):
 
 def norm_census(fam: SplitFamily):
     """Distinct matrices among the K[l, m] at each norm 1..8."""
-    r = len(fam.labels)
-    out = {}
-    for n in range(1, 9):
-        seen = set()
-        for l in range(r):
-            for m in range(r):
-                if fam.norms[l, m] == n:
-                    seen.add(fam.K[l, m].tobytes())
-        out[n] = len(seen)
-    return out
+    return {
+        n: len({fam.K[l, m].tobytes() for l, m in zip(*np.nonzero(fam.norms == n))})
+        for n in range(1, 9)
+    }
 
 
 def class_actions(fam: SplitFamily):
@@ -287,8 +276,18 @@ class ChiralLift:
     V100: np.ndarray
     V010: np.ndarray
     V001: np.ndarray
-    Vs: dict  # label -> 48x48 matrix
+    Vs: dict  # label -> slot x slot matrix
     n_solutions: int
+
+    @cached_property
+    def components(self):
+        """The named components, computed once; see component_graphs."""
+        V100, V010, V001 = self.V100, self.V010, self.V001
+        compid = _components(V100, V010, V001)
+        return tuple(
+            _name_component(V100, V010, V001, np.flatnonzero(compid == c).tolist())
+            for c in range(compid.max() + 1)
+        )
 
 
 def _build_template(L, mult, slot_of, size):
@@ -403,22 +402,15 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
             raise CertificationError("chiral_lift", f"fill {assign} solves the normality form but is not normal")
         cands100.append(V)
 
-    # transposed 010 unknowns share one value, so every fill is symmetric
-    sym_pairs, seen = [], set()
-    for idx, (i, j, rr) in enumerate(unk010):
-        if (j, i) in seen:
-            continue
-        seen.add((i, j))
-        if i == j:
-            sym_pairs.append(((idx,), rr))
-        else:
-            sym_pairs.append(((idx, unk010.index((j, i, rr))), rr))
+    # transposed 010 unknowns share one value, so every fill is symmetric:
+    # the first of each transposed pair is free and sets its mate
+    mate = [unk010.index((j, i, rr)) for i, j, rr in unk010]
+    free = [k for k in range(len(unk010)) if mate[k] >= k]
     cands010 = []
-    for vals in product(*[range(rr + 1) for (_, rr) in sym_pairs]):
+    for vals in product(*[range(unk010[k][2] + 1) for k in free]):
         assign = [0] * len(unk010)
-        for (idxs, rr), v in zip(sym_pairs, vals):
-            for ii in idxs:
-                assign[ii] = v
+        for k, v in zip(free, vals):
+            assign[k] = assign[mate[k]] = v
         cands010.append(_fill(V010t, unk010, slot_of, assign))
 
     norms0 = fam.norms[:, 0]
@@ -530,13 +522,12 @@ def toric_coefficient_grid(lift: ChiralLift, par: ParityData):
 
 @dataclass
 class ModuleGraph:
-    ordering: list  # slot index per vertex, vertices 1..12 in order
+    ordering: list  # slot index per vertex, vertices 1, 2, ... in order
     F100: np.ndarray
     F010: np.ndarray
     F001: np.ndarray
     tau: dict  # vertex (1-based) -> Z4 grading
     dims: dict  # vertex (1-based) -> Perron weight
-    compid: np.ndarray  # component id per slot
 
 
 def _components(V100, V010, V001):
@@ -589,15 +580,18 @@ VERTEX_TARGETS = {
 }
 
 
-def _name_component(V100, V010, V001, comp, base):
+def _name_component(V100, V010, V001, comp):
     """Canonical vertex naming of one component: grading plus Perron weight,
-    ties resolved toward the smaller name at the smaller slot. Returns the
-    slot ordering for names 1..len(comp) and the weights."""
+    ties resolved toward the smaller name at the smaller slot. The base
+    vertex, named 1, is the smallest slot of minimal Perron weight; one
+    power iteration gives the weights, scaled to 1 at the base."""
     comp = sorted(comp)
-    tau = _grading(V100, comp, base)
     sub = (V100 + V010 + V001)[np.ix_(comp, comp)]
-    pf = fr.perron_vector(sub, base=comp.index(base))
-    mu_of = {z: pf[i] for i, z in enumerate(comp)}
+    pf = fr.perron_vector(sub, base=0)
+    mn = pf.min()
+    base = min(z for z, w in zip(comp, pf) if w < mn * (1 + 1e-9))
+    tau = _grading(V100, comp, base)
+    mu_of = dict(zip(comp, pf / pf[comp.index(base)]))
     assign, used = {}, set()
     for z in comp:
         cands = [
@@ -616,54 +610,34 @@ def _name_component(V100, V010, V001, comp, base):
         used.add(a)
     slot_by_name = {a: z for z, a in assign.items()}
     ordering = [slot_by_name[a] for a in range(1, len(comp) + 1)]
-    return ordering, mu_of
-
-
-def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
-    """The component of the vacuum slot under the left generators, with
-    vertices named canonically: grading from the generator BFS, weight from
-    the Perron vector, ties by smallest available name."""
-    V100, V010, V001 = lift.V100, lift.V010, lift.V001
-    compid = _components(V100, V010, V001)
-    comp0 = [z for z in range(V100.shape[0]) if compid[z] == compid[0]]
-    ordering, mu_of = _name_component(V100, V010, V001, comp0, 0)
-    F100 = V100[np.ix_(ordering, ordering)]
-    F010 = V010[np.ix_(ordering, ordering)]
-    F001 = V001[np.ix_(ordering, ordering)]
-    if not np.array_equal(F001, F100.T):
-        raise CertificationError("module_graph", "the conjugate generator is not the transpose")
+    at = np.ix_(ordering, ordering)
     return ModuleGraph(
         ordering,
-        F100,
-        F010,
-        F001,
-        {a: VERTEX_TARGETS[a][0] for a in range(1, 13)},
-        {a: mu_of[z] for a, z in zip(range(1, 13), ordering)},
-        compid,
+        V100[at],
+        V010[at],
+        V001[at],
+        {a: tau[z] for a, z in enumerate(ordering, start=1)},
+        {a: mu_of[z] for a, z in enumerate(ordering, start=1)},
     )
 
 
 def component_graphs(lift: ChiralLift):
-    """Canonically reordered generator blocks of every component. The base
-    vertex of each component is its smallest slot of minimal Perron weight."""
-    V100, V010, V001 = lift.V100, lift.V010, lift.V001
-    compid = _components(V100, V010, V001)
-    out = []
-    for c in range(compid.max() + 1):
-        comp = sorted(int(z) for z in np.nonzero(compid == c)[0])
-        sub = (V100 + V010 + V001)[np.ix_(comp, comp)]
-        pf = fr.perron_vector(sub, base=0)
-        mn = pf.min()
-        base = min(comp[i] for i in range(len(comp)) if pf[i] < mn * (1 + 1e-9))
-        ordering, _ = _name_component(V100, V010, V001, comp, base)
-        out.append(
-            (
-                ordering,
-                V100[np.ix_(ordering, ordering)],
-                V010[np.ix_(ordering, ordering)],
-            )
-        )
-    return out
+    """Every component of the slots under the left generators, as a
+    canonically named ModuleGraph, the component of the vacuum slot first.
+    The naming runs once per lift; later calls return the same tuple."""
+    return lift.components
+
+
+def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
+    """The quantum graph: the component of the vacuum slot, in which the
+    vacuum slot must carry the name 1 and the conjugate generator must be
+    the transpose of the left one."""
+    graph = component_graphs(lift)[0]
+    if graph.ordering[0] != 0:
+        raise CertificationError("module_graph", "the vacuum slot is not the base of its component")
+    if not np.array_equal(graph.F001, graph.F100.T):
+        raise CertificationError("module_graph", "the conjugate generator is not the transpose")
+    return graph
 
 
 def annular_matrices(graph: ModuleGraph):

@@ -53,6 +53,11 @@ def graph_algebra():
 
 
 @pytest.fixture(scope="session")
+def quantum_graph():
+    return pl.quantum_graph()
+
+
+@pytest.fixture(scope="session")
 def quantum_symmetries():
     return pl.quantum_symmetries()
 

@@ -49,7 +49,7 @@ def all_flagship_records(graph_algebra, quantum_symmetries, slot_map, module_gra
         cat.modular_data_record(data),
         cat.invariant_record(pl.invariant(), data, pl.AMBIENT),
         cat.toric_family_record(pl.family(), pl.chiral_lift()),
-        cat.graph_algebra_record(graph_algebra, module_graph),
+        cat.graph_algebra_record(graph_algebra, module_graph, pl.quantum_graph()),
         cat.oc_graph_record(quantum_symmetries, slot_map),
     ]
 
@@ -255,7 +255,7 @@ def test_dot_empty_graph():
 
 
 def test_dot_quantum_graph(graph_algebra, module_graph):
-    rec = cat.graph_algebra_record(graph_algebra, module_graph)
+    rec = cat.graph_algebra_record(graph_algebra, module_graph, pl.quantum_graph())
     text = cat.emit_dot(rec.payload["graph"], name="graph-algebra")
     assert text == cat.emit_dot(rec.payload["graph"], name="graph-algebra")
     lines = text.splitlines()

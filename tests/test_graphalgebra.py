@@ -115,7 +115,7 @@ def test_partial_algebra_subalgebra_relations(annular):
     assert np.array_equal(knowns[9] @ knowns[9], I + knowns[2])
     assert np.array_equal(knowns[2] @ knowns[9], knowns[9])
     # doublet sums are symmetric with even diagonal on the fixed doublet
-    assert np.array_equal(sums[34], sums[34].T)
+    assert np.array_equal(sums[(3, 4)], sums[(3, 4)].T)
 
 
 def test_doublet_branch_counts(annular, graph_algebra):
@@ -139,14 +139,14 @@ def test_canonical_solution_rows(graph_algebra):
     assert np.array_equal(G[11], G[6].T)
 
 
-def test_unit_rows_and_conjugation(graph_algebra):
+def test_unit_rows_and_conjugation(graph_algebra, quantum_graph):
     G = graph_algebra.G
     for a in range(1, 13):
         assert G[a].min() >= 0
         row = np.zeros(12, dtype=np.int64)
         row[a - 1] = 1
         assert np.array_equal(G[a][0], row)
-        assert np.array_equal(G[a].T, G[ga.VERTEX_CONJ[a]])
+        assert np.array_equal(G[a].T, G[quantum_graph.conj[a]])
 
 
 def test_closure_exact(graph_algebra):
@@ -244,24 +244,24 @@ def test_generators_build_the_permutation_and_the_deep_vertex(graph_algebra):
 # reversal identities
 # ---------------------------------------------------------------------------
 
-def test_twist_is_an_antihomomorphism(graph_algebra):
-    G, T = graph_algebra.G, ga.TWIST
+def test_twist_is_an_antihomomorphism(graph_algebra, quantum_graph):
+    G, T = graph_algebra.G, quantum_graph.twist
     for a in range(1, 13):
         for b in range(1, 13):
             want = {T[c]: m for c, m in prod_row(G, T[b], T[a]).items()}
             assert prod_row(G, a, b) == want, (a, b)
 
 
-def test_conjugation_is_an_antihomomorphism(graph_algebra):
-    G, C = graph_algebra.G, ga.VERTEX_CONJ
+def test_conjugation_is_an_antihomomorphism(graph_algebra, quantum_graph):
+    G, C = graph_algebra.G, quantum_graph.conj
     for a in range(1, 13):
         for b in range(1, 13):
             want = {C[c]: m for c, m in prod_row(G, C[b], C[a]).items()}
             assert prod_row(G, a, b) == want, (a, b)
 
 
-def test_naive_reversal_fails_on_exactly_24_pairs(graph_algebra):
-    G, T = graph_algebra.G, ga.TWIST
+def test_naive_reversal_fails_on_exactly_24_pairs(graph_algebra, quantum_graph):
+    G, T = graph_algebra.G, quantum_graph.twist
     fails = {
         (a, b)
         for a in range(1, 13)
@@ -271,8 +271,8 @@ def test_naive_reversal_fails_on_exactly_24_pairs(graph_algebra):
     assert fails == REVERSAL_FAILURES
 
 
-def test_naive_reversal_is_refuted_by_the_unit_row_and_the_table(graph_algebra):
-    G, T = graph_algebra.G, ga.TWIST
+def test_naive_reversal_is_refuted_by_the_unit_row_and_the_table(graph_algebra, quantum_graph):
+    G, T = graph_algebra.G, quantum_graph.twist
     moved = [b for b in range(1, 13) if T[b] != b]
     assert moved == [3, 4, 6, 7, 11, 12]
     for b in moved:
@@ -336,37 +336,41 @@ def test_annular_grading_selection(annular, module_graph):
 # the 48-element basis and its regular matrices
 # ---------------------------------------------------------------------------
 
-def test_sector_reduction_table(graph_algebra):
+def test_sector_reduction_table(graph_algebra, quantum_graph):
     G = graph_algebra.G
-    for b, (c, j) in ga.SECTOR_RED.items():
+    assert sorted(quantum_graph.red) == list(range(1, 13))
+    for b, (c, j) in quantum_graph.red.items():
         assert prod_row(G, c, j) == {b: 1}, b
 
 
-def test_basis_pairs_reduce_to_themselves(graph_algebra):
-    G = graph_algebra.G
-    for p in ga.basis_pairs():
-        vec = ga.reduce_pair(G, *p)
+def test_basis_pairs_reduce_to_themselves(quantum_graph):
+    qg = quantum_graph
+    assert ga.basis_pairs(qg) == [(a, b) for b in qg.sectors for a in range(1, 13)]
+    for p in ga.basis_pairs(qg):
+        vec = ga.reduce_pair(qg, *p)
         want = np.zeros(48, dtype=np.int64)
-        want[ga.pair_index(p)] = 1
+        want[ga.pair_index(qg, p)] = 1
         assert np.array_equal(vec, want), p
 
 
-def test_generators_cross_the_tensor(graph_algebra):
-    # the subalgebra part of a right factor slides over to the left
-    G = graph_algebra.G
-    for b, target in ((5, (9, 11)), (8, (9, 3)), (10, (9, 6))):
-        vec = ga.reduce_pair(G, 1, b)
+def test_generators_cross_the_tensor(quantum_graph):
+    # the subalgebra part of a right factor slides over to the left; the
+    # fundamental labels take vertex 1 to 5, 8 and 10
+    qg = quantum_graph
+    assert qg.reach == {(1, 0, 0): 5, (0, 1, 0): 8, (0, 0, 1): 10}
+    for lab, target in (((1, 0, 0), (9, 11)), ((0, 1, 0), (9, 3)), ((0, 0, 1), (9, 6))):
+        vec = ga.reduce_pair(qg, 1, qg.reach[lab])
         want = np.zeros(48, dtype=np.int64)
-        want[ga.pair_index(target)] = 1
-        assert np.array_equal(vec, want), b
+        want[ga.pair_index(qg, target)] = 1
+        assert np.array_equal(vec, want), lab
 
 
-def test_chiral_conjugation_is_an_involution(graph_algebra):
-    G = graph_algebra.G
+def test_chiral_conjugation_is_an_involution(quantum_graph):
+    qg = quantum_graph
     fixed = []
-    for p in ga.basis_pairs():
-        q = ga.chiral_conjugate(G, p)
-        assert ga.chiral_conjugate(G, q) == p
+    for p in ga.basis_pairs(qg):
+        q = ga.chiral_conjugate(qg, p)
+        assert ga.chiral_conjugate(qg, q) == p
         if q == p:
             fixed.append(p)
     for p in ((1, 1), (2, 1), (9, 1)):
@@ -379,7 +383,7 @@ def test_regular_matrices_close(quantum_symmetries):
     # row of the identity pair reads off the basis element itself
     for p in oc.pairs:
         row = np.zeros(48, dtype=np.int64)
-        row[ga.pair_index(p)] = 1
+        row[ga.pair_index(oc.qg, p)] = 1
         assert np.array_equal(oc.O[p][0], row)
     assert ga.closure_defect(oc.O, oc.O) == 0
 
@@ -443,7 +447,7 @@ def test_slot_map_rejects_a_corrupted_product(
     oc = quantum_symmetries
     O = {p: M.copy() for p, M in oc.O.items()}
     O[(6, 1)][3, 7] += 1
-    bad = ga.OcAlgebra(galg=oc.galg, pairs=oc.pairs, O=O)
+    bad = dataclasses.replace(oc, O=O)
     with pytest.raises(CertificationError, match="product identity"):
         ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, bad)
 
@@ -480,7 +484,7 @@ def test_slot_map_names_the_first_failing_pair(
     oc = quantum_symmetries
     O = {p: M.copy() for p, M in oc.O.items()}
     O[(6, 1)][3, 7] += 1
-    bad = ga.OcAlgebra(galg=oc.galg, pairs=oc.pairs, O=O)
+    bad = dataclasses.replace(oc, O=O)
     with pytest.raises(CertificationError, match=r"fails at \(\(4, 1\), \(11, 1\)\)$"):
         ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, bad)
 
@@ -488,10 +492,10 @@ def test_slot_map_names_the_first_failing_pair(
 def _renamed_components(monkeypatch, chiral_lift, a, b):
     """Route the slot map to a naming of the vacuum component in which the
     vertices a and b trade slots."""
-    comps = sp.component_graphs(chiral_lift)
-    ordering = list(comps[0][0])
+    comps = list(sp.component_graphs(chiral_lift))
+    ordering = list(comps[0].ordering)
     ordering[a - 1], ordering[b - 1] = ordering[b - 1], ordering[a - 1]
-    comps[0] = (ordering, *comps[0][1:])
+    comps[0] = dataclasses.replace(comps[0], ordering=ordering)
     monkeypatch.setattr(sp, "component_graphs", lambda lift: comps)
     return ordering
 
@@ -551,7 +555,7 @@ def test_twisted_grids_decompose_over_products(
         grid = ga.toric_pair_grid(chiral_lift, parity, slot_map, labels, x, y)
         # row x of the regular matrix of y is the product x.y, and the grid
         # of (x, y) is the grid of that product at trivial right twist
-        coeff = oc.O[y][ga.pair_index(x)]
+        coeff = oc.O[y][ga.pair_index(oc.qg, x)]
         assert np.array_equal(grid, np.tensordot(coeff, W0s, axes=(0, 0))), (x, y)
         if coeff.sum() == 1:
             # the product is a single basis pair, so this grid IS a slot grid
@@ -559,6 +563,34 @@ def test_twisted_grids_decompose_over_products(
             assert np.array_equal(grid, slot_map.W0[z])
             singles += 1
     assert singles > 0
+
+
+def test_product_identity_failures_are_the_grids_that_do_not_decompose(
+    chiral_lift, parity, slot_map, quantum_symmetries, base_data
+):
+    # one corrupted row of O_(6, 1) = O_conj((11, 1)) breaks the grid of
+    # ((4, 1), (6, 1)) and nothing else; the identity reads it at
+    # ((4, 1), (11, 1))
+    oc, labels = quantum_symmetries, base_data.labels
+    assert len(ga.product_identity_failures(chiral_lift, parity, labels, slot_map.slot_of, oc)) == 0
+    O = {p: M.copy() for p, M in oc.O.items()}
+    O[(6, 1)][3, 7] += 1
+    bad = dataclasses.replace(oc, O=O)
+    failures = ga.product_identity_failures(chiral_lift, parity, labels, slot_map.slot_of, bad)
+    assert [(oc.pairs[x], oc.pairs[y]) for x, y in failures] == [((4, 1), (11, 1))]
+    W0s = np.stack([slot_map.W0[p] for p in oc.pairs])
+    grid = ga.toric_pair_grid(chiral_lift, parity, slot_map, labels, (4, 1), (6, 1))
+    row = ga.pair_index(oc.qg, (4, 1))
+    assert np.array_equal(grid, np.tensordot(oc.O[(6, 1)][row], W0s, axes=(0, 0)))
+    assert not np.array_equal(grid, np.tensordot(O[(6, 1)][row], W0s, axes=(0, 0)))
+
+
+def test_unfactored_slots_names_every_misnamed_slot(slot_map):
+    W = {z: slot_map.W0[p] for z, p in slot_map.pair_of.items()}
+    assert ga.unfactored_slots(W, slot_map.pair_of, slot_map.E, slot_map.Ered) == []
+    z1, z2 = slot_map.slot_of[(1, 1)], slot_map.slot_of[(2, 1)]
+    swapped = {**slot_map.pair_of, z1: (2, 1), z2: (1, 1)}
+    assert ga.unfactored_slots(W, swapped, slot_map.E, slot_map.Ered) == sorted([z1, z2])
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +660,7 @@ def test_center_dimension_on_known_algebras(graph_algebra):
 def test_center_dimension_rejects_constants_that_do_not_close(quantum_symmetries):
     oc = quantum_symmetries
     mats = [oc.O[p].copy() for p in oc.pairs]
-    mats[ga.pair_index((6, 1))][3, 7] += 1
+    mats[ga.pair_index(oc.qg, (6, 1))][3, 7] += 1
     with pytest.raises(CertificationError, match="center_dimension"):
         ga.center_dimension(mats)
 
@@ -652,10 +684,10 @@ def test_generic_spectra(graph_algebra, quantum_symmetries):
     ) == [1] * 32 + [4] * 4
 
 
-def test_quantum_masses():
+def test_quantum_masses(quantum_graph):
     graph_mass = ga.quantum_mass(ga.GRAPH_DIMS.values())
     assert abs(graph_mass - 16 * (2 + SQ2)) < 1e-9
-    sub_mass = ga.quantum_mass(ga.GRAPH_DIMS[a] for a in ga.SUBALGEBRA)
+    sub_mass = ga.quantum_mass(ga.GRAPH_DIMS[a] for a in quantum_graph.J)
     assert abs(sub_mass - 4) < 1e-9
     alcove_mass = ga.quantum_mass(fr.quantum_dimensions(wt.algebra("A", 3), 4))
     assert abs(alcove_mass - 128 * (3 + 2 * SQ2)) < 1e-9

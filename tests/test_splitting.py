@@ -154,13 +154,12 @@ def test_lift_is_pinned(chiral_lift):
 def test_four_identical_components(chiral_lift):
     comps = sp.component_graphs(chiral_lift)
     assert len(comps) == 4
-    orders = [c[0] for c in comps]
+    orders = [c.ordering for c in comps]
     assert sorted(z for o in orders for z in o) == list(range(48))
     assert all(len(o) == 12 for o in orders)
-    A100, A010 = comps[0][1], comps[0][2]
-    for _, B100, B010 in comps[1:]:
-        assert np.array_equal(A100, B100)
-        assert np.array_equal(A010, B010)
+    for c in comps[1:]:
+        assert np.array_equal(comps[0].F100, c.F100)
+        assert np.array_equal(comps[0].F010, c.F010)
 
 
 def test_module_graph_frozen(module_graph):
@@ -180,9 +179,9 @@ def test_module_graph_frozen(module_graph):
 
 def test_module_graph_matches_component_zero(chiral_lift, module_graph):
     comps = sp.component_graphs(chiral_lift)
-    first = next(c for c in comps if 0 in c[0])
-    assert first[0] == module_graph.ordering
-    assert np.array_equal(first[1], module_graph.F100)
+    first = next(c for c in comps if 0 in c.ordering)
+    assert first.ordering == module_graph.ordering
+    assert np.array_equal(first.F100, module_graph.F100)
 
 
 def test_parity_involution(chiral_lift, parity):
