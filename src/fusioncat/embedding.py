@@ -6,14 +6,12 @@ central charge of the base algebra equal the level-1 central charge of some
 other simple algebra. Everything is Fractions; a solution is a solution
 exactly or not at all.
 
-The invariant solver takes the branching classes and looks for sums of
-rank-one squares M = sum_L b_L b_L^T (one nonnegative integer vector per
-ambient class, vacuum coefficient pinned to 1) that commute with s and t.
-Candidates are cut down by a vacuum-row residual argument before any full
-commutator is formed: row 0 of [M, s] = 0 says a^T s = (s_0 a) a^T plus one
-rank-one term per class, so the residual after peeling the vacuum class must
-be supported exactly where the remaining classes live, and must be matched
-there class by class.
+The invariant solver is exact linear algebra. On the entries of M inside
+the branching classes' support squares, commutation with t holds by
+construction and commutation with s is a set of integer equations, since s
+is cyclotomic (Coste and Gannon, 1994). Their nonnegative integer points
+lie under Gannon's (1994) bound M_ij S_0i S_0j <= 1, and each is kept when
+it splits into rank-one squares M = sum_L b_L b_L^T, one per ambient class.
 """
 
 import json
@@ -21,10 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from math import isqrt
 
 import numpy as np
 
 from . import CertificationError
+from . import exactla as xla
 from . import modular as md
 from . import weights as wt
 
@@ -146,83 +146,77 @@ class Invariant:
         raise KeyError(ambient_label)
 
 
-def solve_invariant(data: md.ModularData, classes, box: int = 4, tol: float = 1e-7):
-    """All M = sum of per-class squares commuting with s and t, deduplicated,
-    sorted so the smallest Tr(M^dagger M) comes first.
+def _square_split(R, sups):
+    """The first b_L, one per support in order, with R = sum_L b_L b_L^T,
+    each nonnegative and zero off its support; None if there is none. Each
+    b_L runs in ascending lexicographic order under the proven bound
+    b_mu^2 <= R_mu_mu, and what it leaves must lie in the later squares."""
+    if not sups:
+        return None if R.any() else []
+    later = np.zeros(R.shape, dtype=bool)
+    for c in sups[1:]:
+        later[np.ix_(c, c)] = True
+    for coeffs in product(*(range(isqrt(int(R[c, c])) + 1) for c in sups[0])):
+        b = np.zeros(len(R), dtype=np.int64)
+        b[sups[0]] = coeffs
+        left = R - np.outer(b, b)
+        if left.min() >= 0 and not left[~later].any():
+            if (rest := _square_split(left, sups[1:])) is not None:
+                return [b, *rest]
+    return None
 
-    box bounds every branching coefficient; 4 is generous for everything at
-    desk scale (coefficients here are 1 or 2).
+
+def solve_invariant(data: md.ModularData, classes):
+    """All M = sum of per-class squares commuting with s and t, sorted so
+    the smallest Tr(M^T M) comes first.
+
+    The unknowns are M_ij, i <= j, in some class's support square with
+    h_i - h_j an integer; M is symmetric and zero elsewhere, so it commutes
+    with t. It commutes with s exactly when it commutes with every integer
+    layer of md.s_numerators. Those equations and M_00 = 1 form one
+    LinearSystem, whose points are enumerated under Gannon's bound:
+    S^-1 M S = M, M >= 0 and S_0 > 0 give sum_ij S_0i M_ij S_0j = M_00 = 1,
+    so M_ij <= 1/(S_0i S_0j), floored after a 1e-9 relative margin up, far
+    above the rounding of s. Each point is split into the classes' squares,
+    vacuum class first, and the first split is kept (_square_split); a
+    point with no split is dropped.
     """
-    idx, s, t = data.index, data.s, data.t
-    r = len(data.labels)
-    vac = 0
     if data.labels[0] != (0,) * data.spec.rank:
         raise CertificationError("invariant", f"label 0 is {data.labels[0]}, not the vacuum")
     vac_classes = [c for c in classes if c.ambient_h == 0]
     if len(vac_classes) != 1:
         raise CertificationError("invariant", f"{len(vac_classes)} vacuum classes, not one")
     order = vac_classes + [c for c in classes if c is not vac_classes[0]]
-    sups = [[idx[mu] for mu in c.support] for c in order]
-    if vac not in sups[0]:
+    sups = [[data.index[mu] for mu in c.support] for c in order]
+    if 0 not in sups[0]:
         raise CertificationError("invariant", "the vacuum class does not branch to the vacuum")
 
-    # after peeling class j, coordinates that no later class touches must
-    # carry no residual
-    last_touch = np.zeros(r, dtype=np.int64)
-    for j, sup in enumerate(sups):
-        for c in sup:
-            last_touch[c] = max(last_touch[c], j)
-    finalized = [np.nonzero(last_touch <= j)[0] for j in range(len(order))]
+    r, hs = len(data.labels), data.hs
+    cells = sorted({(i, j) for sup in sups for i in sup for j in sup
+                    if i <= j and (hs[i] - hs[j]).denominator == 1})
+    iu, ju = np.array(cells).T
+    n = len(cells)
+    _, Z = md.s_numerators(data)
+    # a row of E_u has one nonzero entry, so an entry of E_u Zj - Zj E_u is
+    # a difference of two entries of Zj
+    dt = xla.product_dtype(2 * int(np.abs(Z).max()))
+    E = np.zeros((n, r, r), dtype=dt)  # E[u]: the symmetric unit matrix of cell u
+    E[np.arange(n), iu, ju] = E[np.arange(n), ju, iu] = 1
+    sys = xla.LinearSystem(n)
+    for Zj in Z.astype(dt):
+        A = (E @ Zj - Zj @ E).reshape(n, -1).T.astype(np.int64)  # column u: [E_u, Zj]
+        sys.add(A[A.any(axis=1)])
+    sys.add(np.eye(n, dtype=np.int64)[cells.index((0, 0))], 1)
+    s0 = data.s[0].real
+    caps = np.floor((1 + 1e-9) / (s0[iu] * s0[ju])).astype(np.int64)
 
-    s0 = s[0]
-    found = {}
-
-    def vector(sup, coeffs):
-        v = np.zeros(r)
-        for c, x in zip(sup, coeffs):
-            v[c] = x
-        return v
-
-    def dfs(j, resid, parts):
-        if j == len(order):
-            M = np.zeros((r, r), dtype=np.int64)
-            for b in parts:
-                M += np.outer(b, b).astype(np.int64)
-            if np.abs(M @ s - s @ M).max() > tol:
-                return
-            if np.abs(M @ t - t @ M).max() > tol:
-                return
-            branches = tuple(
-                (c.ambient_label, b.astype(np.int64)) for c, b in zip(order, parts)
-            )
-            found.setdefault(M.tobytes(), Invariant(M, branches))
-            return
-        sup = sups[j]
-        for coeffs in product(range(box + 1), repeat=len(sup)):
-            b = vector(sup, coeffs)
-            nxt = resid - (s0 @ b) * b
-            if np.abs(nxt[finalized[j]]).max() > tol:
-                continue
-            dfs(j + 1, nxt, parts + [b])
-
-    vac_sup = sups[0]
-    vpos = vac_sup.index(vac)
-    free = [c for i, c in enumerate(vac_sup) if i != vpos]
-    for coeffs in product(range(box + 1), repeat=len(free)):
-        a = np.zeros(r)
-        a[vac] = 1
-        for c, x in zip(free, coeffs):
-            a[c] = x
-        resid = a @ s - (s0 @ a) * a
-        if np.abs(resid[finalized[0]]).max() > tol:
-            continue
-        dfs(1, resid, [a])
-
-    sols = sorted(
-        found.values(),
-        key=lambda inv: (int((inv.matrix * inv.matrix).sum()), inv.matrix.tobytes()),
-    )
-    return sols
+    res, sols = sys.rref(), []
+    for x in xla.lattice_points(res, caps) if res.consistent else []:
+        M = np.zeros((r, r), dtype=np.int64)
+        M[iu, ju] = M[ju, iu] = x
+        if (parts := _square_split(M, sups)) is not None:
+            sols.append(Invariant(M, tuple((c.ambient_label, b) for c, b in zip(order, parts))))
+    return sorted(sols, key=lambda inv: (int((inv.matrix * inv.matrix).sum()), inv.matrix.tobytes()))
 
 
 def pick_invariant(sols) -> Invariant:

@@ -351,27 +351,36 @@ def lattice_points(res: RrefResult, caps):
     coordinate bounded above by caps[col] inclusive, as full-length lists of
     ints in lexicographic order of the free values.
 
-    Depth-first over the free columns. Pivot row i needs
-    0 <= rhs_i - coeffs_i . x <= lead_i caps[p_i]; the unassigned free
-    columns can move that value by at most the suffix sums of their positive
-    and negative parts times their caps, so one comparison of integer
-    vectors prunes every row at each node. Integrality is checked at leaves.
+    Pivot row i needs 0 <= rhs_i - coeffs_i . x <= lead_i caps[p_i]. A row
+    with no free coefficient is a constant, checked once for those bounds
+    and for divisibility by its lead. The other rows are searched depth
+    first over the free columns: the unassigned ones can move the value by
+    at most the suffix sums of their positive and negative parts times their
+    caps, so one comparison of integer vectors prunes every row at each
+    node. Integrality is checked at leaves.
     """
     if not res.consistent:
         raise CertificationError("lattice_points", "the system has no rational solution")
-    free, piv = res.free_cols, res.pivot_cols
+    free, piv = res.free_cols, np.array(res.pivot_cols, dtype=np.int64)
     cf = [int(caps[c]) for c in free]
-    top = [int(d) * int(caps[p]) for d, p in zip(res.lead, piv)]
+    top = np.array([int(d) * int(caps[p]) for d, p in zip(res.lead, piv)], dtype=object)
     # no value met below exceeds this in magnitude
-    dt = _exact(_absmax(res.rhs) + _absmax(res.coeffs) * sum(cf) + max(top, default=0))
-    A, rhs, lead = res.coeffs.astype(dt), res.rhs.astype(dt), res.lead.astype(dt)
+    dt = _exact(_absmax(res.rhs) + _absmax(res.coeffs) * sum(cf) + _absmax(top))
+    A, rhs, lead, top = res.coeffs.astype(dt), res.rhs.astype(dt), res.lead.astype(dt), top.astype(dt)
+    fixed = ~A.any(axis=1)
+    r0, l0 = rhs[fixed], lead[fixed]
+    if (r0 < 0).any() or (r0 > top[fixed]).any() or (r0 % l0).any():
+        return []
+    x0 = np.zeros(res.ncols, dtype=object)
+    x0[piv[fixed]] = r0 // l0
+    piv, A, rhs, lead, top = (v[~fixed] for v in (piv, A, rhs, lead, top))
 
     def suffix(P):  # row k: sums over the free columns k.., last row zero
         return np.vstack([np.cumsum(P[:, ::-1], axis=1)[:, ::-1].T, np.zeros((1, len(piv)), dt)])
 
     # the least and the most the unassigned free columns can subtract
     lo = suffix(np.where(A < 0, A, 0) * np.array(cf, dtype=dt))
-    hi = suffix(np.where(A > 0, A, 0) * np.array(cf, dtype=dt)) + np.array(top, dtype=dt)
+    hi = suffix(np.where(A > 0, A, 0) * np.array(cf, dtype=dt)) + top
     cols = A.T.copy()
     sols = []
     assign = [0] * len(free)
@@ -383,10 +392,9 @@ def lattice_points(res: RrefResult, caps):
         if depth == len(free):
             if (r % lead).any():
                 return
-            x = [0] * res.ncols
-            for c, val in [*zip(free, assign), *zip(piv, (r // lead).tolist())]:
-                x[c] = int(val)
-            sols.append(x)
+            x = x0.copy()
+            x[free], x[piv] = assign, r // lead
+            sols.append([int(v) for v in x])
             return
         for val in range(cf[depth] + 1):
             rv = r - val * cols[depth]

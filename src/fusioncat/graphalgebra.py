@@ -192,8 +192,7 @@ def crossed_branch(annular, shared=None):
     return sorted(f for f in forced if f.denominator != 1), sols
 
 
-def _assemble(annular, *unknowns):
-    knowns, sums = partial_algebra(annular)
+def _assemble(knowns, sums, *unknowns):
     G = dict(knowns)
     for ((u, v), S), X in zip(sums.items(), unknowns):
         G[u], G[v] = X, S - X
@@ -262,10 +261,11 @@ def canonical_survivor(survivors, doublets):
 def solve_graph_algebra(annular, shared=None) -> GraphAlgebra:
     """The kept branch's closure-exact resolution; `shared` as for
     doublet_solutions."""
+    knowns, sums = partial_algebra(annular)
     cands = doublet_solutions(annular, True, shared)
-    survivors = [G for G in (_assemble(annular, *t) for t in cands) if closure_defect(G, G) == 0]
+    survivors = [G for G in (_assemble(knowns, sums, *t) for t in cands) if closure_defect(G, G) == 0]
     _require(survivors, "graph_algebra", "no closure-exact doublet resolution")
-    G = canonical_survivor(survivors, tuple(partial_algebra(annular)[1]))
+    G = canonical_survivor(survivors, tuple(sums))
     for a, Ga in G.items():
         _require(Ga.min() >= 0 and _single(Ga[0]) == a,
                  "graph_algebra", f"G_{a} is not a nonnegative unit-row matrix")

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +10,41 @@ import pytest
 
 from fusioncat import exactla as xla
 from fusioncat import pipeline as pl
+
+# runs each snippet of argv[1], a JSON object name -> code, in its own
+# namespace and prints name -> [its stdout, the traceback it raised or ""]
+_PYTHON_O_CHILD = """
+import contextlib, io, json, sys, traceback
+out = {}
+for name, code in json.loads(sys.argv[1]).items():
+    buf, err = io.StringIO(), ""
+    with contextlib.redirect_stdout(buf):
+        try:
+            exec(code, {"__name__": "__main__"})
+        except BaseException:
+            err = traceback.format_exc()
+    out[name] = buf.getvalue(), err
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="session")
+def python_O(request):
+    """The PYTHON_O snippets (name -> code) of every collected test module,
+    run in one shared `python -O` child: name -> (the snippet's stdout, the
+    traceback it raised or ""). Checks that must hold with asserts compiled
+    out pay for one interpreter and one package import between them."""
+    modules = dict.fromkeys(getattr(item, "module", None) for item in request.session.items)
+    snippets = {}
+    for module in modules:
+        snippets.update(getattr(module, "PYTHON_O", {}))
+    src = Path(xla.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _PYTHON_O_CHILD, json.dumps(snippets)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return {name: tuple(res) for name, res in json.loads(run.stdout).items()}
 
 
 @pytest.fixture(scope="session")

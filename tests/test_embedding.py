@@ -4,10 +4,14 @@ The rank-1 scan results are classical and fully known; they pin the charge
 arithmetic. The SU(2), SU(3) and SU(4) counts are also recounted from scratch
 over closed forms for every simple algebra the scan could possibly find. The
 rank-2-in-rank-1 branching fixture has a hand-checkable solution (the
-even-level diagonal-pair invariant), solved here end to end.
+even-level diagonal-pair invariant), solved here end to end. The exact
+invariant solve is checked against box_search, the float box search it
+replaced, on the cases that search finishes.
 """
 
+import time
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -171,3 +175,104 @@ def test_solve_invariant_spin15():
     spinor = next(lam for lam, _ in inv.branches if wt.conformal_dimension(B7, 1, lam) == F(15, 16))
     bw = inv.branch_vector(spinor)
     assert bw[idx[(1, 1, 1)]] == 2 and bw.sum() == 2
+
+
+# (base rank, level, ambient family, ambient rank)
+BOX_CASES = [(1, 4, "A", 2), (1, 10, "B", 2), (3, 2, "A", 5), (3, 1, "A", 3), (3, 4, "B", 7)]
+
+
+def case(rank, k, fam, arank):
+    base = wt.algebra("A", rank)
+    return md.modular_data(base, k), emb.branch_candidates(base, k, wt.algebra(fam, arank), 1)
+
+
+def box_search(data, classes, box=4, tol=1e-7):
+    """The invariant search the exact solve replaced, as (M, branches) pairs
+    in the solver's order: every class's coefficients run over 0..box, the
+    vacuum class pinned to 1 at the vacuum, vacuum class first. After class
+    j, row 0 of [M, s] less the squares so far must vanish to tol on the
+    labels no later class touches; a full M must commute with s and t to
+    tol. Its first split of each M is kept."""
+    s, t, r = data.s, data.t, len(data.labels)
+    vac = next(c for c in classes if c.ambient_h == 0)
+    order = [vac] + [c for c in classes if c is not vac]
+    sups = [[data.index[mu] for mu in c.support] for c in order]
+    last = np.zeros(r, dtype=np.int64)
+    for j, sup in enumerate(sups):
+        last[sup] = j
+    found = {}
+
+    def dfs(j, resid, parts):
+        if j == len(order):
+            M = sum(np.outer(b, b) for b in parts).astype(np.int64)
+            if max(np.abs(M @ s - s @ M).max(), np.abs(M @ t - t @ M).max()) <= tol:
+                found.setdefault(M.tobytes(), (M, [(c.ambient_label, b.astype(np.int64))
+                                                   for c, b in zip(order, parts)]))
+            return
+        for coeffs in product(range(box + 1), repeat=len(sups[j])):
+            b = np.zeros(r)
+            b[sups[j]] = coeffs
+            if j == 0 and b[0] != 1:
+                continue
+            nxt = (b @ s if j == 0 else resid) - (s[0] @ b) * b
+            if np.abs(nxt[last <= j]).max(initial=0) <= tol:
+                dfs(j + 1, nxt, parts + [b])
+
+    dfs(0, None, [])
+    return sorted(found.values(), key=lambda f: (int((f[0] * f[0]).sum()), f[0].tobytes()))
+
+
+@pytest.mark.parametrize("spec", BOX_CASES, ids=lambda c: "A%d_%d-%s%d" % c)
+def test_exact_solve_matches_the_box_search(spec):
+    data, classes = case(*spec)
+    sols, ref = emb.solve_invariant(data, classes), box_search(data, classes)
+    assert len(sols) == len(ref) == 1
+    for inv, (M, branches) in zip(sols, ref):
+        assert inv.matrix.dtype == np.int64 and np.array_equal(inv.matrix, M)
+        assert [lam for lam, _ in inv.branches] == [lam for lam, _ in branches]
+        assert all(np.array_equal(b, c) for (_, b), (_, c) in zip(inv.branches, branches))
+
+
+@pytest.mark.parametrize("spec", BOX_CASES + [(2, 5, "A", 5)], ids=lambda c: "A%d_%d-%s%d" % c)
+def test_invariants_obey_gannons_bound(spec):
+    data, classes = case(*spec)
+    s0 = data.s[0].real
+    for inv in emb.solve_invariant(data, classes):
+        assert (inv.matrix * np.outer(s0, s0)).max() <= 1 + 1e-12
+        # the bound is sum_ij S_0i M_ij S_0j = M_00 = 1
+        assert abs(s0 @ inv.matrix @ s0 - 1) < 1e-12
+
+
+def test_su3_level5_in_su6_has_one_invariant():
+    # the box search did not finish on this case in a minute
+    data, classes = case(2, 5, "A", 5)
+    start = time.perf_counter()
+    sols = emb.solve_invariant(data, classes)
+    assert time.perf_counter() - start < 1.0
+    assert len(sols) == 1
+    M = sols[0].matrix
+    assert int((M * M).sum()) == 24 and M[0, 0] == 1
+    assert np.abs(M @ data.s - data.s @ M).max() < 1e-9
+    assert np.abs(M @ data.t - data.t @ M).max() < 1e-9
+    assert np.array_equal(sum(np.outer(b, b) for _, b in sols[0].branches), M)
+
+
+@pytest.mark.parametrize("layer,at", [(0, (0, 1)), (3, (14, 6)), (15, (30, 30))])
+def test_a_raised_numerator_changes_the_flagship_commutant(layer, at, monkeypatch):
+    data, classes = case(3, 4, "B", 7)
+    block = emb.pick_invariant(emb.solve_invariant(data, classes)).matrix
+    m, Z = md.s_numerators(data)
+    Z[(layer, *at)] += 1
+    monkeypatch.setattr(md, "s_numerators", lambda d: (m, Z))
+    assert not any(np.array_equal(inv.matrix, block) for inv in emb.solve_invariant(data, classes))
+
+
+def test_a_support_that_mixes_conformal_weights_still_gives_t_invariants():
+    # (1,) has h = 1/8, so no entry may tie it to the vacuum's h = 0
+    data, classes = case(1, 4, "A", 2)
+    vac = classes[0]
+    mixed = [emb.BranchClass(vac.ambient_label, vac.ambient_h, ((0,), (1,), (4,)))] + classes[1:]
+    sols = emb.solve_invariant(data, mixed)
+    assert [inv.matrix.tolist() for inv in sols] == [emb.solve_invariant(data, classes)[0].matrix.tolist()]
+    for inv in sols:
+        assert np.abs(inv.matrix @ data.t - data.t @ inv.matrix).max() < 1e-12

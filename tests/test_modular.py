@@ -5,11 +5,6 @@ checked through relations (unitarity, the braid relation, the conjugation
 square) and through integrality of the induced fusion numbers.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -119,23 +114,38 @@ def test_integer_phase_products_match_the_per_pair_sum_bit_for_bit(rank, k):
     assert np.array_equal(data.conj_perm, conj)
 
 
-def test_unaudited_algebras_raise_under_python_O():
-    """The input guard is a ValueError, so it survives python -O."""
-    with pytest.raises(ValueError, match="A1..A3"):
-        md.modular_data(wt.algebra("A", 4), 2)
-    with pytest.raises(ValueError, match="A1..A3"):
-        md.modular_data(wt.algebra("B", 2), 1)
-    src = Path(md.__file__).resolve().parents[1]
-    code = (
+@pytest.mark.parametrize("rank,k", [(1, 1), (1, 4), (1, 13), (2, 1), (2, 5), (2, 7), (3, 1), (3, 4), (3, 5)])
+def test_exact_numerators_reproduce_s(rank, k):
+    spec = wt.algebra("A", rank)
+    data = md.modular_data(spec, k)
+    m, Z = md.s_numerators(data)
+    N, kappa = rank + 1, k + spec.dual_coxeter
+    assert m == N * kappa and Z.dtype == np.int64
+    # the layers are a basis's coordinates: phi(m) of them
+    assert len(Z) == sum(1 for e in range(m) if np.gcd(e, m) == 1)
+    sigma = (1j) ** (N * (N - 1) // 2) / np.sqrt(N) / kappa ** (rank / 2)
+    zeta = np.exp(2j * np.pi * np.arange(len(Z)) / m)
+    assert np.abs(sigma * np.tensordot(zeta, Z, axes=1) - data.s).max() < 1e-12
+
+
+# run under python -O by the python_O fixture
+PYTHON_O = {
+    "unaudited algebras": (
         "from fusioncat import modular as md, weights as wt\n"
         "try:\n"
         "    md.modular_data(wt.algebra('A', 4), 2)\n"
         "except ValueError as e:\n"
         "    print('raised:', e)\n"
-    )
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("raised: phase conventions audited for A1..A3 only")
+    ),
+}
+
+
+def test_unaudited_algebras_raise_under_python_O(python_O):
+    """The input guard is a ValueError, so it survives python -O."""
+    with pytest.raises(ValueError, match="A1..A3"):
+        md.modular_data(wt.algebra("A", 4), 2)
+    with pytest.raises(ValueError, match="A1..A3"):
+        md.modular_data(wt.algebra("B", 2), 1)
+    stdout, raised = python_O["unaudited algebras"]
+    assert not raised, raised
+    assert stdout.startswith("raised: phase conventions audited for A1..A3 only")

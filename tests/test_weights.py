@@ -6,12 +6,8 @@ written, and is the reference the implementation has to hit exactly.
 """
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 from itertools import permutations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,30 +185,16 @@ BAD_INPUTS = (
 )
 
 
-def test_input_checks_raise_under_python_O():
+def test_input_checks_raise_under_python_O(python_O):
     """The input checks are ValueErrors, not asserts, so python -O keeps them."""
     from fusioncat import catalog as cat
 
     for line in BAD_INPUTS:
         with pytest.raises(ValueError):
             eval(line, {"wt": wt, "cat": cat, "emb": emb, "fr": fr, "np": np})
-    code = (
-        "import numpy as np\n"
-        "from fusioncat import catalog as cat, embedding as emb, fusion as fr, weights as wt\n"
-        f"for line in {BAD_INPUTS!r}:\n"
-        "    try:\n"
-        "        eval(line)\n"
-        "        print('accepted:', line)\n"
-        "    except ValueError:\n"
-        "        print('raised')\n"
-    )
-    src = Path(wt.__file__).resolve().parents[1]
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["raised"] * len(BAD_INPUTS)
+    stdout, raised = python_O["input checks"]
+    assert not raised, raised
+    assert stdout.splitlines() == ["raised"] * len(BAD_INPUTS)
 
 
 # each line must raise CertificationError from the invariant stage, with or
@@ -224,23 +206,23 @@ DERIVED_FAILURES = (
 )
 
 
-def test_derived_checks_raise_under_python_O(monkeypatch):
-    """The checks on derived facts are CertificationErrors, not asserts, so
-    python -O keeps them too."""
-    from dataclasses import replace
-
-    from fusioncat import modular as md
-
-    env = {"emb": emb, "replace": replace, "F": F, "A1_K2": md.modular_data(A1, 2)}
-    for line in DERIVED_FAILURES:
-        with pytest.raises(CertificationError, match="^invariant: "):
-            eval(line, env)
-    monkeypatch.setattr(wt, "factorial", lambda n: 0)
-    with pytest.raises(CertificationError, match="^weyl_group: "):
-        wt.weyl_group.__wrapped__(3)
-    code = (
+# run under python -O by the python_O fixture
+PYTHON_O = {
+    "input checks": (
+        "import numpy as np\n"
+        "from fusioncat import catalog as cat, embedding as emb, fusion as fr, weights as wt\n"
+        f"for line in {BAD_INPUTS!r}:\n"
+        "    try:\n"
+        "        eval(line)\n"
+        "        print('accepted:', line)\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+    ),
+    # the child is shared, so the factorial stub is removed again at the end
+    "derived checks": (
         "from dataclasses import replace\n"
         "from fractions import Fraction as F\n"
+        "from math import factorial\n"
         "from fusioncat import CertificationError, embedding as emb, modular as md, weights as wt\n"
         "A1_K2 = md.modular_data(wt.algebra('A', 1), 2)\n"
         f"for line in {DERIVED_FAILURES!r}:\n"
@@ -255,11 +237,26 @@ def test_derived_checks_raise_under_python_O(monkeypatch):
         "    print('accepted: a Weyl group of the wrong order')\n"
         "except CertificationError as e:\n"
         "    print('raised', e.stage)\n"
-    )
-    src = Path(wt.__file__).resolve().parents[1]
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["raised invariant"] * len(DERIVED_FAILURES) + ["raised weyl_group"]
+        "finally:\n"
+        "    wt.factorial = factorial\n"
+    ),
+}
+
+
+def test_derived_checks_raise_under_python_O(monkeypatch, python_O):
+    """The checks on derived facts are CertificationErrors, not asserts, so
+    python -O keeps them too."""
+    from dataclasses import replace
+
+    from fusioncat import modular as md
+
+    env = {"emb": emb, "replace": replace, "F": F, "A1_K2": md.modular_data(A1, 2)}
+    for line in DERIVED_FAILURES:
+        with pytest.raises(CertificationError, match="^invariant: "):
+            eval(line, env)
+    monkeypatch.setattr(wt, "factorial", lambda n: 0)
+    with pytest.raises(CertificationError, match="^weyl_group: "):
+        wt.weyl_group.__wrapped__(3)
+    stdout, raised = python_O["derived checks"]
+    assert not raised, raised
+    assert stdout.splitlines() == ["raised invariant"] * len(DERIVED_FAILURES) + ["raised weyl_group"]
