@@ -218,22 +218,19 @@ def check_splitting():
     from collections import Counter
 
     mult = Counter(fam.mult)
-    # every writing at once: C[l, m] holds the coefficients of K[l, m] over
-    # the members, zero-padded, since a writing names only the members found
-    # before it
-    r = len(fam.labels)
-    C = np.zeros((r, r, len(fam.ws)), dtype=np.int64)
-    for (l, m), c in fam.decomp.items():
-        C[l, m, : len(c)] = c
-    W = np.stack(fam.ws)
+    # each pair's N_l M N_m^T is one of fam.members, and pairs with one
+    # member share one writing, so rebuilding each distinct (writing, member)
+    # link once covers all the pairs; C holds the links' coefficients over
+    # the ws, zero-padded, since a writing names only the ws found before it
+    links = sorted({(c, int(fam.pair_member[p])) for p, c in fam.decomp.items()})
+    C = np.zeros((len(links), len(fam.ws)), dtype=np.int64)
+    for i, (c, _) in enumerate(links):
+        C[i, : len(c)] = c
+    W = np.stack(fam.ws).reshape(len(fam.ws), -1)
     dt = xla.product_dtype(len(fam.ws) * int(np.abs(C).max()) * int(np.abs(W).max()))
-    # [l, a] holds sum_j C[l, m, j] W_j[a, d] over (m, d): a stack of small
-    # products, already in the order of K, in float32 up to 2**24 and
-    # float64 up to 2**53 (see product_dtype); on one BLAS thread it is as
-    # fast as one (1225, 33) @ (33, 1225) product (1.9-2.3 against 2.0-2.6 ms)
-    rebuilt = C.astype(dt)[:, None] @ W.astype(dt).transpose(1, 0, 2)[None]
-    equal = (rebuilt == fam.K.transpose(0, 2, 1, 3)).all(axis=(1, 3))
-    rebuilt_ok = all(equal[p] for p in fam.decomp)
+    rebuilt = C.astype(dt) @ W.astype(dt)
+    target = fam.members[[k for _, k in links]].reshape(len(links), -1)
+    rebuilt_ok = bool((rebuilt == target).all())
     census = sp.norm_census(fam)
     ok = (
         fam.rank == 33

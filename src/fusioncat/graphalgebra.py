@@ -2,8 +2,8 @@
 
 Both algebras are given by structure constants, and one identity states
 them: X_x X_y = sum_z (R_y)[x, z] X_z, where R_y is the regular matrix of
-y. closure_defect counts the pairs where it fails, as stacked matrix
-products in the dtype exactla.product_dtype picks. It certifies the graph
+y. closure_defect counts the pairs where it fails, one left factor at a
+time, in the dtype exactla.product_dtype picks. It certifies the graph
 algebra (X = R = G), the quantum symmetries (X = R = O) and their dual
 action on the graph (X = SX, R = O).
 
@@ -204,22 +204,25 @@ def closure_defect(mats, regular):
     where mats holds the X and regular the regular matrices R that carry the
     structure constants, both dicts in basis order. 0 means the X represent
     the algebra: (G, G) for the graph algebra, (O, O) for the quantum
-    symmetries, (SX, O) for their dual action. Eight left factors at a
-    time, each side is one stack of products in the dtype product_dtype
-    picks from a bound on every partial sum."""
+    symmetries, (SX, O) for their dual action. One left factor x at a time,
+    each side is one 2-D product in the dtype product_dtype picks from a
+    bound on every partial sum: X_x [X_0 | ... | X_{n-1}] gives every
+    X_x X_y, and R[:, x, :] times the flattened X every sum_z (R_y)[x, z] X_z,
+    so no stack of n products is held."""
     X = np.stack(list(mats.values()))
     R = np.stack(list(regular.values()))
     n, a, _ = X.shape
     xmax, rmax = int(np.abs(X).max()), int(np.abs(R).max())
     dt = xla.product_dtype(max(a * xmax * xmax, n * rmax * xmax))
     X, R = X.astype(dt), R.astype(dt)
-    rows = X.transpose(1, 0, 2)  # [a, z, b] = (X_z)[a, b]
+    right = X.transpose(1, 0, 2).reshape(a, n * a)  # [X_0 | ... | X_{n-1}]
+    flat = X.reshape(n, a * a)
     bad = 0
-    for s in range(0, n, 8):
-        # lhs[x, y, a, b] = (X_x X_y)[a, b]; rhs[x, a, y, b] = sum_z (R_y)[x, z] (X_z)[a, b]
-        lhs = X[s : s + 8, None] @ X[None]
-        rhs = R[:, s : s + 8].transpose(1, 0, 2)[:, None] @ rows[None]
-        bad += int((lhs.transpose(0, 2, 1, 3) != rhs).any(axis=(1, 3)).sum())
+    for x in range(n):
+        # lhs[a, y, b] = (X_x X_y)[a, b]; rhs[y, a, b] = sum_z (R_y)[x, z] (X_z)[a, b]
+        lhs = (X[x] @ right).reshape(a, n, a)
+        rhs = (R[:, x, :] @ flat).reshape(n, a, a)
+        bad += int((lhs.transpose(1, 0, 2) != rhs).any(axis=(1, 2)).sum())
     return bad
 
 

@@ -3,8 +3,10 @@ from one modular invariant plus the fusion ring.
 
 The chain here is long but each stage has a sharp contract:
 
-1.  modular_splitting: build the four-index family K[l,m] = N_l M N_m^T,
-    measure each member's norm against its conjugate partner (conjugation is
+1.  modular_splitting: build the family K[l,m] = N_l M N_m^T as its
+    distinct matrices and an index of which pair gives which (84 matrices
+    for 35^2 pairs on the flagship; no array of r^4 entries is formed),
+    measure each pair's norm against its conjugate partner (conjugation is
     read off the ring), and discover a generating family of matrices (the
     toric W's) with multiplicities, by exact integer span arithmetic plus a
     bounded subtraction search on the norm budget.
@@ -66,11 +68,12 @@ class SplitFamily:
     index: dict
     conj: np.ndarray
     M: np.ndarray
-    K: np.ndarray  # K[l, m] = N_l M N_m^T
+    members: np.ndarray  # the distinct N_l M N_m^T, first seen in (l, m) order, int64
+    pair_member: np.ndarray  # (l, m) -> index into members of N_l M N_m^T
     norms: np.ndarray
-    ws: list  # independent family members, discovery order; ws[0] == M
-    mult: list  # slot multiplicity per member
-    decomp: dict  # (l, m) -> integer coefficients of K[l, m] over ws
+    ws: list  # the toric W's: independent, in discovery order; ws[0] == M
+    mult: list  # slot multiplicity per W
+    decomp: dict  # (l, m) -> integer coefficients of N_l M N_m^T over ws
     trace: list  # how each new member was pulled out (for the curious)
     ring: dict  # label -> fusion matrix the family was split from
     span: xla.IntSpan  # exact span of ws, in discovery order
@@ -84,22 +87,32 @@ class SplitFamily:
         return sum(self.mult)
 
 
-def _family_tensor(mats, labels, M):
-    """K[l, m] = N_l M N_m^T, one l at a time as a stack of small products."""
+def _family_members(mats, labels, M):
+    """(members, pair_member): the distinct N_l M N_m^T, first seen in (l, m)
+    order, and the (r, r) index of each pair's member. Built one l at a time
+    as a stack of small products, in the dtype product_dtype picks, and
+    deduplicated on the bytes of each product: float32, float64 and int64
+    each write an integer one way, so equal bytes are equal matrices."""
     N = np.stack([mats[la] for la in labels])
     r = len(labels)
     nmax, mmax = int(np.abs(N).max()), int(np.abs(M).max())
     dt = xla.product_dtype(r * r * nmax * nmax * mmax)
     Nd, NdT = N.astype(dt), N.transpose(0, 2, 1).astype(dt)
     Md = M.astype(dt)
-    K = np.empty((r, r, r, r), dtype=np.int64)
+    seen, members = {}, []
+    pair_member = np.empty((r, r), dtype=np.int64)
     for l in range(r):
-        K[l] = (Nd[l] @ Md)[None] @ NdT
-    return K
+        slab = (Nd[l] @ Md)[None] @ NdT
+        for m, row in enumerate(slab):
+            k = seen.setdefault(row.tobytes(), len(seen))
+            if k == len(members):
+                members.append(row.astype(np.int64))
+            pair_member[l, m] = k
+    return np.stack(members), pair_member
 
 
 def modular_splitting(mats, labels, M) -> SplitFamily:
-    """Discover the toric family under the K tensor of the invariant M.
+    """Discover the toric family among the N_l M N_m^T of the invariant M.
 
     Norm of a pair = the (l, m) entry of the conjugate pair's member; the
     discovery sweep walks pairs in ascending norm and keeps every matrix that
@@ -110,9 +123,9 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
     index = {la: i for i, la in enumerate(labels)}
     r = len(labels)
     conj = _conjugation(mats, labels)
-    K = _family_tensor(mats, labels, M)
+    members, pair_member = _family_members(mats, labels, M)
     idx = np.arange(r)
-    norms = K[conj[:, None], conj[None, :], idx[:, None], idx[None, :]]
+    norms = members[pair_member[conj[:, None], conj[None, :]], idx[:, None], idx[None, :]]
     if norms.min() < 0:
         raise CertificationError("family", "a pair has a negative norm")
 
@@ -141,11 +154,11 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
 
     order = sorted((int(norms[l, m]), l, m) for l in range(r) for m in range(r))
     for norm, l, m in order:
-        key = K[l, m].tobytes()
+        key = int(pair_member[l, m])
         if key in processed:
             decomp[(l, m)] = processed[key]
             continue
-        Kmat = K[l, m]
+        Kmat = members[key]
         res = writing_options(Kmat, norm)
         if res is None:
             # outside the span: peel off old members, what is left is an
@@ -217,7 +230,8 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
 
     if not np.array_equal(ws[0], M):
         raise CertificationError("family", "vacuum pair must reproduce the invariant")
-    return SplitFamily(labels, index, conj, M, K, norms, ws, mult, decomp, trace, mats, span)
+    return SplitFamily(labels, index, conj, M, members, pair_member, norms, ws, mult, decomp, trace,
+                       mats, span)
 
 
 def _conjugation(mats, labels):
@@ -234,11 +248,8 @@ def _conjugation(mats, labels):
 
 
 def norm_census(fam: SplitFamily):
-    """Distinct matrices among the K[l, m] at each norm 1..8."""
-    return {
-        n: len({fam.K[l, m].tobytes() for l, m in zip(*np.nonzero(fam.norms == n))})
-        for n in range(1, 9)
-    }
+    """Distinct matrices among the N_l M N_m^T at each norm 1..8."""
+    return {n: len(np.unique(fam.pair_member[fam.norms == n])) for n in range(1, 9)}
 
 
 def class_actions(fam: SplitFamily):

@@ -9,7 +9,6 @@ the A-series Weyl group. No floats anywhere in this module.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial, lcm
 
 from . import CertificationError
@@ -135,11 +134,17 @@ def enumerate_alcove(spec: AlgebraSpec, k: int):
     if k < 0:
         raise ValueError(f"level must be nonnegative, got {k}")
     cm = spec.comarks
-    out = [
-        w
-        for w in product(range(k + 1), repeat=spec.rank)
-        if sum(c * x for c, x in zip(cm, w)) <= k
-    ]
+
+    def fill(i, budget):
+        # every tail w[i:] with sum_j cm[j] w[j] <= budget
+        if i == len(cm):
+            yield ()
+            return
+        for x in range(budget // cm[i] + 1):
+            for rest in fill(i + 1, budget - cm[i] * x):
+                yield (x, *rest)
+
+    out = list(fill(0, k))
     out.sort(key=lambda w: (weight_level(spec, w), tuple(-x for x in w)))
     return out
 

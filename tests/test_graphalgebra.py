@@ -204,6 +204,60 @@ def test_closure_defect_past_the_float32_bound(graph_algebra, monkeypatch):
     assert chosen == [np.float32, np.float64, np.float64]
 
 
+def _closure_defect_by_pairs(mats, regular):
+    """closure_defect as a Python loop over the ordered pairs (x, y), in
+    int64: the reference for the stated products."""
+    X, R = list(mats.values()), list(regular.values())
+    bad = 0
+    for x in range(len(X)):
+        for y in range(len(X)):
+            rhs = sum(int(c) * X[z] for z, c in enumerate(R[y][x]) if c)
+            bad += not np.array_equal(X[x] @ X[y], rhs)
+    return bad
+
+
+@pytest.fixture(scope="module")
+def corrupted_algebras(graph_algebra, quantum_symmetries):
+    """(mats, reference count) per (algebra, seed): the regular matrices of
+    the graph algebra or the quantum symmetries, with one seeded entry
+    raised by 1 (seed None leaves them intact)."""
+    cache = {}
+
+    def get(name, seed):
+        if (name, seed) not in cache:
+            base = graph_algebra.G if name == "graph" else quantum_symmetries.O
+            mats = {k: M.copy() for k, M in base.items()}
+            if seed is not None:
+                rng = np.random.default_rng(seed)
+                M = list(mats.values())[rng.integers(len(mats))]
+                M[tuple(rng.integers(len(M), size=2))] += 1
+            cache[name, seed] = mats, _closure_defect_by_pairs(mats, mats)
+        return cache[name, seed]
+
+    return get
+
+
+CORRUPTIONS = [(name, seed) for name in ("graph", "symmetries") for seed in (None, 1, 2)]
+
+
+@pytest.mark.parametrize("name,seed", CORRUPTIONS)
+def test_closure_defect_matches_the_pairwise_reference(name, seed, corrupted_algebras):
+    mats, want = corrupted_algebras(name, seed)
+    assert (want == 0) == (seed is None)
+    assert ga.closure_defect(mats, mats) == want
+
+
+# the int64 products of the 48 take about 0.6 s a call, and
+# test_closure_defect_on_forced_products already counts the intact 48
+@pytest.mark.parametrize("name,seed", [("graph", None), ("graph", 1), ("graph", 2), ("symmetries", 1)])
+def test_closure_defect_matches_the_pairwise_reference_on_forced_products(
+    name, seed, corrupted_algebras, forced_products
+):
+    mats, want = corrupted_algebras(name, seed)
+    assert ga.closure_defect(mats, mats) == want
+    assert forced_products.chosen == [forced_products.dtype]
+
+
 def test_doublet_system_ranks(annular):
     # 432 unknowns: rank 417 leaves 15 free columns on the kept branch; the
     # crossed branch has rank 420

@@ -77,27 +77,59 @@ def test_no_consistent_writing_is_a_certification_error(ring, base_data, invaria
         sp.modular_splitting(ring, base_data.labels, invariant.matrix)
 
 
-def test_family_tensor_on_forced_products(family, ring, base_data, invariant, forced_products):
-    # the family's K was built in float32; float64 and int64 give the same K
-    K = sp._family_tensor(ring, base_data.labels, invariant.matrix)
+@pytest.fixture(scope="module")
+def pair_products(ring, base_data, invariant):
+    """K[l, m] = N_l M N_m^T for all 35^2 pairs, straight from the ring in
+    int64: the reference the family's distinct members must index into."""
+    N = np.stack([ring[la] for la in base_data.labels])
+    return (N @ invariant.matrix)[:, None] @ N.transpose(0, 2, 1)[None]
+
+
+def test_family_members_are_the_distinct_pair_products(family, pair_products):
+    r = len(family.labels)
+    assert family.members.dtype == np.int64 and family.members.shape == (84, r, r)
+    assert family.pair_member.shape == (r, r)
+    assert np.array_equal(family.members[family.pair_member], pair_products)
+    # the members are distinct, each is some pair's, in first-seen order
+    assert len({m.tobytes() for m in family.members}) == 84
+    assert list(dict.fromkeys(family.pair_member.reshape(-1).tolist())) == list(range(84))
+    # each pair's norm is its (l, m) entry of the conjugate pair's product
+    conj = family.conj
+    norms = [[pair_products[conj[l], conj[m], l, m] for m in range(r)] for l in range(r)]
+    assert np.array_equal(family.norms, norms)
+
+
+def test_family_members_on_forced_products(family, ring, base_data, invariant, forced_products,
+                                           pair_products):
+    # the family's members were built in float32; float64 and int64 give
+    # the same members and index
+    members, pair_member = sp._family_members(ring, base_data.labels, invariant.matrix)
     assert forced_products.chosen == [forced_products.dtype]
-    assert K.dtype == np.int64 and np.array_equal(K, family.K)
+    assert members.dtype == np.int64 and np.array_equal(members, family.members)
+    assert np.array_equal(pair_member, family.pair_member)
+    assert np.array_equal(members[pair_member], pair_products)
 
 
-def test_norm_census(family):
+def test_norm_census(family, pair_products):
     assert sp.norm_census(family) == CENSUS
+    # the census counts distinct matrices, read off the reference products
+    census = {
+        n: len({pair_products[l, m].tobytes() for l, m in zip(*np.nonzero(family.norms == n))})
+        for n in range(1, 9)
+    }
+    assert census == CENSUS
 
 
-def test_decomposition_covers_every_pair(family):
-    n = len(family.labels)
-    assert set(family.decomp) == {(l, m) for l in range(n) for m in range(n)}
+def test_decomposition_covers_every_pair(family, pair_products):
+    r = len(family.labels)
+    assert set(family.decomp) == {(l, m) for l in range(r) for m in range(r)}
+    assert np.array_equal(family.members[family.pair_member], pair_products)
     # each writing rebuilds its pair exactly
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        l, m = rng.integers(0, n, size=2)
-        co = family.decomp[(l, m)]
-        rebuilt = sum(c * w for c, w in zip(co, family.ws))
-        assert np.array_equal(rebuilt, family.K[l, m])
+    C = np.zeros((r, r, family.rank), dtype=np.int64)
+    for (l, m), co in family.decomp.items():
+        C[l, m, : len(co)] = co
+    rebuilt = C.reshape(r * r, -1) @ np.stack(family.ws).reshape(family.rank, -1)
+    assert np.array_equal(rebuilt.reshape(pair_products.shape), pair_products)
 
 
 def test_class_actions_exact(family):
@@ -261,7 +293,7 @@ def test_parity_rejects_a_corrupted_lift(chiral_lift):
         sp.parity_involution(bad)
 
 
-def test_coefficient_grid_rebuilds_every_pair(family, chiral_lift, parity):
+def test_coefficient_grid_rebuilds_every_pair(family, chiral_lift, parity, pair_products):
     coeff = sp.toric_coefficient_grid(chiral_lift, parity)
     n = len(family.labels)
     assert coeff.shape == (n, n, 48)
@@ -273,7 +305,8 @@ def test_coefficient_grid_rebuilds_every_pair(family, chiral_lift, parity):
     rebuilt = (coeff.reshape(n * n, 48) @ Wstack.reshape(48, n * n)).reshape(
         n, n, n, n
     )
-    assert np.array_equal(rebuilt, family.K)
+    assert np.array_equal(rebuilt, pair_products)
+    assert np.array_equal(family.members[family.pair_member], pair_products)
 
 
 def test_invariant_block_vectors_are_members(family):

@@ -117,6 +117,26 @@ def test_b7_level1():
     assert hs == {F(0), F(1, 2), F(15, 16)}
 
 
+def _alcove_by_cube(spec, k):
+    """The cube filter that enumerate_alcove's bounded recursion replaced:
+    every tuple of [0, k]^rank whose comark-weighted sum is at most k,
+    ascending in that sum, lexicographically descending within it. The cube
+    is one small-integer array, so B7 at level 7 (8^7 tuples) takes
+    milliseconds."""
+    cube = np.indices((k + 1,) * spec.rank, dtype=np.int16).reshape(spec.rank, -1)
+    inside = map(tuple, cube[:, np.array(spec.comarks) @ cube <= k].T.tolist())
+    return sorted(inside, key=lambda w: (sum(c * x for c, x in zip(spec.comarks, w)),
+                                         tuple(-x for x in w)))
+
+
+ALCOVES = [(A1, 119), (A2, 14)] + [(A3, k) for k in (4, 5, 6)] + [(B7, k) for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("spec,k", ALCOVES, ids=[f"{s.family}{s.rank}-{k}" for s, k in ALCOVES])
+def test_alcove_matches_the_cube_filter(spec, k):
+    assert wt.enumerate_alcove(spec, k) == _alcove_by_cube(spec, k)
+
+
 def test_central_charge():
     assert wt.central_charge(A3, 4) == F(15, 2)
     assert wt.central_charge(A1, 1) == F(1)
