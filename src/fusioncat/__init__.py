@@ -27,6 +27,21 @@ if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
 
 __version__ = "0.1.0"
 
+# the record kinds of the catalog; here, so that the CLI can name them and
+# catch MissingArtifact without loading the catalog (and with it hashlib)
+ARTIFACT_KINDS = (
+    "fusion-ring",
+    "modular-data",
+    "invariant",
+    "toric-family",
+    "oc-graph",
+    "graph-algebra",
+)
+
+
+class MissingArtifact(KeyError):
+    """Requested hash or kind is not in the catalog."""
+
 
 class CertificationError(RuntimeError):
     """A derived object failed one of the checks that certify it. Raised

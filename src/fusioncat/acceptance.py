@@ -8,7 +8,10 @@ a closed-form census of every simple algebra the scan could find, and the
 reversal clause of the graph algebra asserts the twisted and conjugated
 anti-homomorphisms. The literal rule a.b = t(b).a is refuted by the unit row
 (1.b = b but t(b).1 = t(b)), so it is reported as information only. The
-paper's tables here check what graphalgebra derives instead of feeding it.
+block structure of both algebras (criterion 12) is read off exact integer
+ranks: a full-rank trace form, the center, and the ideal the commutators
+generate. The paper's tables here, the matrix units among them, check what
+graphalgebra derives instead of feeding it.
 """
 
 from fractions import Fraction as F
@@ -396,6 +399,14 @@ def check_dimension_sums():
     return ok, detail
 
 
+def _blocks(b):
+    """The block sizes of a BlockStructure as a sum, like 8·1 + 2²."""
+    parts = [f"{b.ones}·1"] if b.ones else []
+    if b.size:
+        parts.append(f"{b.size}²")
+    return " + ".join(parts)
+
+
 def check_block_structures():
     galg = pl.graph_algebra()
     try:
@@ -404,23 +415,17 @@ def check_block_structures():
     except CertificationError:
         units_ok = False
     G = galg.G
-    c12 = ga.center_dimension([G[a] for a in range(1, 13)])
-    m12 = ga.generic_eigenvalue_multiplicities([G[a] for a in range(1, 13)])
-    o48, defect48 = _oc_regular()
-    c48 = ga.center_dimension(o48, defect48)
-    m48 = ga.generic_eigenvalue_multiplicities(o48)
+    b12 = ga.block_structure([G[a] for a in range(1, 13)])
+    b48 = ga.block_structure(*_oc_regular())
     ok = (
         units_ok
-        and c12 == 9
-        and m12 == [1] * 8 + [2, 2]
-        and c48 == 33
-        and m48 == [1] * 32 + [4] * 4
-        and 32 + 4 * 4 == 48
+        and (b12.center, b12.ones, b12.size) == (9, 8, 2)
+        and (b48.center, b48.ones, b48.size) == (33, 32, 4)
     )
     detail = (
-        f"matrix units at 1e-09: {units_ok}; centers {c12} and {c48}; "
-        f"generic multiplicities {m12[-3:]}... and 32 ones + four 4s: {m48 == [1] * 32 + [4] * 4}; "
-        f"32+16=48"
+        f"matrix units at 1e-09: {units_ok}; centers {b12.center} and {b48.center}; "
+        f"trace-form ranks {b12.trace_rank} and {b48.trace_rank}; "
+        f"blocks {_blocks(b12)} and {_blocks(b48)}"
     )
     return ok, detail
 

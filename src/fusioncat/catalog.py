@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import CertificationError, __version__
+from . import ARTIFACT_KINDS, CertificationError, MissingArtifact, __version__
 
 __all__ = [
     "ARTIFACT_KINDS",
@@ -49,20 +49,7 @@ __all__ = [
     "oc_graph_record",
 ]
 
-ARTIFACT_KINDS = (
-    "fusion-ring",
-    "modular-data",
-    "invariant",
-    "toric-family",
-    "oc-graph",
-    "graph-algebra",
-)
-
 ENV_ROOT = "FUSIONCAT_CATALOG"
-
-
-class MissingArtifact(KeyError):
-    """Requested hash or kind is not in the catalog."""
 
 
 # --- canonical JSON ---------------------------------------------------------

@@ -9,8 +9,7 @@ import argparse
 import re
 import sys
 
-from . import CertificationError
-from . import catalog as cat
+from . import ARTIFACT_KINDS, CertificationError, MissingArtifact
 
 EX_OK = 0
 EX_CHECK = 1
@@ -53,6 +52,8 @@ def _modular_algebra(spec):
 
 
 def _catalog(args):
+    from . import catalog as cat
+
     return cat.Catalog(args.catalog)
 
 
@@ -76,6 +77,7 @@ def cmd_alcove(args):
 
 
 def cmd_fusion(args):
+    from . import catalog as cat
     from . import fusion as fr
     from . import weights as wt
 
@@ -89,6 +91,7 @@ def cmd_fusion(args):
 
 
 def cmd_modular(args):
+    from . import catalog as cat
     from . import modular as md
 
     data = md.modular_data(_modular_algebra(args.algebra), args.level)
@@ -124,6 +127,7 @@ _FLAGSHIP_INPUTS = {
 
 
 def _flagship_record(kind, inputs):
+    from . import catalog as cat
     from . import pipeline as pl
 
     if kind == "fusion-ring":
@@ -194,6 +198,8 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
+    from . import catalog as cat
+
     store = _catalog(args)
     if args.hash:
         rec = store.get(args.hash)
@@ -203,7 +209,7 @@ def cmd_export(args):
     else:
         hashes = store.find(args.kind)
         if not hashes:
-            raise cat.MissingArtifact(args.kind)
+            raise MissingArtifact(args.kind)
         rec = store.get(hashes[0])
     if args.format == "json":
         text = rec.to_json() + "\n"
@@ -260,7 +266,7 @@ def build_parser():
     q.add_argument("--fixture", type=_fixture, default="e4")
 
     q = stage("export", cmd_export, "write a stored artifact as canonical JSON or DOT")
-    q.add_argument("--kind", choices=cat.ARTIFACT_KINDS, required=True)
+    q.add_argument("--kind", choices=ARTIFACT_KINDS, required=True)
     q.add_argument("--format", choices=("json", "dot"), default="json")
     q.add_argument("--hash", default=None, help="content hash; default is the first stored hash of the kind")
     q.add_argument("--out", default=None, help="output path; default stdout")
@@ -279,7 +285,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"{parser.prog}: error: {e}", file=sys.stderr)
         return EX_USAGE
-    except cat.MissingArtifact as e:
+    except MissingArtifact as e:
         print(f"missing artifact: {e}", file=sys.stderr)
         return EX_MISSING
     except CertificationError as e:

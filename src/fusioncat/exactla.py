@@ -65,7 +65,7 @@ def product_dtype(bound):
 
 
 def _absmax(a) -> int:
-    return int(abs(a).max()) if a.size else 0
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 class _Echelon:
@@ -95,9 +95,10 @@ class _Echelon:
     def reduce(self, V, vmax):
         """(W, D): every row of W is D times that row of V minus a
         combination of the rows, zero in every pivot column, with D > 0.
-        `vmax` bounds the entries of V. One product serves the whole block,
-        and only over the columns where it can be nonzero: the pivot
-        columns cancel by construction."""
+        `vmax` bounds the entries of V, which may be reduced in place and
+        returned as W: every caller passes a block it built for this call.
+        One product serves the whole block, and only over the columns where
+        it can be nonzero: the pivot columns cancel by construction."""
         A = V[:, self.pivots]
         hit = A.any(axis=0).nonzero()[0]
         if not hit.size:
@@ -115,7 +116,7 @@ class _Echelon:
         cols = cols.nonzero()[0]
         C = A if D == 1 else A.astype(dt) * np.array(scale, dtype=dt)
         C, B = C.astype(pdt), R[:, cols].astype(pdt)
-        W = V.astype(dt)
+        W = V.astype(dt, copy=False)
         if D != 1:
             W *= D
         W[:, piv] = 0
@@ -286,6 +287,17 @@ class RrefResult:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
+    def rows(self, rhs=False):
+        """The reduced rows, one per pivot, over the ncols unknowns, and with
+        `rhs` the right-hand side as one more column. Of a homogeneous
+        system, the rows without it are a basis of the row space."""
+        rows = np.zeros((self.rank, self.ncols + rhs), dtype=self.coeffs.dtype)
+        rows[np.arange(self.rank), self.pivot_cols] = self.lead
+        rows[:, self.free_cols] = self.coeffs
+        if rhs:
+            rows[:, -1] = self.rhs
+        return rows
+
 
 class LinearSystem:
     """Exact linear system A x = b, given as blocks of dense integer rows and
@@ -314,7 +326,7 @@ class LinearSystem:
         A = np.atleast_2d(np.asarray(rows))
         V = np.column_stack([A, np.broadcast_to(np.asarray(rhs), len(A))])
         big = _absmax(V)
-        W, _ = self._core.reduce(V.astype(_exact(big)), big)
+        W, _ = self._core.reduce(V.astype(_exact(big), copy=False), big)
         new = _echelonize(W, self.ncols)
         if new is None:
             self._consistent = False
@@ -327,11 +339,7 @@ class LinearSystem:
         without reducing them again; rows added to it leave `res`
         unchanged."""
         out = cls(res.ncols)
-        rows = np.zeros((res.rank, res.ncols + 1), dtype=res.coeffs.dtype)
-        rows[np.arange(res.rank), res.pivot_cols] = res.lead
-        rows[:, res.free_cols] = res.coeffs
-        rows[:, -1] = res.rhs
-        out._core = _Echelon(res.ncols, rows, reduced=True)
+        out._core = _Echelon(res.ncols, res.rows(rhs=True), reduced=True)
         out._consistent = res.consistent
         return out
 

@@ -23,8 +23,9 @@ basis pairs of the quantum symmetries, their regular matrices from the
 product rule (x (x) s)(a (x) b) = xa (x) bs, the dual action, and the slot
 map, certified by the essential factorization and the product identity
 over every pair. The center of either algebra is an exact integer rank on
-its structure constants. A failed check raises CertificationError, so the
-certification also runs under python -O.
+its structure constants, and so are its block sizes (block_structure). A
+failed check raises CertificationError, so the certification also runs
+under python -O.
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ __all__ = [
     "conjugate_pair", "dual_annular",
     "essential_matrices", "reduced_essential", "SlotMap", "unfactored_slots",
     "product_identity_failures", "slot_symmetry_map", "toric_pair_grid",
-    "matrix_units", "center_dimension", "generic_eigenvalue_multiplicities", "quantum_mass",
+    "matrix_units", "center_dimension", "BlockStructure", "block_structure", "quantum_mass",
     "GRAPH_DIMS",
 ]
 
@@ -613,6 +614,11 @@ def matrix_units(galg: GraphAlgebra):
     return mu
 
 
+def _commutators(R):
+    """D[y, x, z] = (R_y)[x, z] - (R_x)[y, z], so x y - y x = sum_z D[y, x, z] z."""
+    return R - R.transpose(1, 0, 2)
+
+
 def center_dimension(regular, defect=None):
     """Dimension of the center of an algebra, read off its structure
     constants: `regular` lists the regular matrices in basis order, with
@@ -629,28 +635,86 @@ def center_dimension(regular, defect=None):
         defect = closure_defect(mats, mats)
     _require(defect == 0, "center_dimension",
              "the regular matrices do not close, so they are no algebra's structure constants")
-    # row (y, z), column x: (R_y)[x, z] - (R_x)[y, z]
+    # row (y, z), column x: (R_y)[x, z] - (R_x)[y, z]; the zero rows left out
+    D = _commutators(R)
     system = xla.LinearSystem(n)
-    system.add((R.transpose(0, 2, 1) - R.transpose(1, 2, 0)).reshape(n * n, n))
+    system.add(D.transpose(0, 2, 1)[D.any(axis=1)])
     return n - system.rref().rank
 
 
-def generic_eigenvalue_multiplicities(mats):
-    """Sorted eigenvalue-cluster sizes of a random element of the span,
-    eigenvalues within 1e-6 counting as one."""
-    rng = np.random.default_rng(5)
-    mats = list(mats)
-    A = sum(c * M.astype(float) for c, M in zip(rng.standard_normal(len(mats)), mats))
-    ev = np.sort_complex(np.linalg.eigvals(A))
-    clusters = []
-    for val in ev:
-        for c in clusters:
-            if abs(c[0] - val) < 1e-6:
-                c.append(val)
-                break
-        else:
-            clusters.append([val])
-    return sorted(len(c) for c in clusters)
+def _int_product(A, B, bound):
+    """A @ B for integer A and B as integers, computed in the dtype
+    product_dtype picks for `bound`, a bound on every partial sum."""
+    dt = xla.product_dtype(bound)
+    P = A.astype(dt) @ B.astype(dt)
+    return P if dt is object else P.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class BlockStructure:
+    """A semisimple algebra over C as a sum of matrix blocks: `ones` blocks
+    of size 1 and, when `size` is not 0, one block of size x size. The exact
+    ranks it is read from are kept: the trace form's and the center's."""
+
+    trace_rank: int
+    center: int
+    ones: int
+    size: int
+
+    @property
+    def sizes(self):
+        return [1] * self.ones + ([self.size] if self.size else [])
+
+
+def block_structure(regular, defect=None) -> BlockStructure:
+    """The block sizes of an algebra over C from three exact integer ranks of
+    its structure constants, `regular` as in center_dimension (which also
+    certifies closure; defect is passed on to it).
+
+    The trace form Tr(R_x R_y) has full rank exactly when the algebra is
+    semisimple, a sum of blocks M_d. The center has one dimension per block.
+    The commutators x y - y x span the traceless part of each block, and the
+    two-sided ideal they generate is the sum of the blocks of size above 1:
+    its dimension is n minus the number of blocks of size 1. The ideal is
+    closed under v -> v R_y (times y on the right) and v -> v L_y (on the
+    left, L_y[x, z] = (R_x)[y, z]), one LinearSystem block a round, until
+    its rank stops growing. With at most one block left over its size is the
+    square root of what remains; with more the ranks do not fix the sizes,
+    and CertificationError is raised, as it is for a trace form of lower
+    rank."""
+    regular = list(regular)
+    center = center_dimension(regular, defect)
+    R = np.stack(regular)
+    n = len(R)
+    rmax = int(np.abs(R).max())
+    # Tr(R_x R_y): R_x flattened against R_y transposed and flattened
+    trace = xla.LinearSystem(n)
+    trace.add(_int_product(R.reshape(n, n * n), R.transpose(0, 2, 1).reshape(n, n * n).T,
+                           n * n * rmax * rmax))
+    trace_rank = trace.rref().rank
+    _require(trace_rank == n, "block_structure",
+             f"the trace form has rank {trace_rank} < {n}, so the algebra is not semisimple")
+
+    D = _commutators(R)
+    ideal = xla.LinearSystem(n)
+    ideal.add(D[D.any(axis=2)])  # row (y, x): x y - y x
+    dim = -1
+    while (res := ideal.rref()).rank != dim:
+        dim, B = res.rank, res.rows()
+        bound = n * int(np.abs(B).max(initial=0)) * rmax
+        # (B R_y)[i, z] lands at [y, i, z], (B L_y)[i, z] = sum_x B[i, x] (R_x)[y, z] at [i, y, z]
+        right = _int_product(B, R, bound).reshape(-1, n)
+        left = _int_product(B, R.reshape(n, n * n), bound).reshape(-1, n)
+        ideal.add(np.concatenate([right, left]))
+    ones = n - dim
+    big = center - ones
+    _require(0 <= big <= 1, "block_structure",
+             f"center {center} and {ones} blocks of size 1 leave {big} larger blocks, "
+             "whose sizes the ranks do not determine")
+    size = isqrt(dim)
+    _require(size * size == dim and (size >= 2 if big else size == 0), "block_structure",
+             f"{dim} dimensions in {big} blocks of size above 1 are no square of such a size")
+    return BlockStructure(trace_rank, center, ones, size)
 
 
 def quantum_mass(dims):

@@ -130,7 +130,7 @@ def verlinde_tensor(data: ModularData) -> np.ndarray:
     """N[l, m, n] = sum_b s[m,b] s[l,b] conj(s[n,b]) / s[0,b], as floats."""
     s = data.s
     ratios = s / s[0]
-    return np.einsum("lb,mb,nb->lmn", ratios, s, s.conj()).real
+    return np.einsum("lb,mb,nb->lmn", ratios, s, s.conj(), optimize=True).real
 
 
 def verlinde_matrices(data: ModularData):

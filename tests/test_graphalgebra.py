@@ -727,15 +727,106 @@ def test_center_dimension_takes_the_callers_closure_defect(quantum_symmetries):
         ga.center_dimension(mats, 1)
 
 
+def generic_eigenvalue_multiplicities(mats):
+    """Reference: sorted eigenvalue-cluster sizes of a random element of the
+    span, eigenvalues within 1e-6 counting as one. A block of size d gives d
+    eigenvalues of multiplicity d each in the regular representation."""
+    rng = np.random.default_rng(5)
+    mats = list(mats)
+    A = sum(c * M.astype(float) for c, M in zip(rng.standard_normal(len(mats)), mats))
+    ev = np.sort_complex(np.linalg.eigvals(A))
+    clusters = []
+    for val in ev:
+        for c in clusters:
+            if abs(c[0] - val) < 1e-6:
+                c.append(val)
+                break
+        else:
+            clusters.append([val])
+    return sorted(len(c) for c in clusters)
+
+
 def test_generic_spectra(graph_algebra, quantum_symmetries):
     G = graph_algebra.G
-    assert ga.generic_eigenvalue_multiplicities(
-        [G[a] for a in range(1, 13)]
-    ) == [1] * 8 + [2, 2]
     oc = quantum_symmetries
-    assert ga.generic_eigenvalue_multiplicities(
-        [oc.O[p] for p in oc.pairs]
-    ) == [1] * 32 + [4] * 4
+    for mats, want in (
+        ([G[a] for a in range(1, 13)], [1] * 8 + [2, 2]),
+        ([oc.O[p] for p in oc.pairs], [1] * 32 + [4] * 4),
+    ):
+        spectrum = generic_eigenvalue_multiplicities(mats)
+        assert spectrum == want
+        # the float oracle: d eigenvalues of multiplicity d per block of size d
+        exact = ga.block_structure(mats)
+        assert spectrum == sorted(d for d in exact.sizes for _ in range(d))
+
+
+def matrix_algebra(d):
+    """Regular matrices of M_d(Q) on the matrix units e_ij, index i d + j:
+    e_ij e_kl = delta_jk e_il, so (R_{e_kl})[e_ik, e_il] = 1."""
+    mats = []
+    for k in range(d):
+        for l in range(d):
+            R = np.zeros((d * d, d * d), dtype=np.int64)
+            R[np.arange(d) * d + k, np.arange(d) * d + l] = 1
+            mats.append(R)
+    return mats
+
+
+def direct_sum(*algebras):
+    """Regular matrices of the direct sum, each summand's basis in turn."""
+    n = sum(len(a) for a in algebras)
+    mats, at = [], 0
+    for a in algebras:
+        for R in a:
+            M = np.zeros((n, n), dtype=np.int64)
+            M[at : at + len(a), at : at + len(a)] = R
+            mats.append(M)
+        at += len(a)
+    return mats
+
+
+def test_block_structure_of_the_flagship_algebras(graph_algebra, quantum_symmetries):
+    G = graph_algebra.G
+    b12 = ga.block_structure([G[a] for a in range(1, 13)])
+    assert (b12.trace_rank, b12.center, b12.ones, b12.size) == (12, 9, 8, 2)
+    oc = quantum_symmetries
+    b48 = ga.block_structure([oc.O[p] for p in oc.pairs])
+    assert (b48.trace_rank, b48.center, b48.ones, b48.size) == (48, 33, 32, 4)
+    assert b48.sizes == [1] * 32 + [4]
+    # the caller's closure defect is passed on to center_dimension
+    assert ga.block_structure([oc.O[p] for p in oc.pairs], 0) == b48
+
+
+def test_block_structure_on_known_algebras():
+    q3 = ga.block_structure(direct_sum(*[matrix_algebra(1)] * 3))
+    assert (q3.trace_rank, q3.center, q3.ones, q3.size) == (3, 3, 3, 0)
+    m2 = ga.block_structure(matrix_algebra(2))
+    assert (m2.trace_rank, m2.center, m2.ones, m2.size) == (4, 1, 0, 2)
+    assert m2.sizes == [2]
+    m3 = ga.block_structure(direct_sum(matrix_algebra(1), matrix_algebra(3)))
+    assert (m3.center, m3.ones, m3.size) == (2, 1, 3)
+    # the group algebra of S3: two characters and one 2-dimensional irrep
+    s3 = ga.block_structure(s3_regular_matrices())
+    assert (s3.trace_rank, s3.center, s3.ones, s3.size) == (6, 3, 2, 2)
+    # a commutative fusion ring: every block has size 1
+    mats = list(fr.fusion_matrices(wt.algebra("A", 1), 4).values())
+    assert ga.block_structure(mats).sizes == [1] * 5
+
+
+def test_block_structure_rejects_what_the_ranks_do_not_settle(quantum_symmetries):
+    # Q[x]/(x^2): the trace form has rank 1 < 2, so it is not semisimple
+    dual_numbers = [np.eye(2, dtype=np.int64), np.array([[0, 1], [0, 0]])]
+    with pytest.raises(CertificationError, match="trace form has rank 1 < 2"):
+        ga.block_structure(dual_numbers)
+    # M2 + M2: two blocks of size above 1, whose sizes the ranks do not fix
+    with pytest.raises(CertificationError, match="leave 2 larger blocks"):
+        ga.block_structure(direct_sum(matrix_algebra(2), matrix_algebra(2)))
+    # constants that do not close fail the closure check first
+    oc = quantum_symmetries
+    mats = [oc.O[p].copy() for p in oc.pairs]
+    mats[ga.pair_index(oc.qg, (6, 1))][3, 7] += 1
+    with pytest.raises(CertificationError, match="center_dimension"):
+        ga.block_structure(mats)
 
 
 def test_quantum_masses(quantum_graph):

@@ -1,13 +1,20 @@
 """Guards for the names other code reaches by string: each module's
 `__all__`, and the attributes the benchmark tracer wraps. A refactor that
 renames or deletes one of them fails here instead of in a traced run. Also
-a guard on the working set: no cached pipeline stage keeps an array of r^4
-entries, r the number of labels."""
+guards on the working set: no cached pipeline stage keeps an array of r^4
+entries, r the number of labels, and `fusioncat verify` loads neither
+numpy.random, hashlib nor the catalog, and the package draws no random
+number and makes no LAPACK eigenvalue call."""
 
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +23,7 @@ import pytest
 import fusioncat
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(fusioncat.__file__).resolve().parent
 
 MODULES = [m.name for m in pkgutil.iter_modules(fusioncat.__path__)]
 
@@ -81,3 +89,50 @@ def test_no_stage_keeps_an_array_of_r4_entries():
         name: a.shape for name, f in stages.items() for a in _arrays(f(), seen) if a.size >= limit
     }
     assert large == {}
+
+
+# argv[1] is an empty catalog; prints what `verify` left loaded and the exit
+# codes of the two exports that follow it
+_FRESH_CLI = """
+import contextlib, io, json, sys
+from fusioncat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    verify = cli.main(["verify"])
+loaded = [m for m in ("numpy.random", "hashlib", "fusioncat.catalog") if m in sys.modules]
+with contextlib.redirect_stderr(io.StringIO()):
+    exports = [cli.main(["--catalog", sys.argv[1], "export", "--kind", k]) for k in ("oc-graph", "bogus")]
+print(json.dumps({"verify": verify, "loaded": loaded, "exports": exports}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_cli(tmp_path_factory):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI, str(tmp_path_factory.mktemp("empty") / "catalog")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_verify_loads_no_random_no_hashlib_and_no_catalog(fresh_cli):
+    assert fresh_cli["verify"] == 0
+    assert fresh_cli["loaded"] == []
+
+
+def test_export_exit_codes_in_a_fresh_process(fresh_cli):
+    # the catalog is imported by the export itself: a missing artifact still
+    # exits 2, and a kind outside ARTIFACT_KINDS still exits 64
+    assert fresh_cli["exports"] == [2, 64]
+
+
+def test_the_package_draws_no_random_number_and_calls_no_eigensolver():
+    pattern = re.compile(r"np\.random|numpy\.random|np\.linalg\.eig|numpy\.linalg\.eig")
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
