@@ -82,6 +82,8 @@ BLOCK_PATTERNS = {
     11: ("000a", "0092", "aa00", "0900"),
 }
 
+GRAPH_DIMS = {a: dim for a, (_, dim) in sp.VERTEX_TARGETS.items()}  # displayed Perron weights
+
 # the displayed involutions of the vertex set, which the derived ones must
 # reproduce: the twist flips each doublet, conjugation transposes the algebra
 DISPLAYED_INVOLUTIONS = {
@@ -282,9 +284,9 @@ def check_masses():
     qd = fr.quantum_dimensions(wt.algebra("A", 3), 4)
     mu010 = qd[data.index[(0, 1, 0)]]
     alcove_mass = ga.quantum_mass(qd)
-    graph_mass = ga.quantum_mass(ga.GRAPH_DIMS.values())
-    sub_mass = ga.quantum_mass(ga.GRAPH_DIMS[a] for a in pl.quantum_graph().J)
-    dims_ok = all(abs(graph.dims[a] - ga.GRAPH_DIMS[a]) < 1e-9 for a in range(1, 13))
+    graph_mass = ga.quantum_mass(GRAPH_DIMS.values())
+    sub_mass = ga.quantum_mass(GRAPH_DIMS[a] for a in pl.quantum_graph().J)
+    dims_ok = all(abs(graph.dims[a] - GRAPH_DIMS[a]) < 1e-9 for a in range(1, 13))
     res = max(
         abs(beta - np.sqrt(2 * (2 + SQ2))),
         abs(mu010 - (2 + SQ2)),
@@ -322,7 +324,7 @@ def check_graph_algebra():
     reversal_bad = sum(
         prod(a, b) != prod(T[b], a) for a in range(1, 13) for b in range(1, 13)
     )
-    fracs, crossed_sols = ga.crossed_branch(pl.annular(), pl.doublet_system())
+    fracs, crossed_sols = ga.crossed_branch(pl.doublet_system())
     crossed_ok = crossed_sols == [] and len(fracs) > 0
     ok = table_ok and twist_ok and conj_ok and crossed_ok
     detail = (

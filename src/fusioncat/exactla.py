@@ -273,7 +273,8 @@ def square_split_options(c, parts):
 @dataclass
 class RrefResult:
     """Reduced form of A x = b: the unknown pivot_cols[i] obeys
-    lead[i] x_p + coeffs[i] . x[free_cols] = rhs[i], with lead[i] > 0."""
+    lead[i] x_p + coeffs[i] . x[free_cols] = rhs[i], with lead[i] > 0;
+    rhs[i] is a row when b is a block of right-hand sides."""
 
     consistent: bool
     ncols: int
@@ -308,13 +309,14 @@ class LinearSystem:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        # the last column is the right-hand side
-        self._core = _Echelon(ncols, np.zeros((0, ncols + 1), dtype=np.int64))
+        # the echelon of [A | b], made by the first block added
+        self._core = None
         self._consistent = True
 
     def add(self, rows, rhs=0):
         """Append the equations rows . x = rhs: `rows` is one row of ncols
-        integers or a block of them, `rhs` a number or one per row.
+        integers or a block of them, `rhs` a number, one per row, or one
+        row of k right-hand sides per row, k fixed by the first block added.
 
         The block is reduced against the echelon in one product, what is
         left is brought to reduced form on its own, and that is merged in
@@ -324,7 +326,9 @@ class LinearSystem:
         if not self._consistent:
             return
         A = np.atleast_2d(np.asarray(rows))
-        V = np.column_stack([A, np.broadcast_to(np.asarray(rhs), len(A))])
+        V = np.column_stack([A, np.broadcast_to(rhs, (len(A),) + np.shape(rhs)[1:])])
+        if self._core is None:
+            self._core = _Echelon(self.ncols, V[:0])
         big = _absmax(V)
         W, _ = self._core.reduce(V.astype(_exact(big), copy=False), big)
         new = _echelonize(W, self.ncols)
@@ -344,14 +348,15 @@ class LinearSystem:
         return out
 
     def rref(self) -> RrefResult:
-        core = self._core
+        core = self._core or _Echelon(self.ncols, np.zeros((0, self.ncols + 1), dtype=np.int64))
         order = np.argsort(core.pivots, kind="stable")
         piv = [int(p) for p in core.pivots[order]]
         free = sorted(set(range(self.ncols)) - set(piv))
         R = core.rows[order]
         lead = R[np.arange(len(piv)), piv]
-        # a copy of the last column, so the result does not keep every row
-        return RrefResult(self._consistent, self.ncols, piv, free, lead, R[:, free], R[:, -1].copy())
+        # a copy of the right-hand sides, so the result does not keep every row
+        rhs = R[:, self.ncols :] if R.shape[1] > self.ncols + 1 else R[:, -1]
+        return RrefResult(self._consistent, self.ncols, piv, free, lead, R[:, free], rhs.copy())
 
 
 def lattice_points(res: RrefResult, caps):

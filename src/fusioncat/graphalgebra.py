@@ -7,13 +7,13 @@ time, in the dtype exactla.product_dtype picks. It certifies the graph
 algebra (X = R = G), the quantum symmetries (X = R = O) and their dual
 action on the graph (X = SX, R = O).
 
-The annular matrices pin ten of the twelve graph-algebra matrices outright;
-the remaining doublet members come from an exact linear system (closure
-with X unknown, commutation with the generators, a unit first row, the
-transpose conjugation), integer lattice enumeration and a closure filter.
-The survivors must form one orbit of doublet swaps, and the lexicographic
-maximum is kept. The crossed doublet pairing admits no integer solution,
-which one solve of that branch shows.
+The vacuum rows of the annular matrices pin every vertex matrix but the
+doublets' (vertices with equal vacuum columns) and every doublet sum, in one
+exact solve of F_lam = sum_a (F_lam)[1, a] G_a (Behrend, Pearce, Petkova and
+Zuber, hep-th/9908036). The doublet members come from an exact linear
+system stated by generic rules, lattice enumeration and a closure filter;
+the survivors must form one orbit of doublet swaps, and the lexicographic
+maximum is kept. The crossed conjugation branch has no integer solution.
 
 quantum_graph reads off the algebra conjugation (G_a^T = G_b), the twist
 (of the involutive anti-automorphisms keeping grading and Perron weight,
@@ -30,7 +30,7 @@ under python -O.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import isqrt
 
 import numpy as np
@@ -40,7 +40,7 @@ from . import exactla as xla
 from . import splitting as sp
 
 __all__ = [
-    "GraphAlgebra", "partial_algebra", "shared_doublet_system", "doublet_solutions",
+    "GraphAlgebra", "partial_algebra", "DoubletSystem", "shared_doublet_system", "doublet_solutions",
     "crossed_branch", "closure_defect", "solve_graph_algebra",
     "QuantumGraph", "quantum_graph",
     "OcAlgebra", "pair_index", "basis_pairs", "reduce_pair", "oc_matrices", "chiral_conjugate",
@@ -48,10 +48,7 @@ __all__ = [
     "essential_matrices", "reduced_essential", "SlotMap", "unfactored_slots",
     "product_identity_failures", "slot_symmetry_map", "toric_pair_grid",
     "matrix_units", "center_dimension", "BlockStructure", "block_structure", "quantum_mass",
-    "GRAPH_DIMS",
 ]
-
-GRAPH_DIMS = {a: dim for a, (_, dim) in sp.VERTEX_TARGETS.items()}
 
 
 @dataclass
@@ -66,33 +63,29 @@ def _require(ok, stage, detail):
 
 
 def partial_algebra(annular):
-    """The part of the algebra the annular family determines on its own:
-    G_1, G_2, G_5, G_8, G_9, G_10 and the three doublet sums, keyed by the
-    doublet."""
-    F = annular
-    I = np.eye(len(F[(0, 0, 0)]), dtype=np.int64)
-    G = {1: I, 2: F[(0, 0, 4)], 5: F[(1, 0, 0)], 8: F[(0, 1, 0)], 10: F[(0, 0, 1)]}
-    nine2 = F[(1, 1, 1)] - 2 * F[(0, 1, 0)]
-    G[9] = nine2 // 2
-    S34 = F[(0, 1, 2)] - I
-    S67 = F[(0, 1, 1)] - G[5]
-    S1112 = F[(1, 1, 0)] - G[10]
-    eq = np.array_equal
-    # the sums are overdetermined; every route must agree
-    for ok, detail in (
-        (eq(G[2], F[(4, 0, 0)]), "G_2 differs between the labels (0,0,4) and (4,0,0)"),
-        (eq(G[2] @ G[2], I) and (G[2].sum(0) == 1).all(), "G_2 is not an involution"),
-        ((nine2 % 2 == 0).all() and G[9].min() >= 0, "G_9 is not a nonnegative integer matrix"),
-        (eq(S34, F[(2, 1, 0)] - I) and eq(S34, F[(2, 0, 2)]) and eq(S34, F[(0, 2, 0)]),
-         "the routes to G_3 + G_4 disagree"),
-        (eq(S67, F[(1, 1, 2)] - G[5]) and eq(S67, F[(1, 2, 0)] - G[5]),
-         "the routes to G_6 + G_7 disagree"),
-        (eq(S1112, F[(1, 0, 2)] - G[10]) and eq(S1112, F[(2, 1, 1)] - G[10]),
-         "the routes to G_11 + G_12 disagree"),
-        (eq(G[9] @ G[9], I + G[2]) and eq(G[2] @ G[9], G[9]), "the subalgebra relations fail"),
-    ):
-        _require(ok, "graph_algebra", detail)
-    return G, {(3, 4): S34, (6, 7): S67, (11, 12): S1112}
+    """The part of the algebra the annular family determines on its own,
+    through its vacuum rows E[lam, a] = (F_lam)[1, a]: F_lam = sum_a
+    E[lam, a] G_a. Vertices with equal columns of E, the doublets, enter
+    through their sum alone, so each class of equal columns is one unknown
+    of E G = F, solved once with the cells of every F_lam as right-hand
+    sides. Returns vertex -> pinned G_a and doublet (u, v) -> G_u + G_v."""
+    F = np.stack(list(annular.values()))
+    classes = {}
+    for a, col in enumerate(F[:, 0].T, start=1):
+        classes.setdefault(col.tobytes(), []).append(a)
+    classes = [tuple(c) for c in classes.values()]
+    _require(max(map(len, classes)) <= 2, "graph_algebra", "more than two vertices share a vacuum column")
+    sys = xla.LinearSystem(len(classes))
+    sys.add(F[:, 0, [c[0] - 1 for c in classes]], F.reshape(len(F), -1))
+    res = sys.rref()
+    _require(res.consistent and res.rank == len(classes), "graph_algebra",
+             f"the annular matrices are no combination of {len(classes)} vertex matrices over their vacuum rows")
+    lead = res.lead[:, None]
+    _require(not (res.rhs % lead).any() and res.rhs.min() >= 0, "graph_algebra",
+             "the vacuum rows pin a matrix that is not a nonnegative integer matrix")
+    pinned = dict(zip(classes, (res.rhs // lead).astype(np.int64).reshape(-1, *F.shape[1:])))
+    return ({c[0]: M for c, M in pinned.items() if len(c) == 1},
+            {c: M for c, M in pinned.items() if len(c) == 2})
 
 
 def _transpose(size):
@@ -100,90 +93,91 @@ def _transpose(size):
     return np.arange(size * size).reshape(size, size).T.reshape(-1)
 
 
-def shared_doublet_system(annular):
-    """The 25 constraint blocks both conjugation branches state over
-    x = (vec X3, vec X6, vec X11), each vec row-major, one integer block of
-    rows per constraint, as the reduced form of one LinearSystem; and the
-    cap of every cell. The reduced form holds only the coefficients of the
-    free columns: 411 x 21 entries where the system's rows hold 411 x 433."""
+@dataclass(frozen=True)
+class DoubletSystem:
+    """What shared_doublet_system states, over x = (vec X_u for each doublet
+    (u, v) of `sums`, in order), each vec row-major."""
+    rref: xla.RrefResult  # the shared constraints, reduced
+    caps: np.ndarray  # the cap of every cell of x: its doublet sum
+    knowns: dict  # vertex -> pinned matrix
+    sums: dict  # doublet (u, v) -> G_u + G_v
+    branch: tuple  # the doublet whose sum is its own transpose
+
+
+def shared_doublet_system(annular) -> DoubletSystem:
+    """partial_algebra's matrices and sums, and the constraints both
+    conjugation branches share on X_u = G_u, G_v = S - X_u for each doublet
+    (u, v) of sum S: closure, X_u G_a = sum_c (G_a)[u, c] G_c, for each
+    pinned a but the unit 1; commutation with the annular matrix of each
+    fundamental label; the unit row of X_u; X_e = X_d^T where S_d^T = S_e.
+    The one doublet whose sum is its own transpose is the branch. Its
+    reduced form holds 411 x 21 entries on the flagship, its rows 411 x 433."""
     knowns, sums = partial_algebra(annular)
+    branch = [d for d, S in sums.items() if np.array_equal(S, S.T)]
+    _require(len(branch) == 1, "graph_algebra",
+             f"{len(branch)} doublet sums are their own transpose, where one splits the branches")
     size = len(knowns[1])
     n = size * size
-    I, In = np.eye(n, dtype=np.int64), knowns[1]
-    block = {u: k for k, (u, _) in enumerate(sums)}  # unknown vertex -> its block of x
-    # every G_c as const[c] + sign * X_u, with var[c] = (u, sign): a known
-    # matrix, an unknown, or a doublet sum minus its unknown member
-    const = {c: M.reshape(-1) for c, M in knowns.items()}
-    var = {}
-    for (u, v), S in sums.items():
-        const[u], var[u] = 0, (u, 1)
-        const[v], var[v] = S.reshape(-1), (u, -1)
-    sys = xla.LinearSystem(len(block) * n)
+    I, In = np.eye(n, dtype=np.int64), np.eye(size, dtype=np.int64)
+    sys = xla.LinearSystem(len(sums) * n)
 
-    def state(parts, rhs):
-        A = np.zeros((len(rhs), len(block) * n), dtype=np.int64)
-        for u, M in parts:
-            A[:, block[u] * n : (block[u] + 1) * n] += M
+    def state(parts, rhs):  # parts: (doublet index k, the coefficients of vec X_k)
+        A = np.zeros((len(rhs), len(sums) * n), dtype=np.int64)
+        for k, M in parts:
+            A[:, k * n : (k + 1) * n] += M
         sys.add(A, rhs)
 
     zero = np.zeros(n, dtype=np.int64)
-    for X in block:
-        for a in (2, 5, 8, 9, 10):
-            # the closure identity with X unknown: X G_a = sum_c (G_a)[X, c] G_c
-            m = knowns[a][X - 1]
-            parts = [(X, np.kron(In, knowns[a].T))]
-            parts += [(var[c][0], -m[c - 1] * var[c][1] * I) for c in var if m[c - 1]]
-            state(parts, sum(m[c - 1] * const[c] for c in const))
-        for Fg in (knowns[5], knowns[8]):  # [X, F] = 0 for both generators
-            state([(X, np.kron(In, Fg.T) - np.kron(Fg, In))], zero)
-        state([(X, I[:size])], In[X - 1])  # the first row is the unit row of X
-    # conjugation transposes: X11 = X6^T
-    state([(11, I), (6, -I[_transpose(size)])], zero)
-    return sys.rref(), np.concatenate([S.reshape(-1) for S in sums.values()])
+    fundamental = [Fl for lab, Fl in annular.items() if sum(lab) == 1]
+    for k, (u, _) in enumerate(sums):
+        for a in knowns.keys() - {1}:
+            # closure; m is row u of G_a, and doublet (x, y) adds m_x X_x + m_y (S - X_x)
+            m = knowns[a][u - 1]
+            parts = [(k, np.kron(In, knowns[a].T))]
+            parts += [(j, (m[y - 1] - m[x - 1]) * I) for j, (x, y) in enumerate(sums) if m[x - 1] != m[y - 1]]
+            rhs = sum(m[c - 1] * M for c, M in knowns.items()) + sum(m[y - 1] * S for (_, y), S in sums.items())
+            state(parts, rhs.reshape(-1))
+        for Fl in fundamental:  # [X_u, F_lam] = 0
+            state([(k, np.kron(In, Fl.T) - np.kron(Fl, In))], zero)
+        state([(k, I[:size])], In[u - 1])  # the first row is the unit row of X_u
+    for (i, Sd), (j, Se) in combinations(enumerate(sums.values()), 2):
+        if np.array_equal(Sd.T, Se):  # conjugation transposes: X_e = X_d^T
+            state([(j, I), (i, -I[_transpose(size)])], zero)
+    caps = np.concatenate([S.reshape(-1) for S in sums.values()])
+    return DoubletSystem(sys.rref(), caps, knowns, sums, branch[0])
 
 
-def _doublet_system(annular, self_conjugate_first, shared=None):
-    """The system of doublet_solutions and the cap of every cell: the
-    shared blocks, `shared` or stated anew, restated from their reduced
-    form, and the branch's last block, X3 = X3^T or X3 + X3^T = G3 + G4."""
-    base, caps = shared or shared_doublet_system(annular)
-    sys = xla.LinearSystem.from_rref(base)
-    n = len(caps) // 3
+def _solve_doublets(shared: DoubletSystem, self_conjugate):
+    """The branch's reduced system and its lattice points, unpacked: the
+    shared blocks restated from their reduced form, and the branch doublet's
+    X = X^T or X + X^T = S, for its member X and sum S."""
+    sys = xla.LinearSystem.from_rref(shared.rref)
+    S, k = shared.sums[shared.branch], list(shared.sums).index(shared.branch)
+    size, n = len(S), S.size
     I = np.eye(n, dtype=np.int64)
-    A = np.zeros((n, 3 * n), dtype=np.int64)
-    # caps[:n] is the first doublet's sum G3 + G4
-    sign, rhs = (-1, 0) if self_conjugate_first else (1, caps[:n])
-    A[:, :n] = I + sign * I[_transpose(isqrt(n))]
-    sys.add(A, rhs)
-    return sys, caps
-
-
-def _solve_doublets(annular, self_conjugate_first, shared):
-    """The reduced doublet system and its lattice points, unpacked."""
-    sys, caps = _doublet_system(annular, self_conjugate_first, shared)
+    T = I[_transpose(size)]
+    A = np.zeros((n, len(shared.sums), n), dtype=np.int64)
+    A[:, k] = I - T if self_conjugate else I + T
+    sys.add(A.reshape(n, -1), 0 if self_conjugate else S.reshape(-1))
     res = sys.rref()
-    pts = xla.lattice_points(res, caps) if res.consistent else []
-    size = isqrt(len(caps) // 3)
-    return res, [tuple(np.array(x, dtype=np.int64).reshape(3, size, size)) for x in pts]
+    pts = xla.lattice_points(res, shared.caps) if res.consistent else []
+    return res, [tuple(np.array(x, dtype=np.int64).reshape(-1, size, size)) for x in pts]
 
 
-def doublet_solutions(annular, self_conjugate_first=True, shared=None):
-    """Integer candidates for the open doublet members X3, X6, X11: the
-    lattice points of the doublet system, every cell capped by its doublet
-    sum so that complements stay nonnegative. The first doublet is either
-    self-conjugate (X3 symmetric, the kept branch) or crossed
-    (X3 + X3^T = G3 + G4, which turns out empty). `shared` is
-    shared_doublet_system(annular), stated once for both branches; without
-    it the shared blocks are stated anew."""
-    return _solve_doublets(annular, self_conjugate_first, shared)[1]
+def doublet_solutions(shared: DoubletSystem, self_conjugate=True):
+    """Integer candidates for the open doublet members, one per doublet of
+    shared.sums: the lattice points of the doublet system, each cell capped
+    by its doublet sum. The branch doublet's member is symmetric (the kept
+    branch) or crossed with its partner, X + X^T = S (empty)."""
+    return _solve_doublets(shared, self_conjugate)[1]
 
 
-def crossed_branch(annular, shared=None):
+def crossed_branch(shared: DoubletSystem):
     """The crossed conjugation branch, from one reduced system: the values
     its rational solution forces on cells outright (pivots with no free
     columns) that are proper fractions, sorted, and its integer solutions
-    as doublet_solutions lists them. `shared` as for doublet_solutions."""
-    res, sols = _solve_doublets(annular, False, shared)
+    as doublet_solutions lists them."""
+    res, sols = _solve_doublets(shared, False)
     _require(res.consistent, "graph_algebra", "the crossed branch is not even rationally solvable")
     forced = [
         Fraction(int(b), int(d))
@@ -193,9 +187,9 @@ def crossed_branch(annular, shared=None):
     return sorted(f for f in forced if f.denominator != 1), sols
 
 
-def _assemble(knowns, sums, *unknowns):
-    G = dict(knowns)
-    for ((u, v), S), X in zip(sums.items(), unknowns):
+def _assemble(shared: DoubletSystem, *unknowns):
+    G = dict(shared.knowns)
+    for ((u, v), S), X in zip(shared.sums.items(), unknowns):
         G[u], G[v] = X, S - X
     return dict(sorted(G.items()))
 
@@ -262,14 +256,12 @@ def canonical_survivor(survivors, doublets):
     return G
 
 
-def solve_graph_algebra(annular, shared=None) -> GraphAlgebra:
-    """The kept branch's closure-exact resolution; `shared` as for
-    doublet_solutions."""
-    knowns, sums = partial_algebra(annular)
-    cands = doublet_solutions(annular, True, shared)
-    survivors = [G for G in (_assemble(knowns, sums, *t) for t in cands) if closure_defect(G, G) == 0]
+def solve_graph_algebra(shared: DoubletSystem) -> GraphAlgebra:
+    """The kept branch's closure-exact resolution of the doublet system."""
+    cands = doublet_solutions(shared)
+    survivors = [G for G in (_assemble(shared, *t) for t in cands) if closure_defect(G, G) == 0]
     _require(survivors, "graph_algebra", "no closure-exact doublet resolution")
-    G = canonical_survivor(survivors, tuple(sums))
+    G = canonical_survivor(survivors, tuple(shared.sums))
     for a, Ga in G.items():
         _require(Ga.min() >= 0 and _single(Ga[0]) == a,
                  "graph_algebra", f"G_{a} is not a nonnegative unit-row matrix")

@@ -70,16 +70,17 @@ def annular():
 
 @lru_cache(maxsize=None)
 def doublet_system():
-    """The doublet constraints both conjugation branches share, in reduced
-    form: the graph algebra solves the kept branch from them, criterion 9
-    the crossed one. Each restates the system from it, so no stage holds
-    the 411 x 433 rows of the system past its own solve."""
+    """The six vertex matrices and three doublet sums the vacuum rows of the
+    annular matrices pin, and the doublet constraints both conjugation
+    branches share, reduced: the graph algebra solves the kept branch and
+    criterion 9 the crossed one, each restating the system from it, so no
+    stage holds the 411 x 433 rows of the system past its own solve."""
     return ga.shared_doublet_system(annular())
 
 
 @lru_cache(maxsize=None)
 def graph_algebra() -> ga.GraphAlgebra:
-    return ga.solve_graph_algebra(annular(), doublet_system())
+    return ga.solve_graph_algebra(doublet_system())
 
 
 @lru_cache(maxsize=None)

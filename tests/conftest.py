@@ -88,6 +88,11 @@ def annular():
 
 
 @pytest.fixture(scope="session")
+def doublet_system():
+    return pl.doublet_system()
+
+
+@pytest.fixture(scope="session")
 def graph_algebra():
     return pl.graph_algebra()
 

@@ -8,6 +8,7 @@ no reference cycle behind.
 """
 
 import gc
+from fractions import Fraction
 
 import numpy as np
 
@@ -89,6 +90,35 @@ def test_sparse_rref_inconsistent():
     assert not res.consistent
 
 
+def test_block_right_hand_side_matches_one_system_per_column():
+    # A has rank 3 over 4 unknowns; the last column of B is the first with
+    # one entry raised, which no x solves
+    rng = np.random.default_rng(0)
+    A = rng.integers(-3, 4, size=(6, 3)) @ rng.integers(-3, 4, size=(3, 4))
+    B = A @ rng.integers(-5, 6, size=(4, 3))
+    B = np.column_stack([B, B[:, 0]])
+    B[5, 3] += 1
+
+    def solve(rhs):
+        sys = xla.LinearSystem(4)
+        sys.add(A, rhs)
+        return sys.rref()
+
+    singles = [solve(B[:, j]) for j in range(4)]
+    assert [r.consistent for r in singles] == [True, True, True, False]
+    assert not solve(B).consistent
+    block = solve(B[:, :3])
+    assert block.consistent and block.rank == 3 and block.rhs.shape == (3, 3)
+    # the same rows up to a positive factor each: every row's content now
+    # spans all right-hand sides
+    for j, res in enumerate(singles[:3]):
+        assert res.pivot_cols == block.pivot_cols
+        for i in range(block.rank):
+            want = [Fraction(int(v), int(res.lead[i])) for v in (*res.coeffs[i], res.rhs[i])]
+            got = [Fraction(int(v), int(block.lead[i])) for v in (*block.coeffs[i], block.rhs[i, j])]
+            assert got == want
+
+
 def test_lattice_points_underdetermined():
     sys = xla.LinearSystem(3)
     sys.add([1, 1, 1], 4)
@@ -153,15 +183,15 @@ def test_entries_beyond_int64_stay_exact():
 
 
 def test_forced_python_int_path_gives_identical_points(annular, monkeypatch):
-    sys, caps = ga._doublet_system(annular, self_conjugate_first=True)
-    fast = xla.lattice_points(sys.rref(), caps)
+    shared = ga.shared_doublet_system(annular)
+    fast = xla.lattice_points(ga._solve_doublets(shared, self_conjugate=True)[0], shared.caps)
     # with no int64 headroom the rows and their sums are Python ints; small
     # products still run exactly in float32
     monkeypatch.setattr(xla, "_SAFE", 1)
-    sys, caps = ga._doublet_system(annular, self_conjugate_first=True)
-    res = sys.rref()
+    shared = ga.shared_doublet_system(annular)
+    res = ga._solve_doublets(shared, self_conjugate=True)[0]
     assert res.coeffs.dtype == object
-    slow = xla.lattice_points(res, caps)
+    slow = xla.lattice_points(res, shared.caps)
     assert len(fast) == 48 and slow == fast
 
 
@@ -169,11 +199,11 @@ def test_doublet_solve_leaves_no_cyclic_garbage(annular):
     """Everything the flagship doublet solve allocates is freed by reference
     counting: with the cyclic collector off, a collection afterwards finds
     nothing."""
-    ga.doublet_solutions(annular)
+    ga.doublet_solutions(ga.shared_doublet_system(annular))
     gc.collect()
     gc.disable()
     try:
-        sols = ga.doublet_solutions(annular)
+        sols = ga.doublet_solutions(ga.shared_doublet_system(annular))
         assert len(sols) == 48
         del sols
         assert gc.collect() == 0

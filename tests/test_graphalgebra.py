@@ -118,16 +118,66 @@ def test_partial_algebra_subalgebra_relations(annular):
     assert np.array_equal(sums[(3, 4)], sums[(3, 4)].T)
 
 
-def test_doublet_branch_counts(annular, graph_algebra):
-    cands = ga.doublet_solutions(annular, self_conjugate_first=True)
+def test_doublets_are_the_equal_vacuum_columns(annular, doublet_system):
+    # E[lam, a] = (F_lam)[1, a] has rank 9 over 12 vertices: three pairs of
+    # equal columns, and one of the three sums is its own transpose
+    E = np.stack([F[0] for F in annular.values()])
+    rank = xla.LinearSystem(len(E))
+    rank.add(E.T)
+    assert E.shape == (35, 12) and rank.rref().rank == 9
+    assert tuple(doublet_system.sums) == ((3, 4), (6, 7), (11, 12))
+    assert all(np.array_equal(E[:, u - 1], E[:, v - 1]) for u, v in doublet_system.sums)
+    assert doublet_system.branch == (3, 4)
+
+
+@pytest.mark.parametrize("label, message", [
+    ((0, 0, 4), "no combination of 9 vertex matrices"),
+    ((1, 1, 1), "not a nonnegative integer matrix"),
+])
+def test_vacuum_solve_refuses_a_raised_entry(label, message, annular):
+    # F_004 = G_2 = F_400, so the system turns inconsistent; F_111 =
+    # 2 G_8 + 2 G_9 is the only label with vertex 9 in its vacuum row, so
+    # G_9 turns half-integral
+    raised = dict(annular)
+    raised[label] = annular[label].copy()
+    raised[label][3, 5] += 1
+    with pytest.raises(CertificationError, match=f"^graph_algebra: .*{message}"):
+        ga.partial_algebra(raised)
+
+
+def test_shared_system_needs_one_self_transposed_doublet(annular, monkeypatch):
+    knowns, sums = ga.partial_algebra(annular)
+    symmetric = {d: S + S.T for d, S in sums.items()}
+    monkeypatch.setattr(ga, "partial_algebra", lambda _: (knowns, symmetric))
+    with pytest.raises(CertificationError, match="^graph_algebra: 3 doublet sums"):
+        ga.shared_doublet_system(annular)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_relabeled_vertices_give_the_same_algebra(seed, annular, graph_algebra):
+    # conjugate every F_lam by a permutation of the vertices that fixes the
+    # unit: the doublets move, and the solve finds the kept algebra
+    # relabeled, up to swaps inside the doublets
+    p = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(11)])
+    shared = ga.shared_doublet_system({lab: F[np.ix_(p, p)] for lab, F in annular.items()})
+    assert tuple(shared.sums) != ((3, 4), (6, 7), (11, 12))
+    galg = ga.solve_graph_algebra(shared)
+    assert galg.doublet_survivors == 2
+    assert ga.closure_defect(galg.G, galg.G) == 0
+    T, kept = ga._structure(galg.G), ga._structure(graph_algebra.G)[np.ix_(p, p, p)]
+    assert any(np.array_equal(kept[np.ix_(s, s, s)], T) for s in ga._relabelings(12, tuple(shared.sums)))
+
+
+def test_doublet_branch_counts(doublet_system, graph_algebra):
+    cands = ga.doublet_solutions(doublet_system, self_conjugate=True)
     assert len(cands) == 48
     assert graph_algebra.doublet_survivors == 2
     # the crossed pairing admits no integer point at all
-    assert ga.doublet_solutions(annular, self_conjugate_first=False) == []
+    assert ga.doublet_solutions(doublet_system, self_conjugate=False) == []
 
 
-def test_crossed_branch_forces_half_integers(annular):
-    fracs, sols = ga.crossed_branch(annular)
+def test_crossed_branch_forces_half_integers(doublet_system):
+    fracs, sols = ga.crossed_branch(doublet_system)
     assert fracs == [Fraction(1, 2)] * 8
     assert sols == []
 
@@ -258,24 +308,24 @@ def test_closure_defect_matches_the_pairwise_reference_on_forced_products(
     assert forced_products.chosen == [forced_products.dtype]
 
 
-def test_doublet_system_ranks(annular):
+def test_doublet_system_ranks(doublet_system):
     # 432 unknowns: rank 417 leaves 15 free columns on the kept branch; the
     # crossed branch has rank 420
-    res = ga._doublet_system(annular, self_conjugate_first=True)[0].rref()
+    res = ga._solve_doublets(doublet_system, self_conjugate=True)[0]
     assert res.consistent and res.rank == 417 and len(res.free_cols) == 15
-    res = ga._doublet_system(annular, self_conjugate_first=False)[0].rref()
+    res = ga._solve_doublets(doublet_system, self_conjugate=False)[0]
     assert res.consistent and res.rank == 420
 
 
-def test_shared_doublet_system_is_kept_reduced(annular):
+def test_shared_doublet_system_is_kept_reduced(doublet_system):
     # the branches restate the shared blocks from their reduced form, 411
     # rows over 21 free columns (test_doublet_system_ranks checks the
     # restated systems); an inconsistent one stays inconsistent
-    res, caps = ga.shared_doublet_system(annular)
+    res = doublet_system.rref
     assert res.consistent and res.rank == 411 and res.coeffs.shape == (411, 21)
     assert res.rhs.base is None  # it does not keep the system's rows alive
     bad = dataclasses.replace(res, consistent=False)
-    assert not ga._doublet_system(annular, True, (bad, caps))[0].rref().consistent
+    assert not ga._solve_doublets(dataclasses.replace(doublet_system, rref=bad), True)[0].consistent
 
 
 def test_doublet_product_table(graph_algebra):
@@ -830,9 +880,9 @@ def test_block_structure_rejects_what_the_ranks_do_not_settle(quantum_symmetries
 
 
 def test_quantum_masses(quantum_graph):
-    graph_mass = ga.quantum_mass(ga.GRAPH_DIMS.values())
+    graph_mass = ga.quantum_mass(acc.GRAPH_DIMS.values())
     assert abs(graph_mass - 16 * (2 + SQ2)) < 1e-9
-    sub_mass = ga.quantum_mass(ga.GRAPH_DIMS[a] for a in quantum_graph.J)
+    sub_mass = ga.quantum_mass(acc.GRAPH_DIMS[a] for a in quantum_graph.J)
     assert abs(sub_mass - 4) < 1e-9
     alcove_mass = ga.quantum_mass(fr.quantum_dimensions(wt.algebra("A", 3), 4))
     assert abs(alcove_mass - 128 * (3 + 2 * SQ2)) < 1e-9

@@ -128,10 +128,9 @@ def test_each_derivation_refuses_a_corrupted_entry(
 
 
 @pytest.fixture(scope="module")
-def survivors(annular):
-    knowns, sums = ga.partial_algebra(annular)
-    cands = ga.doublet_solutions(annular)
-    return [G for G in (ga._assemble(knowns, sums, *t) for t in cands) if ga.closure_defect(G, G) == 0]
+def survivors(doublet_system):
+    cands = ga.doublet_solutions(doublet_system)
+    return [G for G in (ga._assemble(doublet_system, *t) for t in cands) if ga.closure_defect(G, G) == 0]
 
 
 def test_survivor_pick_keeps_the_canonical_resolution(survivors, graph_algebra):
@@ -190,7 +189,7 @@ def test_relabeled_alcove_gives_the_same_quantum_graph(
     assert fam.rank == 33
     graph = sp.extract_module_graph(sp.lift_chiral_generators(fam))
     annular = sp.annular_matrices(graph)
-    galg = ga.solve_graph_algebra(annular)
+    galg = ga.solve_graph_algebra(ga.shared_doublet_system(annular))
     assert galg.G.keys() == graph_algebra.G.keys()
     assert all(np.array_equal(galg.G[a], graph_algebra.G[a]) for a in galg.G)
     assert tables(ga.quantum_graph(galg, graph, annular, hs)) == tables(quantum_graph)

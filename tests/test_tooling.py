@@ -127,6 +127,14 @@ def test_export_exit_codes_in_a_fresh_process(fresh_cli):
     assert fresh_cli["exports"] == [2, 64]
 
 
+def test_graphalgebra_subscripts_no_alcove_label():
+    # the graph algebra is read off the vacuum rows of the whole annular
+    # family, never off labels picked by hand, such as F[(0, 0, 4)]
+    pattern = re.compile(r"\[\(\s*\d+(\s*,\s*\d+){2,}\s*\)\]")
+    lines = (PACKAGE / "graphalgebra.py").read_text().splitlines()
+    assert [n for n, line in enumerate(lines, 1) if pattern.search(line)] == []
+
+
 def test_the_package_draws_no_random_number_and_calls_no_eigensolver():
     pattern = re.compile(r"np\.random|numpy\.random|np\.linalg\.eig|numpy\.linalg\.eig")
     hits = [
