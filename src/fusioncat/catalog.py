@@ -7,11 +7,13 @@ hold their matrices as int64 and float64 ndarrays, written exactly as
 json.dumps writes the nested lists, with each distinct float formatted once.
 `get` refuses a file whose bytes do not hash to its name; in the record it
 returns, every object member that is a rectangular array of integers is an
-int64 ndarray, and one of floats a float64 ndarray. Objects are written to a
-unique temp file in the same directory and renamed into place; the index
-only ever gains whole lines, appended. So any number of writers and readers
-may share one catalog: concurrent puts of one record write the same bytes,
-and an index line is never lost, though a race may repeat it.
+int64 ndarray, and one of floats a float64 ndarray. `put` streams the text,
+a batch at a time, into the hash and a unique temp file in the same
+directory, renamed into place unless the object exists; `get` drops the
+file's bytes once decoded. The index only gains whole lines, appended, so any
+number of writers and readers may share one catalog: concurrent puts of one
+record write the same bytes, and an index line is never lost, though a race
+may repeat it.
 """
 
 import hashlib
@@ -239,10 +241,11 @@ def _sha256(obj) -> str:
 # An array that is an object member (or the whole text) and reads as a
 # rectangular tensor of integers or of floats decodes to an int64 or float64
 # ndarray, one batch of top-level items at a time, with the shape read off the
-# brackets. A batch that holds a "." or an "e" is read by json's own scanner
-# and converted by np.array; any other is read as integers, with numpy digit
-# arithmetic. A batch is accepted only if _items writes its values back to its
-# text byte for byte; every other value is left to json's own scanner.
+# brackets. A batch that holds a "." or an "e" is read without its brackets,
+# as one flat list, by json's own scanner and converted by np.array; any other
+# is read as integers, with numpy digit arithmetic. A batch is accepted only if
+# _items writes its values back to its text byte for byte; every other value
+# is left to json's own scanner.
 
 _JSON = json.JSONDecoder()
 _OPENERS = re.compile(r"\[+")
@@ -278,16 +281,16 @@ def _read_items(text, item):
     _items writes as `text`, or None."""
     if "." in text or "e" in text:
         try:
-            vals = np.array(_JSON.decode(f"[{text}]"))
-        except ValueError:  # not JSON, or ragged
+            vals = np.array(_JSON.decode("[" + text.replace("[", "").replace("]", "") + "]"))
+        except ValueError:  # not JSON
             return None
-        if vals.dtype != np.float64 or vals.shape[1:] != item:
+        if vals.dtype != np.float64:
             return None
     else:
         vals = _int_tokens(text)
-        if vals is None or len(vals) % math.prod(item):
-            return None
-        vals = vals.reshape(-1, *item)
+    if vals is None or len(vals) % math.prod(item):
+        return None
+    vals = vals.reshape(-1, *item)
     return vals if len(vals) and _items(vals) == text.encode() else None
 
 
@@ -313,7 +316,8 @@ def _tensor_at(s, idx):
     except ValueError:  # more axes than an ndarray holds
         return None
     head = s.find(sep, idx, end)  # the end of the first item
-    budget = _CHUNK * ((end if head < 0 else head) - idx) // item  # about _CHUNK entries
+    # _CHUNK entries less one item: a batch ends at the first item past it
+    budget = max(0, _CHUNK - item) * ((end if head < 0 else head) - idx) // item
     row, pos = 0, idx + 1  # pos: start of the next batch of items
     while row < len(out):
         cut = s.find(sep, pos + budget, end)
@@ -326,7 +330,7 @@ def _tensor_at(s, idx):
         elif batch.dtype != out.dtype:
             return None
         out[row:row + len(batch)] = batch
-        row, pos = row + len(batch), cut + 1
+        row, pos, batch = row + len(batch), cut + 1, None  # freed before the next batch
     return (out, end) if pos == end else None  # no items left over
 
 
@@ -466,31 +470,37 @@ class Catalog:
 
     def put(self, rec: ArtifactRecord) -> str:
         validate_record(rec)
-        data = rec.to_json().encode()
-        h = hashlib.sha256(data).hexdigest()
         self.objects.mkdir(parents=True, exist_ok=True)
-        path = self.objects / f"{h}.json"
-        if not path.exists():
-            fd, tmp = tempfile.mkstemp(dir=self.objects, prefix=f".{h}.", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    os.fchmod(fd, 0o644)  # mkstemp makes it private
+        fd, tmp = tempfile.mkstemp(dir=self.objects, prefix=".", suffix=".tmp")
+        digest = hashlib.sha256()
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fd, 0o644)  # mkstemp makes it private
+                for data in map(str.encode, _pieces(rec.body())):
+                    digest.update(data)
                     fh.write(data)
-                os.replace(tmp, path)
-            except BaseException:
+            h = digest.hexdigest()
+            path = self.objects / f"{h}.json"
+            if path.exists():  # never rewritten
                 os.unlink(tmp)
-                raise
+            else:
+                os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self._index_add(h, rec.kind)
         return h
 
     def get(self, h: str) -> ArtifactRecord:
         path = self.objects / f"{h}.json"
-        if not path.exists():
-            raise MissingArtifact(h)
-        data = path.read_bytes()
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            raise MissingArtifact(h) from None
         if hashlib.sha256(data).hexdigest() != h:
             raise CertificationError("catalog", f"{path} does not hash to its name")
-        return ArtifactRecord.from_json(data.decode())
+        text, data = data.decode(), None  # the bytes need not outlive the decoding
+        return ArtifactRecord.from_json(text)
 
     def find(self, kind: str) -> list:
         """Hashes of the given kind, lexicographically sorted."""
@@ -549,12 +559,14 @@ def emit_dot(graph: dict, name: str = "G") -> str:
 
 # --- payload builders, one per artifact kind --------------------------------
 
-def fusion_ring_record(spec, level, labels, mats, inputs=None) -> ArtifactRecord:
+def fusion_ring_record(spec, level, labels, ring, inputs=None) -> ArtifactRecord:
+    if [tuple(l) for l in labels] != ring.labels:
+        raise ValueError("the labels are not the fusion ring's labels in order")
     payload = {
         "algebra": f"{spec.family}{spec.rank}",
         "level": int(level),
         "labels": [list(l) for l in labels],
-        "matrices": np.stack([int_matrix(mats[l]) for l in labels]),
+        "matrices": ring.tensor,
     }
     return ArtifactRecord("fusion-ring", make_provenance(inputs), payload)
 

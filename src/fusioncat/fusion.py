@@ -11,9 +11,12 @@ needs the middle generator for the labels (0, l, 0). The rank-3 tower is
 deliberately size-agnostic because the same recursion is reused later on
 12x12 and 48x48 module adjacencies. Both towers multiply by a generator
 without a matrix product, by gathering and adding rows, which is exact in
-int64. Nothing here reads the s matrix: the Verlinde numbers of modular.py
-are an independent oracle.
+int64. A ring is one read-only (r, r, r) int64 tensor in alcove order, which
+its catalog record shares; a FusionRing maps the labels to its rows. Nothing
+here reads the s matrix: the Verlinde numbers of modular.py are an oracle.
 """
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -26,6 +29,7 @@ __all__ = [
     "left_product",
     "su4_tower",
     "pieri_tower",
+    "FusionRing",
     "fusion_matrices",
     "quantum_dimensions",
     "perron_vector",
@@ -122,45 +126,69 @@ def su4_tower(F100, F010, F001, k: int, gathers=None):
 
 def pieri_tower(spec: wt.AlgebraSpec, k: int):
     """Every level-k fusion matrix of A1 or A2, from the vector
-    representation alone; keyed by label."""
+    representation alone: an (r, r, r) int64 tensor whose row i is the
+    matrix of the i-th alcove label, each written in place."""
     if spec.family != "A" or spec.rank > 2:
         raise ValueError(f"the vector Pieri tower covers A1 and A2, not {spec.name}")
     labels = wt.enumerate_alcove(spec, k)
+    at = {la: i for i, la in enumerate(labels)}
     eps = GENERATOR_WEIGHTS[(1,) + (0,) * (spec.rank - 1)]
     times = left_product(_adjacency(labels, eps))
     shift = lambda la, e: tuple(x + y for x, y in zip(la, e))
 
-    N = {labels[0]: np.eye(len(labels), dtype=np.int64)}
+    N = np.empty((len(labels),) * 3, dtype=np.int64)
+    N[0] = np.eye(len(labels), dtype=np.int64)
     # canonical order: a label comes after everything of lower level, and
     # after its conjugate when its first Dynkin label is 0
-    for la in labels[1:]:
+    for i, la in enumerate(labels[1:], 1):
         if la[0] == 0:
-            N[la] = N[wt.conjugate(spec, la)].T
+            N[i] = N[at[wt.conjugate(spec, la)]].T
             continue
         lo = (la[0] - 1,) + la[1:]
-        term = times(N[lo])
+        N[i] = times(N[at[lo]])
         for e in eps[1:]:
             sub = shift(lo, e)
             if min(sub) >= 0:
-                term -= N[sub]
-        N[la] = term
+                N[i] -= N[at[sub]]
     return N
 
 
-def fusion_matrices(spec: wt.AlgebraSpec, k: int):
-    """All fusion matrices at level k, keyed by label, for A1..A3."""
+class FusionRing(Mapping):
+    """Label -> fusion matrix: row i of `tensor` is that of labels[i]."""
+
+    def __init__(self, labels, tensor):
+        self.labels, self.tensor = labels, tensor
+        self._at = {la: i for i, la in enumerate(labels)}
+
+    def __getitem__(self, la):
+        return self.tensor[self._at[la]]
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self):
+        return len(self.labels)
+
+
+def fusion_matrices(spec: wt.AlgebraSpec, k: int) -> FusionRing:
+    """All fusion matrices at level k for A1..A3, keyed by label: one
+    tensor, certified nonnegative and then made read-only."""
     if spec.family != "A" or spec.rank > 3:
         raise ValueError(f"fusion rings cover A1..A3 only, not {spec.name}")
+    labels = wt.enumerate_alcove(spec, k)
     if spec.rank == 3:
         F100 = fundamental_matrix(spec, k, (1, 0, 0))
         F010 = fundamental_matrix(spec, k, (0, 1, 0))
         F001 = fundamental_matrix(spec, k, (0, 0, 1))
         mats = su4_tower(F100, F010, F001, k)
+        tensor = np.stack([mats[la] for la in labels])
     else:
-        mats = pieri_tower(spec, k)
-    if any(m.min() < 0 for m in mats.values()):
+        tensor = pieri_tower(spec, k)
+    if tensor.min() < 0:
         raise CertificationError("ring", "the tower recursion left the nonnegative cone")
-    return mats
+    # the catalog record and the cached pipeline ring share the tensor
+    tensor.flags.writeable = False
+    return FusionRing(labels, tensor)
 
 
 def quantum_dimensions(spec: wt.AlgebraSpec, k: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,12 @@ from fusioncat import CertificationError
 from fusioncat import acceptance as acc
 from fusioncat import catalog as cat
 from fusioncat import cli
+from fusioncat import fusion as fr
+from fusioncat import modular as md
 from fusioncat import pipeline as pl
+from fusioncat import weights as wt
+
+A2 = wt.algebra("A", 2)
 
 
 @pytest.fixture
@@ -162,6 +168,121 @@ def test_records_hold_arrays(ring, base_data):
     back = cat.ArtifactRecord.from_json(rec.to_json())
     assert back.payload["matrices"].dtype == np.int64
     assert np.array_equal(back.payload["matrices"], mats)
+
+
+def test_a_ring_record_needs_the_rings_labels_in_order(ring, base_data):
+    with pytest.raises(ValueError, match="labels"):
+        cat.fusion_ring_record(pl.spec(), pl.LEVEL, base_data.labels[::-1], ring)
+
+
+def _traced(fn):
+    """fn()'s result and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _a2_ring_record():
+    ring = fr.fusion_matrices(A2, 14)
+    return ring, cat.fusion_ring_record(A2, 14, wt.enumerate_alcove(A2, 14), ring)
+
+
+# The largest ring of the benchmark's sweep, 120 labels: its tensor is
+# 120**3 int64 entries, 13.8 MB, and its canonical text 3.5 MB. Measured
+# peaks under the bounds below: 14.5 MB for the build and the record, 0.28 MB
+# for the put, and 0.72 MB above tensor and text for the get.
+
+def test_the_a2_level_14_ring_is_one_tensor_shared_with_its_record():
+    (ring, rec), peak = _traced(_a2_ring_record)
+    assert ring.tensor.shape == (120, 120, 120) and ring.tensor.flags.c_contiguous
+    assert not ring.tensor.flags.writeable
+    assert np.shares_memory(rec.payload["matrices"], ring.tensor)
+    assert peak < 1.1 * ring.tensor.nbytes
+
+
+def test_put_of_the_a2_level_14_ring_holds_one_batch_of_text(tmp_path):
+    _, rec = _a2_ring_record()
+    store = cat.Catalog(tmp_path)
+    h, peak = _traced(lambda: store.put(rec))
+    assert h == rec.content_hash
+    assert peak < 1e6
+
+
+def test_get_of_the_a2_level_14_ring_holds_its_text_once(tmp_path):
+    _, rec = _a2_ring_record()
+    store = cat.Catalog(tmp_path)
+    h = store.put(rec)
+    text = (store.objects / f"{h}.json").stat().st_size
+    tensor = rec.payload["matrices"].nbytes
+    store.get(h)  # the first call fills numpy's and the decoder's caches
+    back, peak = _traced(lambda: store.get(h))
+    assert back.content_hash == h
+    assert peak < tensor + text + 1e6
+
+
+# the sweep ladder's records, (fusion-ring, modular-data): the first 16 hex
+# digits of each hash
+LADDER_HASHES = {
+    ("A", 1, 30): ("7d8dc418de31012e", "98450d990e95c7bd"),
+    ("A", 1, 60): ("5d8080637263775b", "587c96573bcedcd4"),
+    ("A", 1, 119): ("d1b29cce53c65481", "e35f84f9349f7433"),
+    ("A", 2, 6): ("63b907bd3e67771b", "6c5a0bddda8ad4ac"),
+    ("A", 2, 10): ("f13851c28c250a20", "0da0b61a9f4d727d"),
+    ("A", 2, 14): ("f909f31bfeaf8b0a", "14946947b9c0e201"),
+    ("A", 3, 4): ("af4599e4d623893f", "163dcdaa422b77ee"),
+    ("A", 3, 5): ("9232da783aae8e69", "1f6c13237d66338b"),
+    ("A", 3, 6): ("1c9afcaa82fc49b3", "880f62f34c2edd9c"),
+}
+
+
+@pytest.mark.parametrize("ring", LADDER_HASHES, ids=lambda r: f"{r[0]}{r[1]}-{r[2]}")
+def test_ladder_records_keep_their_hashes(tmp_path, ring):
+    family, rank, k = ring
+    spec = wt.algebra(family, rank)
+    store = cat.Catalog(tmp_path)
+    recs = (cat.fusion_ring_record(spec, k, wt.enumerate_alcove(spec, k), fr.fusion_matrices(spec, k)),
+            cat.modular_data_record(md.modular_data(spec, k)))
+    for rec, want in zip(recs, LADDER_HASHES[ring]):
+        h = store.put(rec)
+        assert h[:16] == want and h == rec.content_hash
+        assert store.get(h).content_hash == h
+
+
+def test_a_put_that_fails_midstream_leaves_no_file_and_no_index_line(store, base_data):
+    rec = cat.modular_data_record(base_data)
+    s = rec.payload["s"].copy()
+    s[-1, -1, 0] = np.nan  # json's encoder refuses it after the members before "s"
+    with pytest.raises(ValueError):
+        store.put(cat.ArtifactRecord(rec.kind, rec.provenance, {**rec.payload, "s": s}))
+    assert [p for p in store.root.rglob("*") if p.is_file()] == []
+
+
+def test_a_second_put_does_not_rewrite_the_object(store):
+    h = store.put(small_record())
+    path = store.objects / f"{h}.json"
+    before = path.stat()
+    assert store.put(small_record()) == h
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert [p.name for p in store.objects.iterdir()] == [path.name]
+    assert store.find("fusion-ring") == [h]
+
+
+def test_an_object_removed_before_its_read_is_missing(store, capsys, monkeypatch):
+    h = store.put(small_record())
+
+    def removed(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(Path, "read_bytes", removed)
+    with pytest.raises(cat.MissingArtifact):
+        store.get(h)
+    assert cli.main(["export", "--kind", "fusion-ring"]) == 2
+    assert "missing artifact" in capsys.readouterr().err
 
 
 def test_validate_checks_array_rank_and_dtype():
