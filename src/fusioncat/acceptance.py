@@ -261,9 +261,7 @@ def check_chiral_generators():
         for c in comps[1:]
     )
     transpose_ok = np.array_equal(lift.V001, lift.V100.T)
-    labels = lift.fam.labels
-    V = np.stack([lift.Vs[l] for l in labels])
-    R = np.stack([par.Rs[l] for l in labels])
+    V, R = lift.Vs.tensor, par.Rs.tensor
     dt = xla.product_dtype(V.shape[-1] * int(np.abs(V).max()) * int(np.abs(R).max()))
     V, R = V.astype(dt), R.astype(dt)
     # one V_l against every R_m per step: [m] holds V_l R_m on the left and

@@ -1,22 +1,25 @@
 """Fusion rings of the level-k A-series categories, in integers only.
 
-Every ring is grown from generator adjacencies by the truncated Pieri rule,
-the Kac-Walton formula (Walton, Nucl. Phys. B340, 1990). Tensoring with the
-vector representation F adds each of its weights eps_1..eps_{n+1} to a
-label and drops what leaves the alcove, so
-N_lam = F N_{lam-eps_1} - sum_{i>=2} N_{lam-eps_1+eps_i}, summed over the
-dominant terms only. A label with first Dynkin label 0 takes the transpose
-of its conjugate's matrix. Ranks 1 and 2 need nothing else; rank 3 also
-needs the middle generator for the labels (0, l, 0). The rank-3 tower is
-deliberately size-agnostic because the same recursion is reused later on
-12x12 and 48x48 module adjacencies. Both towers multiply by a generator
-without a matrix product, by gathering and adding rows, which is exact in
-int64. A ring is one read-only (r, r, r) int64 tensor in alcove order, which
-its catalog record shares; a FusionRing maps the labels to its rows. Nothing
-here reads the s matrix: the Verlinde numbers of modular.py are an oracle.
+Every ring and every module action is grown by one tower, the Kac-Walton
+formula (Walton, Nucl. Phys. B340, 1990) restricted to minuscule
+generators. Every fundamental weight omega_i of A_n is minuscule: the
+weights of its representation are its Weyl orbit, each of multiplicity 1.
+For a label lam != 0 with first nonzero Dynkin index i and lo = lam -
+omega_i, N_lam = G_i N_lo - sum N_{lo+mu}, summed over the orbit of omega_i
+but omega_i itself and over the terms among the labels: a term off the
+alcove sits on a finite wall and drops, and none passes the affine wall.
+The labels are walked in <lam, 2 rho> order, which drops strictly from lam
+to every term. The generators G_i are the ring's own adjacencies for a
+fusion ring and the module graph's for a module, of any size. Every product
+with a generator gathers and adds rows instead of multiplying matrices,
+which is exact in int64. A tower is one (r, size, size) int64 tensor in the
+labels' order; a FusionRing maps the labels to its rows, and a fusion
+ring's tensor is read-only, shared by its catalog record. Nothing here
+reads the s matrix: the Verlinde numbers of modular.py are an oracle.
 """
 
 from collections.abc import Mapping
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,11 +27,9 @@ from . import CertificationError
 from . import weights as wt
 
 __all__ = [
-    "GENERATOR_WEIGHTS",
-    "fundamental_matrix",
     "left_product",
+    "tower",
     "su4_tower",
-    "pieri_tower",
     "FusionRing",
     "fusion_matrices",
     "quantum_dimensions",
@@ -36,21 +37,18 @@ __all__ = [
 ]
 
 
-# weight systems of the vector representations of A1 and A2 and of the
-# three generator representations of A3
-GENERATOR_WEIGHTS = {
-    (1,): [(1,), (-1,)],
-    (1, 0): [(1, 0), (-1, 1), (0, -1)],
-    (1, 0, 0): [(1, 0, 0), (-1, 1, 0), (0, -1, 1), (0, 0, -1)],
-    (0, 1, 0): [(0, 1, 0), (1, -1, 1), (1, 0, -1), (-1, 0, 1), (-1, 1, -1), (0, -1, 0)],
-    (0, 0, 1): [(0, 0, 1), (1, -1, 0), (0, 1, -1), (-1, 0, 0)],
-}
-
-
-def fundamental_matrix(spec: wt.AlgebraSpec, k: int, fund):
-    """Level-truncated adjacency of tensoring with a generator: add each of
-    its weights to the row label and keep whatever stays in the alcove."""
-    return _adjacency(wt.enumerate_alcove(spec, k), GENERATOR_WEIGHTS[fund])
+def _orbit(n: int, i: int):
+    """The Weyl orbit of the fundamental weight omega_i of A_n (i from 0),
+    omega_i first: closed under the simple reflections s_j(mu) = mu - mu_j
+    alpha_j, where alpha_j is row j of the Cartan matrix."""
+    cartan = [[2 if a == b else -1 if abs(a - b) == 1 else 0 for b in range(n)] for a in range(n)]
+    orbit = [tuple(int(a == i) for a in range(n))]
+    for mu in orbit:
+        for j, alpha in enumerate(cartan):
+            nu = tuple(m - mu[j] * c for m, c in zip(mu, alpha))
+            if nu not in orbit:
+                orbit.append(nu)
+    return orbit
 
 
 def _adjacency(labels, weights):
@@ -70,91 +68,80 @@ def left_product(F):
     """X -> F X for a nonnegative integer matrix F with few nonzeros per
     row, exact in int64 and without a matrix product: row i of F X is the
     sum of the rows j of X, each taken F[i, j] times, one gather per term.
-    X must be a square int64 matrix of F's size."""
+    X and out are square int64 matrices of F's size, and F X is written
+    into out."""
     r = F.shape[0]
-    terms = F.sum(axis=1)
-    rows, cols = np.nonzero(F)
-    reps = F[rows, cols]
-    rows, cols = rows.repeat(reps), cols.repeat(reps)
+    # one (row, column) pair per term, row-major: entry F[i, j] repeats i r + j
+    rows, cols = np.divmod(np.arange(r * r).repeat(F.reshape(-1)), r)
+    terms = np.bincount(rows, minlength=r)
     # term t of row i reads idx[t, i]; row r of the padded operand is zero
     # and pads the rows with fewer terms
     idx = np.full((terms.max(), r), r)
     idx[np.arange(len(rows)) - (terms.cumsum() - terms)[rows], rows] = cols
     padded = np.zeros((r + 1, r), dtype=np.int64)
 
-    def times(X):
+    def times(X, out):
         padded[:r] = X
-        return padded[idx].sum(axis=0)
+        return padded.take(idx, axis=0).sum(axis=0, out=out)
 
     return times
 
 
-def su4_tower(F100, F010, F001, k: int, gathers=None):
-    """Grow matrices for every level <= k weight of A3 out of the three
-    seeds, nonnegative integer matrices. Works on any size; the seeds only
-    have to satisfy the A3 fusion relations for the output to mean
-    anything. The products with the seeds are row gathers: `gathers` is
-    (left_product(F100), left_product(F010)), built here when not given,
-    so a caller that grows several towers on one seed builds its table
-    once."""
-    size = F100.shape[0]
-    times100, times010 = gathers or (left_product(F100), left_product(F010))
-    N = {
-        (0, 0, 0): np.eye(size, dtype=np.int64),
-        (1, 0, 0): F100,
-        (0, 1, 0): F010,
-        (0, 0, 1): F001,
-    }
-    for l in range(2, k + 1):
-        for p in range(l):
-            for q in range(p + 1):
-                lab = (l - p, p - q, q)
-                term = times100(N[(l - p - 1, p - q, q)])
-                for sub in [
-                    (l - p - 2, p - q + 1, q),
-                    (l - p - 1, p - q - 1, q + 1),
-                    (l - p - 1, p - q, q - 1),
-                ]:
-                    if min(sub) >= 0:
-                        term -= N[sub]
-                N[lab] = term
-        for q in range(1, l + 1):
-            N[(0, l - q, q)] = N[(q, l - q, 0)].T
-        N[(0, l, 0)] = times010(N[(0, l - 1, 0)]) - N[(1, l - 2, 1)] - N[(0, l - 2, 0)]
-    return N
-
-
-def pieri_tower(spec: wt.AlgebraSpec, k: int):
-    """Every level-k fusion matrix of A1 or A2, from the vector
-    representation alone: an (r, r, r) int64 tensor whose row i is the
-    matrix of the i-th alcove label, each written in place."""
-    if spec.family != "A" or spec.rank > 2:
-        raise ValueError(f"the vector Pieri tower covers A1 and A2, not {spec.name}")
-    labels = wt.enumerate_alcove(spec, k)
-    at = {la: i for i, la in enumerate(labels)}
-    eps = GENERATOR_WEIGHTS[(1,) + (0,) * (spec.rank - 1)]
-    times = left_product(_adjacency(labels, eps))
-    shift = lambda la, e: tuple(x + y for x, y in zip(la, e))
-
-    N = np.empty((len(labels),) * 3, dtype=np.int64)
-    N[0] = np.eye(len(labels), dtype=np.int64)
-    # canonical order: a label comes after everything of lower level, and
-    # after its conjugate when its first Dynkin label is 0
-    for i, la in enumerate(labels[1:], 1):
-        if la[0] == 0:
-            N[i] = N[at[wt.conjugate(spec, la)]].T
+@lru_cache(maxsize=None)
+def _steps(labels):
+    """The tower's recursion on a tuple of A_n labels, as (row, i, lo, subs)
+    in <lam, 2 rho> order: row lam is generators[i] times row lo, less the
+    rows subs. The zero weight, the identity, has i None, and omega_i,
+    which is generators[i] itself, has lo None. Cached, since the chiral
+    lift grows a tower on the same labels for every candidate."""
+    n = len(labels[0])
+    at = {la: j for j, la in enumerate(labels)}
+    orbits = [_orbit(n, i) for i in range(n)]
+    steps = []
+    for la in sorted(labels, key=lambda la: sum(j * (n + 1 - j) * x for j, x in enumerate(la, 1))):
+        i = next((j for j, x in enumerate(la) if x), None)
+        if i is None or sum(la) == 1:
+            steps.append((at[la], i, None, ()))
             continue
-        lo = (la[0] - 1,) + la[1:]
-        N[i] = times(N[at[lo]])
-        for e in eps[1:]:
-            sub = shift(lo, e)
-            if min(sub) >= 0:
-                N[i] -= N[at[sub]]
-    return N
+        lo = la[:i] + (la[i] - 1,) + la[i + 1 :]
+        terms = (tuple(x + y for x, y in zip(lo, mu)) for mu in orbits[i][1:])
+        steps.append((at[la], i, at[lo], tuple(at[t] for t in terms if t in at)))
+    return tuple(steps)
+
+
+def tower(labels, generators):
+    """The matrix of every label of A_n, n = len(labels[0]), grown from the
+    nonnegative integer matrices generators[i] of omega_i by the minuscule
+    Kac-Walton step of the module docstring: an (r, size, size) int64
+    tensor whose row j is that of labels[j], or None at the first row, in
+    height order, with a negative entry. The labels must hold the zero
+    weight and, with each label, every label it steps down to."""
+    size = generators[0].shape[0]
+    times = [left_product(G) for G in generators]
+    T = np.empty((len(labels), size, size), dtype=np.int64)
+    for row, i, lo, subs in _steps(tuple(labels)):
+        out = T[row]
+        if i is None:
+            out[:] = np.eye(size, dtype=np.int64)
+        elif lo is None:
+            out[:] = generators[i]
+        else:
+            times[i](T[lo], out)
+            for j in subs:
+                out -= T[j]
+        if out.min() < 0:
+            return None
+    return T
+
+
+# perfbench/tracer.py's FUNCTIONS wraps fusion.su4_tower by name; the alias
+# goes with that entry (ROADMAP item 6)
+su4_tower = tower
 
 
 class FusionRing(Mapping):
-    """Label -> fusion matrix: row i of `tensor` is that of labels[i]."""
+    """Label -> matrix, of a fusion ring or of its action on a module: row
+    i of `tensor` is that of labels[i]."""
 
     def __init__(self, labels, tensor):
         self.labels, self.tensor = labels, tensor
@@ -172,19 +159,13 @@ class FusionRing(Mapping):
 
 def fusion_matrices(spec: wt.AlgebraSpec, k: int) -> FusionRing:
     """All fusion matrices at level k for A1..A3, keyed by label: one
-    tensor, certified nonnegative and then made read-only."""
+    tower on the adjacencies of the fundamental weights, certified
+    nonnegative and then made read-only."""
     if spec.family != "A" or spec.rank > 3:
         raise ValueError(f"fusion rings cover A1..A3 only, not {spec.name}")
     labels = wt.enumerate_alcove(spec, k)
-    if spec.rank == 3:
-        F100 = fundamental_matrix(spec, k, (1, 0, 0))
-        F010 = fundamental_matrix(spec, k, (0, 1, 0))
-        F001 = fundamental_matrix(spec, k, (0, 0, 1))
-        mats = su4_tower(F100, F010, F001, k)
-        tensor = np.stack([mats[la] for la in labels])
-    else:
-        tensor = pieri_tower(spec, k)
-    if tensor.min() < 0:
+    tensor = tower(labels, [_adjacency(labels, _orbit(spec.rank, i)) for i in range(spec.rank)])
+    if tensor is None:
         raise CertificationError("ring", "the tower recursion left the nonnegative cone")
     # the catalog record and the cached pipeline ring share the tensor
     tensor.flags.writeable = False

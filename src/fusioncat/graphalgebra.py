@@ -69,7 +69,7 @@ def partial_algebra(annular):
     through their sum alone, so each class of equal columns is one unknown
     of E G = F, solved once with the cells of every F_lam as right-hand
     sides. Returns vertex -> pinned G_a and doublet (u, v) -> G_u + G_v."""
-    F = np.stack(list(annular.values()))
+    F = annular.tensor
     classes = {}
     for a, col in enumerate(F[:, 0].T, start=1):
         classes.setdefault(col.tobytes(), []).append(a)
@@ -448,10 +448,11 @@ def dual_annular(qg: QuantumGraph):
 # essential matrices and the factorization of the toric family
 # ---------------------------------------------------------------------------
 
-def essential_matrices(annular, labels):
-    """One rectangular matrix per vertex: rows indexed by the alcove, columns
-    by the vertices, entries read off the annular family."""
-    F = np.stack([annular[lab] for lab in labels])
+def essential_matrices(annular):
+    """One rectangular matrix per vertex: rows indexed by the alcove in the
+    annular family's label order, columns by the vertices, entries read off
+    the annular family."""
+    F = annular.tensor
     return {a: F[:, a - 1] for a in range(1, F.shape[1] + 1)}
 
 
@@ -512,7 +513,7 @@ def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
     of the vertex that label takes 1 to. unfactored_slots and
     product_identity_failures must then find nothing."""
     qg = oc.qg
-    E = essential_matrices(annular, labels)
+    E = essential_matrices(annular)
     Ered = reduced_essential(E, qg.J)
     Wslot = {z: lift.fam.ws[i] for z, (i, _) in enumerate(lift.slots)}
 

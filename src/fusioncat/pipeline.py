@@ -44,8 +44,7 @@ def invariant() -> emb.Invariant:
 
 @lru_cache(maxsize=None)
 def family() -> sp.SplitFamily:
-    data = base_data()
-    return sp.modular_splitting(ring(), data.labels, invariant().matrix)
+    return sp.modular_splitting(ring(), invariant().matrix)
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +64,7 @@ def module_graph() -> sp.ModuleGraph:
 
 @lru_cache(maxsize=None)
 def annular():
-    return sp.annular_matrices(module_graph())
+    return sp.annular_matrices(module_graph(), base_data().labels)
 
 
 @lru_cache(maxsize=None)

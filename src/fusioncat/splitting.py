@@ -19,10 +19,11 @@ The chain here is long but each stage has a sharp contract:
     of the left generator is a quadratic form in its unknowns, evaluated
     over every assignment by exact matrix products; the middle generator is
     symmetric by construction. Cross-commutation, nonnegativity of the
-    recursion tower (level 2 first, which is cheap, then the whole tower)
-    and the row-zero norm sums pin the rest. The solution comes out unique
-    and swap-invariant, which the code checks rather than assumes: a failed
-    check raises CertificationError.
+    recursion tower (which stops at its first negative row, and in height
+    order meets the labels of level 2 first) and the row-zero norm sums pin
+    the rest. The solution comes out unique and swap-invariant, which the
+    code checks rather than assumes: a failed check raises
+    CertificationError.
 4.  parity_involution: the vertex involution P conjugating the left action
     into a commuting right action, built from the transpose map on the
     family: copy c of a member goes to copy c of its transpose, which fixes
@@ -75,7 +76,7 @@ class SplitFamily:
     mult: list  # slot multiplicity per W
     decomp: dict  # (l, m) -> integer coefficients of N_l M N_m^T over ws
     trace: list  # how each new member was pulled out (for the curious)
-    ring: dict  # label -> fusion matrix the family was split from
+    ring: fr.FusionRing  # the fusion ring the family was split from
     span: xla.IntSpan  # exact span of ws, in discovery order
 
     @property
@@ -87,14 +88,14 @@ class SplitFamily:
         return sum(self.mult)
 
 
-def _family_members(mats, labels, M):
+def _family_members(ring, M):
     """(members, pair_member): the distinct N_l M N_m^T, first seen in (l, m)
     order, and the (r, r) index of each pair's member. Built one l at a time
     as a stack of small products, in the dtype product_dtype picks, and
     deduplicated on the bytes of each product: float32, float64 and int64
     each write an integer one way, so equal bytes are equal matrices."""
-    N = np.stack([mats[la] for la in labels])
-    r = len(labels)
+    N = ring.tensor
+    r = len(N)
     nmax, mmax = int(np.abs(N).max()), int(np.abs(M).max())
     dt = xla.product_dtype(r * r * nmax * nmax * mmax)
     Nd, NdT = N.astype(dt), N.transpose(0, 2, 1).astype(dt)
@@ -111,8 +112,9 @@ def _family_members(mats, labels, M):
     return np.stack(members), pair_member
 
 
-def modular_splitting(mats, labels, M) -> SplitFamily:
-    """Discover the toric family among the N_l M N_m^T of the invariant M.
+def modular_splitting(ring, M) -> SplitFamily:
+    """Discover the toric family among the N_l M N_m^T of the invariant M,
+    its rows and columns in the order of the ring's labels.
 
     Norm of a pair = the (l, m) entry of the conjugate pair's member; the
     discovery sweep walks pairs in ascending norm and keeps every matrix that
@@ -120,10 +122,11 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
     the norm budget. Deterministic: ties are broken by the canonical pair
     order and the minimal-slot writing.
     """
+    labels = ring.labels
     index = {la: i for i, la in enumerate(labels)}
     r = len(labels)
-    conj = _conjugation(mats, labels)
-    members, pair_member = _family_members(mats, labels, M)
+    conj = _conjugation(ring, labels)
+    members, pair_member = _family_members(ring, M)
     idx = np.arange(r)
     norms = members[pair_member[conj[:, None], conj[None, :]], idx[:, None], idx[None, :]]
     if norms.min() < 0:
@@ -231,7 +234,7 @@ def modular_splitting(mats, labels, M) -> SplitFamily:
     if not np.array_equal(ws[0], M):
         raise CertificationError("family", "vacuum pair must reproduce the invariant")
     return SplitFamily(labels, index, conj, M, members, pair_member, norms, ws, mult, decomp, trace,
-                       mats, span)
+                       ring, span)
 
 
 def _conjugation(mats, labels):
@@ -287,7 +290,7 @@ class ChiralLift:
     V100: np.ndarray
     V010: np.ndarray
     V001: np.ndarray
-    Vs: dict  # label -> slot x slot matrix
+    Vs: fr.FusionRing  # label -> slot x slot matrix
     n_solutions: int
 
     @cached_property
@@ -388,7 +391,6 @@ def _normal_fills(Vt, unk, slot_of):
 def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
     acts = class_actions(fam)
     L100, L010 = acts[(1, 0, 0)], acts[(0, 1, 0)]
-    level = max(sum(la) for la in fam.labels)
     slots = []
     for i, m in enumerate(fam.mult):
         for c in range(m):
@@ -428,26 +430,15 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
     sols = []
     cands010d = [V.astype(dt) for V in cands010]
     for V100 in cands100:
-        V001, V100d = V100.T, V100.astype(dt)
-        times100 = fr.left_product(V100)
+        V100d = V100.astype(dt)
         for V010, V010d in zip(cands010, cands010d):
             if not np.array_equal(V100d @ V010d, V010d @ V100d):
                 continue
-            # the level-2 tower costs a fraction of the full one, and on the
-            # flagship it already rejects every fill but one
-            gathers = times100, fr.left_product(V010)
-            low = fr.su4_tower(V100, V010, V001, min(level, 2), gathers)
-            if not all(v.min() >= 0 for v in low.values()):
-                continue
-            Vs = fr.su4_tower(V100, V010, V001, level, gathers)
-            if not all(v.min() >= 0 for v in Vs.values()):
-                continue
-            ok = all(
-                int((Vs[la][0] ** 2).sum()) == int(norms0[fam.index[la]])
-                for la in fam.labels
-            )
-            if ok:
-                sols.append((V100, V010, Vs))
+            # the tower stops at its first negative row; the level-2 rows
+            # come first, and on the flagship they reject every fill but one
+            T = fr.tower(fam.labels, (V100, V010, V100.T))
+            if T is not None and np.array_equal((T[:, 0] ** 2).sum(axis=1), norms0):
+                sols.append((V100, V010, fr.FusionRing(fam.labels, T)))
 
     if not sols:
         raise CertificationError("chiral_lift", "no chiral lift satisfies the constraint set")
@@ -478,7 +469,7 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
 @dataclass
 class ParityData:
     P: np.ndarray  # the vertex involution as a permutation matrix
-    Rs: dict  # label -> right-action matrix P V P
+    Rs: fr.FusionRing  # label -> right-action matrix P V P
     fixed_points: int
 
 
@@ -518,17 +509,14 @@ def parity_involution(lift: ChiralLift) -> ParityData:
         and all(np.array_equal(Rf @ Vg, Vg @ Rf) for Rf in RF for Vg in VF)
     ):
         raise CertificationError("parity", "the transpose involution does not give a commuting right action")
-    Rs = {la: lift.Vs[la][conj] for la in fam.labels}
+    Rs = fr.FusionRing(lift.Vs.labels, lift.Vs.tensor.take(perm, axis=1).take(perm, axis=2))
     return ParityData(P, Rs, int(np.trace(P)))
 
 
 def toric_coefficient_grid(lift: ChiralLift, par: ParityData):
     """coeff[l, m, x] = (V_l R_m)[0, x]: the slot coefficients whose squares
     are the pair norms and which rebuild every K[l, m] from the family."""
-    fam = lift.fam
-    V0 = np.stack([lift.Vs[la][0] for la in fam.labels])  # 35 x 48
-    Rstack = np.stack([par.Rs[la] for la in fam.labels])  # 35 x 48 x 48
-    return np.einsum("lx,mxy->lmy", V0, Rstack)
+    return np.einsum("lx,mxy->lmy", lift.Vs.tensor[:, 0], par.Rs.tensor)
 
 
 @dataclass
@@ -651,10 +639,10 @@ def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
     return graph
 
 
-def annular_matrices(graph: ModuleGraph):
-    """One 12x12 matrix per level-4 label: the module action of the whole
-    alcove, grown by the same tower recursion as the ring itself."""
-    F = fr.su4_tower(graph.F100, graph.F010, graph.F001, 4)
-    if any(v.min() < 0 for v in F.values()):
+def annular_matrices(graph: ModuleGraph, labels):
+    """One vertex x vertex matrix per label of the ring: the module action
+    of the whole alcove, grown by the same tower as the ring itself."""
+    F = fr.tower(labels, (graph.F100, graph.F010, graph.F001))
+    if F is None:
         raise CertificationError("annular", "the tower recursion left the nonnegative cone")
-    return F
+    return fr.FusionRing(labels, F)

@@ -1,9 +1,13 @@
 """Fusion-ring oracles.
 
-The recursion towers of every rank are held against the Verlinde numbers
-(an independent construction through the s matrix), and the q-deformed
-dimension product formula against the Perron vector of the generator graph.
+The tower is held against the Verlinde numbers (an independent
+construction through the s matrix) at every rank, and its row gathers
+against the same recursion written with matrix products; the q-deformed
+dimension product formula is held against the Perron vector of the
+generator graph.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ A2 = wt.algebra("A", 2)
 A3 = wt.algebra("A", 3)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
 def test_tower_matches_verlinde(k):
     data = md.modular_data(A3, k)
     oracle = md.verlinde_matrices(data)
@@ -30,7 +34,7 @@ def test_tower_matches_verlinde(k):
 
 @pytest.mark.parametrize(
     "spec,k",
-    [(A1, k) for k in [*range(1, 41), 119]] + [(A2, k) for k in range(1, 15)],
+    [(A1, k) for k in [*range(41), 119]] + [(A2, k) for k in range(15)],
     ids=lambda x: getattr(x, "name", x),
 )
 def test_pieri_tower_matches_verlinde(spec, k):
@@ -43,8 +47,9 @@ def test_pieri_tower_matches_verlinde(spec, k):
 
 
 def _matmul_tower(F100, F010, F001, k):
-    """su4_tower's recursion with matrix products: the reference for its
-    row gathers."""
+    """The A3 recursion with matrix products, its middle labels (0, l, 0)
+    grown from the middle generator and its labels (0, p, q) as transposes
+    of their conjugates: the reference for the tower's row gathers."""
     N = {(0, 0, 0): np.eye(F100.shape[0], dtype=np.int64),
          (1, 0, 0): F100, (0, 1, 0): F010, (0, 0, 1): F001}
     for l in range(2, k + 1):
@@ -62,16 +67,23 @@ def _matmul_tower(F100, F010, F001, k):
     return N
 
 
-def _assert_same_tower(built, want):
-    assert list(built) == list(want)
-    for la, N in want.items():
-        assert built[la].dtype == np.int64 and np.array_equal(built[la], N), la
+def _assert_same_tower(labels, seeds, k):
+    built = fr.FusionRing(labels, fr.tower(labels, seeds))
+    want = _matmul_tower(*seeds, k)
+    assert set(built) <= set(want)
+    for la, N in built.items():
+        assert N.dtype == np.int64 and np.array_equal(N, want[la]), la
+
+
+def _generators(labels):
+    """The adjacency of each fundamental weight among the labels."""
+    return [fr._adjacency(labels, fr._orbit(len(labels[0]), i)) for i in range(len(labels[0]))]
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_gather_tower_matches_the_product_recursion_on_the_alcove(k):
-    seeds = [fr.fundamental_matrix(A3, k, f) for f in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    _assert_same_tower(fr.su4_tower(*seeds, k), _matmul_tower(*seeds, k))
+    labels = wt.enumerate_alcove(A3, k)
+    _assert_same_tower(labels, _generators(labels), k)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -79,16 +91,18 @@ def test_gather_tower_matches_the_product_recursion_on_the_slots(chiral_lift, k)
     # the 48-slot generators have entries up to 2
     seeds = chiral_lift.V100, chiral_lift.V010, chiral_lift.V001
     assert max(int(V.max()) for V in seeds) == 2
-    _assert_same_tower(fr.su4_tower(*seeds, k), _matmul_tower(*seeds, k))
+    _assert_same_tower(wt.enumerate_alcove(A3, k), seeds, k)
 
 
-def test_prebuilt_gathers_serve_several_towers(chiral_lift):
-    # the lift builds a seed's gather table once and grows towers of two
-    # levels on it
-    seeds = chiral_lift.V100, chiral_lift.V010, chiral_lift.V001
-    gathers = fr.left_product(seeds[0]), fr.left_product(seeds[1])
-    for k in (2, 4):
-        _assert_same_tower(fr.su4_tower(*seeds, k, gathers), _matmul_tower(*seeds, k))
+@pytest.mark.parametrize("spec", [A1, A2, A3], ids=lambda s: s.name)
+def test_the_orbit_of_each_fundamental_weight_starts_at_it(spec):
+    n = spec.rank
+    for i in range(n):
+        orbit = fr._orbit(n, i)
+        omega = tuple(int(j == i) for j in range(n))
+        # minuscule: C(n + 1, i + 1) weights with labels in {-1, 0, 1}
+        assert orbit[0] == omega and len(set(orbit)) == len(orbit) == comb(n + 1, i + 1)
+        assert {x for mu in orbit for x in mu} <= {-1, 0, 1}
 
 
 def test_rings_of_every_rank_skip_the_s_matrix(monkeypatch):
@@ -172,28 +186,54 @@ def test_generator_graph_level1():
     assert np.array_equal(np.linalg.matrix_power(N, 4), np.eye(4, dtype=np.int64))
 
 
+def _corrupt_a_product(monkeypatch, spec, k, lo, cell):
+    """Make the gather G_1 N_lo, which grows the row of lo + omega_1 in the
+    level-k tower of spec, write -1 into `cell`."""
+    ring = fr.fusion_matrices(spec, k)
+    G1, N = ring[(1,) + (0,) * (spec.rank - 1)], ring[lo]
+    left_product = fr.left_product
+
+    def broken(F):
+        times = left_product(F)
+
+        def corrupted(X, out):
+            Y = times(X, out)
+            if np.array_equal(F, G1) and np.array_equal(X, N):
+                Y[cell] = -1
+            return Y
+
+        return corrupted
+
+    monkeypatch.setattr(fr, "left_product", broken)
+
+
 def test_a_tower_that_leaves_the_cone_is_rejected(monkeypatch):
-    tower = fr.su4_tower
-
-    def broken(*args):
-        mats = tower(*args)
-        mats[(1, 1, 0)] = mats[(1, 1, 0)].copy()
-        mats[(1, 1, 0)][0, 0] = -1
-        return mats
-
-    monkeypatch.setattr(fr, "su4_tower", broken)
+    _corrupt_a_product(monkeypatch, A3, 3, (0, 1, 0), (0, 0))
     with pytest.raises(CertificationError, match="ring"):
         fr.fusion_matrices(A3, 3)
 
 
 def test_a_corrupted_a2_tower_is_rejected(monkeypatch):
-    tower = fr.pieri_tower
-
-    def broken(*args):
-        mats = tower(*args)  # one tensor, in alcove order
-        mats[wt.enumerate_alcove(A2, 3).index((1, 1)), 2, 0] = -1
-        return mats
-
-    monkeypatch.setattr(fr, "pieri_tower", broken)
+    _corrupt_a_product(monkeypatch, A2, 3, (0, 1), (2, 0))
     with pytest.raises(CertificationError, match="ring"):
+        fr.fusion_matrices(A2, 3)
+
+
+def test_a_non_fusion_generator_stops_the_tower(monkeypatch):
+    # a second edge out of the vacuum, to (0, 1): the A2 generator of
+    # omega_1 no longer fuses, and the tower leaves the cone
+    labels = wt.enumerate_alcove(A2, 3)
+    generators = _generators(labels)
+    generators[0][0, labels.index((0, 1))] += 1
+    assert fr.tower(labels, generators) is None
+    adjacency = fr._adjacency
+
+    def broken(labels, weights):
+        G = adjacency(labels, weights)
+        if weights[0] == (1, 0):
+            G[0, labels.index((0, 1))] += 1
+        return G
+
+    monkeypatch.setattr(fr, "_adjacency", broken)
+    with pytest.raises(CertificationError, match="^ring: the tower recursion left the nonnegative cone"):
         fr.fusion_matrices(A2, 3)

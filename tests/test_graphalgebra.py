@@ -138,8 +138,7 @@ def test_vacuum_solve_refuses_a_raised_entry(label, message, annular):
     # F_004 = G_2 = F_400, so the system turns inconsistent; F_111 =
     # 2 G_8 + 2 G_9 is the only label with vertex 9 in its vacuum row, so
     # G_9 turns half-integral
-    raised = dict(annular)
-    raised[label] = annular[label].copy()
+    raised = fr.FusionRing(annular.labels, annular.tensor.copy())
     raised[label][3, 5] += 1
     with pytest.raises(CertificationError, match=f"^graph_algebra: .*{message}"):
         ga.partial_algebra(raised)
@@ -159,7 +158,7 @@ def test_relabeled_vertices_give_the_same_algebra(seed, annular, graph_algebra):
     # unit: the doublets move, and the solve finds the kept algebra
     # relabeled, up to swaps inside the doublets
     p = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(11)])
-    shared = ga.shared_doublet_system({lab: F[np.ix_(p, p)] for lab, F in annular.items()})
+    shared = ga.shared_doublet_system(fr.FusionRing(annular.labels, annular.tensor[:, p][:, :, p]))
     assert tuple(shared.sums) != ((3, 4), (6, 7), (11, 12))
     galg = ga.solve_graph_algebra(shared)
     assert galg.doublet_survivors == 2
@@ -896,7 +895,7 @@ def test_quantum_masses(quantum_graph):
 # ---------------------------------------------------------------------------
 
 def test_chiral_generator_check_fails_on_a_corrupted_generator(chiral_lift, monkeypatch):
-    Vs = {lab: V.copy() for lab, V in chiral_lift.Vs.items()}
+    Vs = fr.FusionRing(chiral_lift.Vs.labels, chiral_lift.Vs.tensor.copy())
     Vs[(1, 1, 0)][0, 5] += 1
     monkeypatch.setattr(pl, "chiral_lift", lambda: dataclasses.replace(chiral_lift, Vs=Vs))
     ok, detail = acc.check_chiral_generators()

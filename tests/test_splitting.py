@@ -69,12 +69,12 @@ def test_family_rank_and_slots(family):
     assert max(t["norm"] for t in family.trace) == 8
 
 
-def test_no_consistent_writing_is_a_certification_error(ring, base_data, invariant, monkeypatch):
+def test_no_consistent_writing_is_a_certification_error(ring, invariant, monkeypatch):
     # with no slot split for any coefficient, the first pair outside the
     # span (the vacuum pair) has no writing at all
     monkeypatch.setattr(sp.xla, "coeff_splits", lambda total, sq: [])
     with pytest.raises(CertificationError, match=r"^family: no consistent writing for pair \(0, 0\)"):
-        sp.modular_splitting(ring, base_data.labels, invariant.matrix)
+        sp.modular_splitting(ring, invariant.matrix)
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +99,10 @@ def test_family_members_are_the_distinct_pair_products(family, pair_products):
     assert np.array_equal(family.norms, norms)
 
 
-def test_family_members_on_forced_products(family, ring, base_data, invariant, forced_products,
-                                           pair_products):
+def test_family_members_on_forced_products(family, ring, invariant, forced_products, pair_products):
     # the family's members were built in float32; float64 and int64 give
     # the same members and index
-    members, pair_member = sp._family_members(ring, base_data.labels, invariant.matrix)
+    members, pair_member = sp._family_members(ring, invariant.matrix)
     assert forced_products.chosen == [forced_products.dtype]
     assert members.dtype == np.int64 and np.array_equal(members, family.members)
     assert np.array_equal(pair_member, family.pair_member)

@@ -4,11 +4,14 @@ renames or deletes one of them fails here instead of in a traced run. Also
 guards on the working set: no cached pipeline stage keeps an array of r^4
 entries, r the number of labels, and `fusioncat verify` loads neither
 numpy.random, hashlib nor the catalog, and the package draws no random
-number and makes no LAPACK eigenvalue call."""
+number and makes no LAPACK eigenvalue call. And one tower grows every ring
+and module, from no label or level written into it."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -133,6 +136,21 @@ def test_graphalgebra_subscripts_no_alcove_label():
     pattern = re.compile(r"\[\(\s*\d+(\s*,\s*\d+){2,}\s*\)\]")
     lines = (PACKAGE / "graphalgebra.py").read_text().splitlines()
     assert [n for n, line in enumerate(lines, 1) if pattern.search(line)] == []
+
+
+def test_one_tower_with_no_literal_label_rank_dispatch_or_level():
+    # every ring and module action is grown by fusion.tower from the
+    # generators and labels it is given: fusion.py spells out no Dynkin
+    # label such as (0, 1, 0) and dispatches on no rank, the su4_tower name
+    # is only an alias, and the annular family passes no level
+    label = re.compile(r"\(\s*-?\d+\s*,(\s*-?\d+\s*,?)*\s*\)")
+    lines = (PACKAGE / "fusion.py").read_text().splitlines()
+    assert [n for n, line in enumerate(lines, 1) if label.search(line) or "rank ==" in line] == []
+    fr = importlib.import_module("fusioncat.fusion")
+    assert fr.su4_tower is fr.tower
+    sp = importlib.import_module("fusioncat.splitting")
+    body = ast.parse(inspect.getsource(sp.annular_matrices))
+    assert [n.value for n in ast.walk(body) if isinstance(n, ast.Constant) and type(n.value) is int] == []
 
 
 def test_the_package_draws_no_random_number_and_calls_no_eigensolver():
