@@ -5,15 +5,15 @@ Every artifact is one JSON file named by the sha256 of its canonical form
 complex entries as [re, im] pairs), next to a human-readable index. Records
 hold their matrices as int64 and float64 ndarrays, written exactly as
 json.dumps writes the nested lists, with each distinct float formatted once.
-`get` refuses a file whose bytes do not hash to its name; in the record it
-returns, every object member that is a rectangular array of integers is an
-int64 ndarray, and one of floats a float64 ndarray. `put` streams the text,
-a batch at a time, into the hash and a unique temp file in the same
-directory, renamed into place unless the object exists; `get` drops the
-file's bytes once decoded. The index only gains whole lines, appended, so any
-number of writers and readers may share one catalog: concurrent puts of one
-record write the same bytes, and an index line is never lost, though a race
-may repeat it.
+`put` streams the text, a batch at a time, into the hash and a unique temp
+file in the same directory, renamed into place unless the object exists.
+`get` opens the file once, refuses it unless its bytes hash to its name, and
+decodes it through a window of a few reads, which drops a tensor's text
+batch by batch. In the record, every object member that is a rectangular
+array of integers is an int64 ndarray, and one of floats a float64 ndarray.
+The index only gains whole lines, appended, so any number of writers and
+readers may share one catalog: concurrent puts of one record write the same
+bytes, and an index line is never lost, though a race may repeat it.
 """
 
 import hashlib
@@ -240,15 +240,55 @@ def _sha256(obj) -> str:
 # --- decoding ---------------------------------------------------------------
 # An array that is an object member (or the whole text) and reads as a
 # rectangular tensor of integers or of floats decodes to an int64 or float64
-# ndarray, one batch of top-level items at a time, with the shape read off the
-# brackets. A batch that holds a "." or an "e" is read without its brackets,
-# as one flat list, by json's own scanner and converted by np.array; any other
-# is read as integers, with numpy digit arithmetic. A batch is accepted only if
-# _items writes its values back to its text byte for byte; every other value
-# is left to json's own scanner.
+# ndarray: one pass counts its items, a second fills it a batch at a time. A
+# batch that holds a "." or an "e" is read without its brackets, as one flat
+# list, by json's own scanner and converted by np.array; any other is read as
+# integers, with numpy digit arithmetic. A batch is accepted only if _items
+# writes its values back to its text byte for byte; every other value, and
+# every key, is left to json's own scanner.
 
 _JSON = json.JSONDecoder()
 _OPENERS = re.compile(r"\[+")
+_WS = json.decoder.WHITESPACE
+_READ = 1 << 16  # characters (bytes, for the hash) per read of an object file
+
+
+class _Window:
+    """s: the text from offset base to end not yet dropped, of a text given
+    whole or of the text file fh. Offsets count from the start of the text,
+    so one stays valid until more() drops the text before it."""
+
+    def __init__(self, text, fh=None):
+        self.s, self.base, self.end, self.fh = text, 0, len(text), fh
+
+    def more(self, keep):
+        """Drop the text before offset keep and read on, _READ characters or
+        as many as the window then holds; False at the end of the text."""
+        data = self.fh and self.fh.read(max(_READ, self.end - keep))
+        if data:
+            self.s, self.base, self.end = self.s[keep - self.base:] + data, keep, self.end + len(data)
+        return bool(data)
+
+    def reset(self, mark):
+        self.s, self.base, self.end, at = mark
+        if self.fh:
+            self.fh.seek(at)
+
+    def skip(self, pattern, i):
+        """(the character after the match of pattern at offset i, its end)."""
+        return self.scan(lambda s, j: (s[(k := pattern.match(s, j).end()):k + 1], k), i)
+
+    def scan(self, fn, i):
+        """fn(s, i) in offsets; read on, and again, while fn fails or ends at the window's end."""
+        while True:
+            try:
+                value, end = fn(self.s, i - self.base)
+            except (StopIteration, ValueError):
+                if not self.more(i):
+                    raise
+            else:
+                if self.base + end < self.end or not self.more(i):
+                    return value, self.base + end
 
 
 def _int_tokens(text):
@@ -258,7 +298,7 @@ def _int_tokens(text):
     c = np.frombuffer(f",{text},".encode(), np.uint8)
     digit = c - np.uint8(_ZERO)  # the other bytes wrap past 9
     run = digit < 10
-    first, last = run & ~np.roll(run, 1), run & ~np.roll(run, -1)  # of each run
+    first, last = run > np.append(False, run[:-1]), run > np.append(run[1:], False)  # of each run
     # np.compress picks the entries of a mask several times faster than
     # indexing by the mask does
     vals = np.compress(last, digit).astype(np.int64)
@@ -272,7 +312,7 @@ def _int_tokens(text):
         for j in range(1, int(width.max())):  # the digit j places left of the last
             vals += np.multiply(np.where(width > j, digit[pos - j], 0), 10**j, dtype=np.int64)
     if "-" in text:
-        np.negative(vals, out=vals, where=np.compress(first, np.roll(c == _MINUS, 1)))
+        np.negative(vals, out=vals, where=np.compress(first[1:], c[:-1] == _MINUS))
     return vals
 
 
@@ -294,35 +334,39 @@ def _read_items(text, item):
     return vals if len(vals) and _items(vals) == text.encode() else None
 
 
-def _tensor_at(s, idx):
+def _tensor_at(w, i, mark):
     """(array, end) for the integer or float tensor whose text starts at
-    s[idx], or None."""
-    d = _OPENERS.match(s, idx).end() - idx
-    end = s.find("]" * d, idx) + d
-    if end < d:
-        return None
-    shape = []
-    for j in range(d - 1, 0, -1):  # trailing axes, read off the first item
-        sep = "]" * (j - 1) + "," + "[" * (j - 1)
-        first = s.find("]" * j, idx)
-        shape.append(s.count(sep, idx, first + j) + 1)
-    item = math.prod(shape)
-    sep = "]" * (d - 1) + "," + "[" * (d - 1)
-    rows = s.count(sep, idx, end) + 1
-    if rows * item > (end - idx) // 2:  # each entry needs a digit and a separator
+    offset i, or None; mark is the window's there."""
+    d = w.skip(_OPENERS, i)[1] - i
+    # the first pass: rows - 1 separators of top-level items before lo
+    close, sep, lo, rows = "]" * d, "]" * (d - 1) + "," + "[" * (d - 1), i, 1
+    while (end := w.s.find(close, lo - w.base)) < 0:
+        rows += w.s.count(sep, lo - w.base)
+        lo = max(lo, w.end - 2 * d + 2)  # too short to hold a separator
+        if not w.more(lo):
+            return None
+    rows, end = rows + w.s.count(sep, lo - w.base, end), w.base + end + d
+    w.reset(mark)
+    while (head := w.s.find(sep, i - w.base, end - w.base)) < 0 and w.end < end and w.more(i):
+        pass  # the first item is now in the window
+    s, idx = w.s, i - w.base  # trailing axes, read off the first item
+    shape = [s.count("]" * (j - 1) + "," + "[" * (j - 1), idx, s.find("]" * j, idx) + j) + 1
+             for j in range(d - 1, 0, -1)]
+    item, head, s = math.prod(shape), end if head < 0 else w.base + head, None
+    if rows * item > (end - i) // 2:  # each entry needs a digit and a separator
         return None
     try:
         out = np.empty((rows, *shape), np.int64)
     except ValueError:  # more axes than an ndarray holds
         return None
-    head = s.find(sep, idx, end)  # the end of the first item
     # _CHUNK entries less one item: a batch ends at the first item past it
-    budget = max(0, _CHUNK - item) * ((end if head < 0 else head) - idx) // item
-    row, pos = 0, idx + 1  # pos: start of the next batch of items
+    budget = max(0, _CHUNK - item) * (head - i) // item
+    row, pos = 0, i + 1  # pos: start of the next batch of items
     while row < len(out):
-        cut = s.find(sep, pos + budget, end)
-        cut = end - 1 if cut < 0 else cut + d - 1  # batch ends before cut
-        batch = _read_items(s[pos:cut], tuple(shape))
+        while (cut := w.s.find(sep, pos + budget - w.base, end - w.base)) < 0 and w.end < end and w.more(pos):
+            pass  # the window drops the batches before pos
+        cut = end - 1 if cut < 0 else w.base + cut + d - 1  # batch ends before cut
+        batch = _read_items(w.s[pos - w.base:cut - w.base], tuple(shape))
         if batch is None or row + len(batch) > len(out):
             return None
         if row == 0:
@@ -334,28 +378,36 @@ def _tensor_at(s, idx):
     return (out, end) if pos == end else None  # no items left over
 
 
-def _scan_once(s, idx):
-    if s.startswith("{", idx):
-        return json.decoder.JSONObject((s, idx + 1), True, _scan_once, None, None, {})
-    if s.startswith("[", idx):
-        hit = _tensor_at(s, idx)
+def _object(w, i):
+    """(dict, end) for the object whose "{" is at offset i, with values read
+    by _value; None where the text is no object, for json's scanner."""
+    obj, (c, i) = {}, w.skip(_WS, i + 1)
+    while c == '"':
+        key, i = w.scan(json.decoder.scanstring, i + 1)
+        c, i = w.skip(_WS, i)
+        if c != ":":
+            return None
+        obj[key], i = _value(w, *w.skip(_WS, i + 1))
+        c, i = w.skip(_WS, i)
+        if c == "}":
+            return obj, i + 1
+        c, i = w.skip(_WS, i + 1) if c == "," else ("", i)
+    return (obj, i + 1) if c == "}" and not obj else None
+
+
+def _value(w, c, i):
+    """(value, end) for the value that starts with c at offset i: an object
+    or a tensor read here, else what json's scanner reads from i."""
+    if c in ("{", "["):
+        mark = w.s, w.base, w.end, w.fh and w.fh.tell()
+        hit = _object(w, i) if c == "{" else _tensor_at(w, i, mark)
         if hit is not None:
             return hit
-    return _JSON.scan_once(s, idx)
-
-
-def _loads(text):
-    """json.loads(text), with integer tensors decoded as int64 ndarrays."""
-    ws = json.decoder.WHITESPACE.match
-    idx = ws(text, 0).end()
+        w.reset(mark)  # json's scanner reads it again from its start
     try:
-        obj, end = _scan_once(text, idx)
+        return w.scan(_JSON.scan_once, i)
     except StopIteration as err:
-        raise json.JSONDecodeError("Expecting value", text, err.value) from None
-    end = ws(text, end).end()
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return obj
+        raise json.JSONDecodeError("Expecting value", w.s, err.value) from None
 
 
 def int_matrix(m):
@@ -391,8 +443,12 @@ class ArtifactRecord:
         return canonical_json(self.body())
 
     @classmethod
-    def from_json(cls, text: str) -> "ArtifactRecord":
-        d = _loads(text)
+    def from_json(cls, text: str, fh=None) -> "ArtifactRecord":
+        """The record of text, then of the rest of the text file fh."""
+        w = _Window(text, fh)
+        d, end = _value(w, *w.skip(_WS, 0))
+        if (extra := w.skip(_WS, end))[0]:
+            raise json.JSONDecodeError("Extra data", w.s, extra[1] - w.base)
         return cls(kind=d["kind"], provenance=d["provenance"], payload=d["payload"])
 
 
@@ -494,13 +550,17 @@ class Catalog:
     def get(self, h: str) -> ArtifactRecord:
         path = self.objects / f"{h}.json"
         try:
-            data = path.read_bytes()
+            fh = path.open(encoding="utf-8", newline="")
         except FileNotFoundError:
             raise MissingArtifact(h) from None
-        if hashlib.sha256(data).hexdigest() != h:
-            raise CertificationError("catalog", f"{path} does not hash to its name")
-        text, data = data.decode(), None  # the bytes need not outlive the decoding
-        return ArtifactRecord.from_json(text)
+        with fh:  # hashed through its bytes, then decoded through its text
+            digest = hashlib.sha256()
+            for data in iter(lambda: fh.buffer.read(_READ), b""):
+                digest.update(data)
+            if digest.hexdigest() != h:
+                raise CertificationError("catalog", f"{path} does not hash to its name")
+            fh.seek(0)
+            return ArtifactRecord.from_json("", fh)
 
     def find(self, kind: str) -> list:
         """Hashes of the given kind, lexicographically sorted."""

@@ -156,6 +156,10 @@ class FusionRing(Mapping):
     def __len__(self):
         return len(self.labels)
 
+    def rows(self, labels):
+        """The row of tensor of each of labels, in order."""
+        return [self._at[la] for la in labels]
+
 
 def fusion_matrices(spec: wt.AlgebraSpec, k: int) -> FusionRing:
     """All fusion matrices at level k for A1..A3, keyed by label: one

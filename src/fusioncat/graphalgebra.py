@@ -487,9 +487,8 @@ def product_identity_failures(lift, parity, labels, slot_of, oc: OcAlgebra):
     twisted grid against its decomposition over the slot matrices."""
     pairs = oc.pairs
     order = [slot_of[p] for p in pairs]
-    at = np.ix_(order, order)
-    V = np.stack([lift.Vs[lab][at] for lab in labels])
-    Rm = np.stack([parity.Rs[lab][at] for lab in labels])
+    V, Rm = (T.tensor.take(T.rows(labels), 0).take(order, 1).take(order, 2)
+             for T in (lift.Vs, parity.Rs))
     W = np.stack([lift.fam.ws[lift.slots[z][0]] for z in order])
     Oconj = np.stack([oc.O[conjugate_pair(oc.qg, y)] for y in pairs])
     npairs = len(pairs)
@@ -553,8 +552,8 @@ def toric_pair_grid(lift, parity, smap: SlotMap, labels, x, y):
     the slot-x/conjugate-slot-y coefficient of the twisted action."""
     zx = smap.slot_of[x]
     zy = smap.slot_of[conjugate_pair(smap.qg, y)]
-    rows = np.stack([lift.Vs[lam][zx] for lam in labels])
-    cols = np.stack([parity.Rs[mu][:, zy] for mu in labels])
+    rows = lift.Vs.tensor[lift.Vs.rows(labels), zx]
+    cols = parity.Rs.tensor[parity.Rs.rows(labels), :, zy]
     return rows @ cols.T
 
 

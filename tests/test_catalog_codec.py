@@ -3,12 +3,16 @@ hypothesis: canonical_json of an ndarray is json.dumps of its nested lists
 for every dtype int_matrix accepts and for finite float64 arrays, and a
 record read back re-encodes to the same text and holds the entries
 json.loads reads. Texts the fast paths must not take are read exactly as
-json.loads reads them.
+json.loads reads them. Catalog.get, reading an object file a few characters
+at a time, returns what from_json returns for the whole text.
 
 hypothesis is optional: without it this module is skipped.
 """
 
+import hashlib
 import json
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,6 +79,42 @@ def float_arrays(draw):
     return draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(pool + SPECIAL)))
 
 
+READ_SIZES = [1, 2, 3, 7]
+
+
+def read_back(text):
+    """What Catalog.get returns for an object file that holds text, stored
+    under its sha256, read at each of READ_SIZES."""
+    with tempfile.TemporaryDirectory() as root:
+        store = cat.Catalog(root)
+        store.objects.mkdir(parents=True)
+        h = hashlib.sha256(text.encode()).hexdigest()
+        (store.objects / f"{h}.json").write_bytes(text.encode())
+        out = []
+        for size in READ_SIZES:
+            with mock.patch.object(cat, "_READ", size):
+                out.append(store.get(h))
+        return out
+
+
+def assert_same_decoding(got, want, path="text"):
+    """The same types throughout, and arrays of the same dtype, shape and
+    bytes."""
+    assert type(got) is type(want), path
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), path
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for k in want:
+            assert_same_decoding(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_decoding(g, w, f"{path}[{i}]")
+    else:
+        assert repr(got) == repr(want), path
+
+
 def assert_entrywise(got, want, path="text"):
     """got is what from_json read, want what json.loads read: the same
     entries, with ints and floats told apart and floats to the bit."""
@@ -127,6 +167,8 @@ def test_record_text_reads_back_entry_for_entry(a, b):
     back = cat.ArtifactRecord.from_json(text)
     assert back.to_json() == text
     assert_entrywise(back.body(), json.loads(text))
+    for got in read_back(text):
+        assert_same_decoding(got.body(), back.body())
 
 
 def test_integer_tensors_read_as_int64_arrays():
@@ -214,11 +256,27 @@ FALLBACK = [
 
 @pytest.mark.parametrize("text", FALLBACK)
 def test_spans_off_the_fast_path_read_as_json_loads(text):
-    back = cat.ArtifactRecord.from_json(text)
+    """Also from an object file, which the window reads again from the
+    array's start when the array leaves the fast path."""
     want = json.loads(text)
-    assert_entrywise(back.body(), want)
-    for key, value in back.payload.items():
-        assert not isinstance(value, np.ndarray), key
+    for back in [cat.ArtifactRecord.from_json(text)] + read_back(text):
+        assert_entrywise(back.body(), want)
+        for key, value in back.payload.items():
+            assert not isinstance(value, np.ndarray), key
+
+
+@pytest.mark.parametrize("last", ["[40, -40]", "[40]", "[40,-40.5]"])
+def test_a_late_batch_off_the_fast_path_reads_as_json_loads(monkeypatch, last):
+    """Batches of two items: when the last item leaves the fast path, the
+    window has dropped the earlier batches' text, and json's scanner reads
+    the array again from its start."""
+    monkeypatch.setattr(cat, "_CHUNK", 4)
+    items = ",".join(f"[{k},{-k}]" for k in range(40))
+    text = '{"kind":"k","provenance":{},"payload":{"m":[' + items + "," + last + '],"n":[[1,2],[3,4]]}}'
+    want = json.loads(text)
+    for back in [cat.ArtifactRecord.from_json(text)] + read_back(text):
+        assert_entrywise(back.body(), want)
+        assert isinstance(back.payload["m"], list) and isinstance(back.payload["n"], np.ndarray)
 
 
 @pytest.mark.parametrize("text", ['{"kind":"k","provenance":{},"payload":{"m":[01]}}',

@@ -5,7 +5,8 @@ guards on the working set: no cached pipeline stage keeps an array of r^4
 entries, r the number of labels, and `fusioncat verify` loads neither
 numpy.random, hashlib nor the catalog, and the package draws no random
 number and makes no LAPACK eigenvalue call. And one tower grows every ring
-and module, from no label or level written into it."""
+and module, from no label or level written into it, and the catalog reads no
+file whole."""
 
 import ast
 import dataclasses
@@ -151,6 +152,14 @@ def test_one_tower_with_no_literal_label_rank_dispatch_or_level():
     sp = importlib.import_module("fusioncat.splitting")
     body = ast.parse(inspect.getsource(sp.annular_matrices))
     assert [n.value for n in ast.walk(body) if isinstance(n, ast.Constant) and type(n.value) is int] == []
+
+
+def test_the_catalog_reads_no_file_whole():
+    # Catalog.get hashes and decodes an object file a read at a time; a
+    # whole-file read would hold the record's text beside its tensors
+    pattern = re.compile(r"read_bytes\(|\.read\(\s*\)")
+    lines = (PACKAGE / "catalog.py").read_text().splitlines()
+    assert [n for n, line in enumerate(lines, 1) if pattern.search(line)] == []
 
 
 def test_the_package_draws_no_random_number_and_calls_no_eigensolver():
