@@ -82,7 +82,9 @@ BLOCK_PATTERNS = {
     11: ("000a", "0092", "aa00", "0900"),
 }
 
-GRAPH_DIMS = {a: dim for a, (_, dim) in sp.VERTEX_TARGETS.items()}  # displayed Perron weights
+# the displayed Perron weights of vertices 1..12, in closed form
+_W5, _W6 = np.sqrt(2 * (2 + SQ2)), np.sqrt(2 + SQ2)
+GRAPH_DIMS = dict(enumerate([1.0, 1.0, 1 + SQ2, 1 + SQ2, _W5, _W6, _W6, 2 + SQ2, SQ2, _W5, _W6, _W6], start=1))
 
 # the displayed involutions of the vertex set, which the derived ones must
 # reproduce: the twist flips each doublet, conjugation transposes the algebra

@@ -34,6 +34,7 @@ __all__ = [
     "fusion_matrices",
     "quantum_dimensions",
     "perron_vector",
+    "perron_weights",
 ]
 
 
@@ -218,3 +219,9 @@ def perron_vector(adj, base: int = 0):
     else:
         raise RuntimeError("power iteration did not settle")
     return v / v[base]
+
+
+def perron_weights(generators):
+    """Vertex (1-based) -> Perron weight of the graph of the summed
+    generators, 1.0 at vertex 1, in floats."""
+    return dict(enumerate(perron_vector(sum(generators)).tolist(), start=1))

@@ -16,16 +16,16 @@ the survivors must form one orbit of doublet swaps, and the lexicographic
 maximum is kept. The crossed conjugation branch has no integer solution.
 
 quantum_graph reads off the algebra conjugation (G_a^T = G_b), the twist
-(of the involutive anti-automorphisms keeping grading and Perron weight,
-the one moving the most vertices), the modular subalgebra J (the vertices
-of one T eigenvalue) and the sectors of its right cosets. On that sit the
-basis pairs of the quantum symmetries, their regular matrices from the
-product rule (x (x) s)(a (x) b) = xa (x) bs, the dual action, and the slot
-map, certified by the essential factorization and the product identity
-over every pair. The center of either algebra is an exact integer rank on
-its structure constants, and so are its block sizes (block_structure). A
-failed check raises CertificationError, so the certification also runs
-under python -O.
+(of the involutive anti-automorphisms keeping the module graph's integer
+vertex keys, the one moving the most vertices), the modular subalgebra J
+(the vertices of one T eigenvalue) and the sectors of its right cosets. On
+that sit the basis pairs of the quantum symmetries, their regular matrices
+from the product rule (x (x) s)(a (x) b) = xa (x) bs, the dual action, and
+the slot map, certified by the essential factorization and the product
+identity over every pair. The center of either algebra is an exact integer
+rank on its structure constants, and so are its block sizes
+(block_structure). A failed check raises CertificationError, so the
+certification also runs under python -O.
 """
 
 from dataclasses import dataclass
@@ -332,23 +332,21 @@ def sector_reduction(G, J, dims):
     return tuple(sorted({c for c, _ in red.values()})), dict(sorted(red.items()))
 
 
-def vertex_twist(G, tau, dims):
-    """The twist: of the relabelings that keep grading tau and Perron weight
-    dims, the involutive anti-automorphisms t, t(a.b) = t(b).t(a), the one
-    that moves the most vertices; it must be the only one that moves that
-    many."""
-    def alike(a, b):
-        return tau[a] == tau[b] and abs(dims[a] - dims[b]) < 1e-9 * dims[a]
-
-    first = {a: min(b for b in G if alike(a, b)) for a in G}
-    classes = [[a for a in G if first[a] == c] for c in sorted(set(first.values()))]
+def vertex_twist(G, keys):
+    """The twist: of the relabelings that keep the integer vertex keys (the
+    module graph's naming keys), the involutive anti-automorphisms t,
+    t(a.b) = t(b).t(a), the one that moves the most vertices; it must be the
+    only one that moves that many."""
+    classes = {}
+    for a in G:
+        classes.setdefault(keys[a], []).append(a)
     T = _structure(G)
     found = [
-        s for s in _relabelings(len(T), classes)
+        s for s in _relabelings(len(T), list(classes.values()))
         if np.array_equal(s[s], np.arange(len(s)))
         and np.array_equal(T[np.ix_(s, s, s)].transpose(1, 0, 2), T)
     ]
-    _require(found, "quantum_graph", "no involutive anti-automorphism keeps grading and Perron weight")
+    _require(found, "quantum_graph", "no involutive anti-automorphism keeps the vertex keys")
     moved = [int((s != np.arange(len(s))).sum()) for s in found]
     most = max(moved)
     _require(moved.count(most) == 1, "quantum_graph",
@@ -359,11 +357,11 @@ def vertex_twist(G, tau, dims):
 
 def quantum_graph(galg: GraphAlgebra, graph, annular, hs) -> QuantumGraph:
     """Derive the QuantumGraph of the graph algebra galg. graph is the
-    module graph (grading and Perron weight of every vertex), annular the
-    module action of every label and hs its conformal dimension."""
+    module graph (integer key and Perron weight of every vertex), annular
+    the module action of every label and hs its conformal dimension."""
     G, dims = galg.G, graph.dims
     conj = vertex_conjugation(G)
-    twist = vertex_twist(G, graph.tau, dims)
+    twist = vertex_twist(G, graph.keys)
     J = modular_subalgebra(G, annular, hs, dims)
     sectors, red = sector_reduction(G, J, dims)
     reach = {lab: _single(F[0]) for lab, F in annular.items() if sum(lab) == 1}

@@ -29,10 +29,12 @@ The chain here is long but each stage has a sharp contract:
     family: copy c of a member goes to copy c of its transpose, which fixes
     the most slots any such involution can; the commutation is checked.
 5.  component_graphs: cut the slots into the components of the left
-    generators and name the vertices of each by grading and Perron weight,
-    once per lift. extract_module_graph is the component of the vacuum
-    slot, the quantum graph; the slot map of graphalgebra reads each slot's
-    vertex from the same naming.
+    generators and name the vertices of each by integer keys read off a
+    tower on it (_name_component), once per lift: the vacuum slot is the
+    base of its component, and the smallest slot with the same keys that of
+    any other. extract_module_graph is the component of the vacuum slot,
+    the quantum graph; the slot map of graphalgebra reads each slot's vertex
+    from the same naming. No float takes part.
 
 Stages return plain dataclasses; nothing here touches the embedding layer.
 """
@@ -296,12 +298,15 @@ class ChiralLift:
     @cached_property
     def components(self):
         """The named components, computed once; see component_graphs."""
-        V100, V010, V001 = self.V100, self.V010, self.V001
-        compid = _components(V100, V010, V001)
-        return tuple(
-            _name_component(V100, V010, V001, np.flatnonzero(compid == c).tolist())
-            for c in range(compid.max() + 1)
-        )
+        gens = (self.V100, self.V010, self.V001)
+        compid = _components(gens)
+        out, vacuum = [], None
+        for c in range(compid.max() + 1):
+            ordering, keys = _name_component(self.fam.labels, gens, np.flatnonzero(compid == c), vacuum)
+            vacuum = vacuum or sorted(keys)
+            at = np.ix_(ordering, ordering)
+            out.append(ModuleGraph(ordering, *(G[at] for G in gens), dict(enumerate(keys, start=1))))
+        return tuple(out)
 
 
 def _build_template(L, mult, slot_of, size):
@@ -525,99 +530,78 @@ class ModuleGraph:
     F100: np.ndarray
     F010: np.ndarray
     F001: np.ndarray
-    tau: dict  # vertex (1-based) -> Z4 grading
-    dims: dict  # vertex (1-based) -> Perron weight
+    keys: dict  # vertex (1-based) -> its integer key; see _name_component
+
+    @cached_property
+    def tau(self):  # vertex (1-based) -> grading mod N, 0 at vertex 1
+        return {a: k[0] for a, k in self.keys.items()}
+
+    @cached_property
+    def dims(self):  # vertex (1-based) -> float Perron weight, for the checks only
+        return fr.perron_weights((self.F100, self.F010, self.F001))
 
 
-def _components(V100, V010, V001):
-    size = V100.shape[0]
-    adj = (V100 + V010 + V001) > 0
-    compid = -np.ones(size, dtype=np.int64)
-    c = 0
-    for start in range(size):
-        if compid[start] >= 0:
-            continue
-        compid[start] = c
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in np.nonzero(adj[x] | adj[:, x])[0]:
-                if compid[y] < 0:
-                    compid[y] = c
-                    stack.append(int(y))
-        c += 1
-    return compid
+def _components(generators):
+    """The component of each slot under the generators, numbered in the
+    order of their smallest slots: the closure of the adjacency, by squaring."""
+    adj = sum(generators)
+    reach = (adj + adj.T + np.eye(len(adj), dtype=np.int64) > 0).astype(np.int64)
+    for _ in range(len(adj).bit_length()):
+        reach = (reach @ reach > 0).astype(np.int64)
+    return np.unique(reach.argmax(axis=0), return_inverse=True)[1]
 
 
-def _grading(V100, comp, base):
-    """Z4 grading along the generator, anchored to 0 at base."""
-    tau = {base: 0}
-    stack = [base]
+def _grading(G, n):
+    """Grading mod n along the generator G, 0 at vertex 0; G must connect
+    its vertices."""
+    tau = {0: 0}
+    stack = [0]
     while stack:
         x = stack.pop()
-        steps = [(int(y), 1) for y in np.nonzero(V100[x])[0]]
-        steps += [(int(y), -1) for y in np.nonzero(V100[:, x])[0]]
+        steps = [(int(y), 1) for y in np.nonzero(G[x])[0]]
+        steps += [(int(y), -1) for y in np.nonzero(G[:, x])[0]]
         for y, step in steps:
-            t = (tau[x] + step) % 4
+            t = (tau[x] + step) % n
             if y not in tau:
                 tau[y] = t
                 stack.append(y)
             elif tau[y] != t:
-                raise CertificationError("module_graph", f"slot {y} has two gradings")
-    if set(tau) != set(comp):
+                raise CertificationError("module_graph", f"vertex {y} of a component has two gradings")
+    if len(tau) != len(G):
         raise CertificationError("module_graph", "the generator does not connect the component")
-    return tau
+    return [tau[a] for a in range(len(G))]
 
 
-_SQ2 = np.sqrt(2)
-# (grading, Perron weight) per canonical vertex name
-VERTEX_TARGETS = {
-    1: (0, 1.0), 2: (0, 1.0), 3: (0, 1 + _SQ2), 4: (0, 1 + _SQ2),
-    5: (1, np.sqrt(2 * (2 + _SQ2))), 6: (1, np.sqrt(2 + _SQ2)), 7: (1, np.sqrt(2 + _SQ2)),
-    8: (2, 2 + _SQ2), 9: (2, _SQ2),
-    10: (3, np.sqrt(2 * (2 + _SQ2))), 11: (3, np.sqrt(2 + _SQ2)), 12: (3, np.sqrt(2 + _SQ2)),
-}
+def _name_component(labels, generators, comp, vacuum=None):
+    """(ordering, keys): the slots of the component comp as vertices 1, 2,
+    ..., sorted by (key, slot), and their integer keys, read off one tower F
+    of the generators on comp. From the base b, the key of a is (grading mod
+    N = rank + 1 along the first generator; the alcove index, in
+    enumerate_alcove's order, of the first label lam with (F_lam)[b, a] !=
+    0; the vacuum-row sum sum_lam (F_lam)[b, a]), so b is vertex 1. The base
+    is the smallest slot, or with vacuum given, the smallest slot whose keys,
+    sorted, are vacuum."""
+    comp = sorted(map(int, comp))
+    sub = [G[np.ix_(comp, comp)] for G in generators]
+    T = fr.tower(labels, sub)
+    if T is None:
+        raise CertificationError("module_graph", "the tower on a component left the nonnegative cone")
+    alcove = sorted(range(len(labels)), key=lambda j: (sum(labels[j]), [-x for x in labels[j]]))
+    T = T[alcove]
+    n = len(labels[0]) + 1
+    grade = _grading(sub[0], n)
 
+    def keys_from(b):
+        rows = T[:, b]
+        first = (rows != 0).argmax(axis=0)
+        return [((grade[a] - grade[b]) % n, int(first[a]), int(rows[:, a].sum())) for a in range(len(comp))]
 
-def _name_component(V100, V010, V001, comp):
-    """Canonical vertex naming of one component: grading plus Perron weight,
-    ties resolved toward the smaller name at the smaller slot. The base
-    vertex, named 1, is the smallest slot of minimal Perron weight; one
-    power iteration gives the weights, scaled to 1 at the base."""
-    comp = sorted(comp)
-    sub = (V100 + V010 + V001)[np.ix_(comp, comp)]
-    pf = fr.perron_vector(sub, base=0)
-    mn = pf.min()
-    base = min(z for z, w in zip(comp, pf) if w < mn * (1 + 1e-9))
-    tau = _grading(V100, comp, base)
-    mu_of = dict(zip(comp, pf / pf[comp.index(base)]))
-    assign, used = {}, set()
-    for z in comp:
-        cands = [
-            a
-            for a, (t, m) in VERTEX_TARGETS.items()
-            if a not in used and t == tau[z] and abs(m - mu_of[z]) < 1e-6
-        ]
-        if z == base:
-            cands = [a for a in cands if a == 1]
-        if not cands:
-            raise CertificationError(
-                "module_graph", f"slot {z} (grading {tau[z]}, weight {mu_of[z]:.6f}) has no name"
-            )
-        a = min(cands)
-        assign[z] = a
-        used.add(a)
-    slot_by_name = {a: z for z, a in assign.items()}
-    ordering = [slot_by_name[a] for a in range(1, len(comp) + 1)]
-    at = np.ix_(ordering, ordering)
-    return ModuleGraph(
-        ordering,
-        V100[at],
-        V010[at],
-        V001[at],
-        {a: tau[z] for a, z in enumerate(ordering, start=1)},
-        {a: mu_of[z] for a, z in enumerate(ordering, start=1)},
-    )
+    base = 0 if vacuum is None else next((b for b in range(len(comp)) if sorted(keys_from(b)) == vacuum), None)
+    if base is None:
+        raise CertificationError("module_graph", f"no slot of the component of {comp[0]} has the vacuum keys")
+    keys = keys_from(base)
+    names = sorted(range(len(comp)), key=lambda a: (keys[a], a))
+    return [comp[a] for a in names], [keys[a] for a in names]
 
 
 def component_graphs(lift: ChiralLift):
@@ -628,12 +612,10 @@ def component_graphs(lift: ChiralLift):
 
 
 def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
-    """The quantum graph: the component of the vacuum slot, in which the
-    vacuum slot must carry the name 1 and the conjugate generator must be
-    the transpose of the left one."""
+    """The quantum graph: the component of the vacuum slot, whose base,
+    vertex 1, is the vacuum slot, and in which the conjugate generator must
+    be the transpose of the left one."""
     graph = component_graphs(lift)[0]
-    if graph.ordering[0] != 0:
-        raise CertificationError("module_graph", "the vacuum slot is not the base of its component")
     if not np.array_equal(graph.F001, graph.F100.T):
         raise CertificationError("module_graph", "the conjugate generator is not the transpose")
     return graph

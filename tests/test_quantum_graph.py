@@ -60,10 +60,13 @@ def test_the_modular_subalgebra_is_one_t_eigenvalue(annular, hs):
 
 
 def test_twist_is_the_unique_widest_of_two_anti_automorphisms(graph_algebra, module_graph):
-    # keeping grading and weight leaves 16 relabelings; (3 4) and the twist
-    # are the involutive anti-automorphisms among them, and without 6..12
-    # in the doublet classes only (3 4) is left
-    G, tau = graph_algebra.G, module_graph.tau
+    # the vertex keys tie only the doublets; even with 1 and 2 tied as well
+    # there are 16 relabelings, (3 4) and the twist are the involutive
+    # anti-automorphisms among them, and with 7 and 12 keyed apart from
+    # their doublets only (3 4) is left
+    G, keys = graph_algebra.G, dict(module_graph.keys)
+    classes = {tuple(b for b in G if keys[b] == keys[a]) for a in G}
+    assert sorted(c for c in classes if len(c) > 1) == [(3, 4), (6, 7), (11, 12)]
     T, ident = ga._structure(G), np.arange(12)
     relabelings = list(ga._relabelings(12, [[1, 2], [3, 4], [6, 7], [11, 12]]))
     anti = [
@@ -72,11 +75,10 @@ def test_twist_is_the_unique_widest_of_two_anti_automorphisms(graph_algebra, mod
     ]
     assert len(relabelings) == 16
     assert [sorted(ident[s != ident] + 1) for s in anti] == [[3, 4], [3, 4, 6, 7, 11, 12]]
-    dims = dict(module_graph.dims)
-    assert ga.vertex_twist(G, tau, dims) == TWIST
-    for a, w in ((7, 1.5), (12, 1.25)):
-        dims[a] = w
-    assert ga.vertex_twist(G, tau, dims) == {**{a: a for a in G}, 3: 4, 4: 3}
+    assert ga.vertex_twist(G, keys) == TWIST
+    for a in (7, 12):
+        keys[a] = (*keys[a][:2], keys[a][2] + 1)
+    assert ga.vertex_twist(G, keys) == {**{a: a for a in G}, 3: 4, 4: 3}
 
 
 def test_twist_refuses_a_tie():
@@ -90,7 +92,7 @@ def test_twist_refuses_a_tie():
             R[a, elems.index(((x[0] + y[0]) % 2, (x[1] + y[1]) % 2))] = 1
         G[b] = R
     with pytest.raises(CertificationError, match="3 involutive anti-automorphisms move 2 vertices"):
-        ga.vertex_twist(G, dict.fromkeys(G, 0), dict.fromkeys(G, 1.0))
+        ga.vertex_twist(G, dict.fromkeys(G, 0))
 
 
 # one entry per derivation, raised and lowered: G_5^T is no longer G_10;
@@ -118,7 +120,7 @@ def test_each_derivation_refuses_a_corrupted_entry(
         "subalgebra-weights": lambda: ga.modular_subalgebra(G, annular, hs, dims),
         "subalgebra-closure": lambda: ga.modular_subalgebra(G, annular, hs, dims),
         "sectors": lambda: ga.sector_reduction(G, SUBALGEBRA, dims),
-        "twist": lambda: ga.vertex_twist(G, module_graph.tau, dims),
+        "twist": lambda: ga.vertex_twist(G, module_graph.keys),
     }[name]
     with pytest.raises(CertificationError, match=f"^quantum_graph: .*{message}"):
         derive()
@@ -156,21 +158,29 @@ def test_survivor_pick_refuses_a_corrupted_survivor(which, step, survivors):
 
 
 def test_one_naming_pass_per_lift(chiral_lift, monkeypatch):
-    # one Perron iteration per component, shared by the module graph, the
-    # slot map and criterion 7
-    calls = []
-    perron = fr.perron_vector
+    # one tower and no Perron iteration per component, shared by the module
+    # graph, the slot map and criterion 7; the float weights are computed
+    # once, when first read
+    calls = {"perron": [], "tower": []}
+    perron, tower = fr.perron_vector, fr.tower
 
-    def counted(adj, base=0):
-        calls.append(len(adj))
+    def counted_perron(adj, base=0):
+        calls["perron"].append(len(adj))
         return perron(adj, base)
 
-    monkeypatch.setattr(fr, "perron_vector", counted)
+    def counted_tower(labels, generators):
+        calls["tower"].append(len(generators[0]))
+        return tower(labels, generators)
+
+    monkeypatch.setattr(fr, "perron_vector", counted_perron)
+    monkeypatch.setattr(fr, "tower", counted_tower)
     lift = dataclasses.replace(chiral_lift)
     graph = sp.extract_module_graph(lift)
     comps = sp.component_graphs(lift)
     assert comps[0] is graph and sp.component_graphs(lift) is comps
-    assert calls == [12, 12, 12, 12]
+    assert calls == {"perron": [], "tower": [12, 12, 12, 12]}
+    assert graph.dims is graph.dims
+    assert calls["perron"] == [12]
 
 
 @pytest.mark.parametrize("seed", [1, 2])

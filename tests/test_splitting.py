@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from fusioncat import CertificationError
+from fusioncat import fusion as fr
 from fusioncat import splitting as sp
+from fusioncat import weights as wt
 
 SQ2 = np.sqrt(2)
 
@@ -213,6 +215,47 @@ def test_module_graph_matches_component_zero(chiral_lift, module_graph):
     first = next(c for c in comps if 0 in c.ordering)
     assert first.ordering == module_graph.ordering
     assert np.array_equal(first.F100, module_graph.F100)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+def test_renamed_slots_give_the_same_named_components(seed, chiral_lift):
+    # slot q[z] of the lift is slot z of the renamed one; slot 0 stays put
+    q = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(47)])
+    at = np.ix_(q, q)
+    renamed = dataclasses.replace(
+        chiral_lift, V100=chiral_lift.V100[at], V010=chiral_lift.V010[at], V001=chiral_lift.V001[at]
+    )
+    comps = sp.component_graphs(chiral_lift)
+    new = sp.component_graphs(renamed)
+    assert len(new) == len(comps)
+    for c in new:
+        # the components are listed in slot order, so match them by slots
+        slots = {int(q[z]) for z in c.ordering}
+        old = next(o for o in comps if set(o.ordering) == slots)
+        for F in ("F100", "F010", "F001"):
+            assert np.array_equal(getattr(c, F), getattr(old, F)), F
+        assert c.tau == old.tau and c.keys == old.keys
+    # the vacuum component is the renamed one, up to swaps inside a key tie
+    vac, old = new[0], comps[0]
+    assert vac.ordering[0] == 0
+    for key in set(old.keys.values()):
+        names = [a for a, k in old.keys.items() if k == key]
+        assert {int(q[vac.ordering[a - 1]]) for a in names} == {old.ordering[a - 1] for a in names}
+
+
+@pytest.mark.parametrize("rank, level", [(1, 10), (2, 5), (3, 4)])
+def test_a_regular_module_is_named_by_n_ality_and_alcove_index(rank, level):
+    # on the ring's own fundamental matrices, vertex lam is reached from the
+    # vacuum by lam alone: its key is (N-ality, alcove index, 1), with no
+    # constant of the flagship in the rule
+    ring = fr.fusion_matrices(wt.algebra("A", rank), level)
+    labels = ring.labels
+    gens = [ring[tuple(int(i == j) for j in range(rank))] for i in range(rank)]
+    ordering, keys = sp._name_component(labels, gens, range(len(labels)))
+    nality = [sum(j * x for j, x in enumerate(la, 1)) % (rank + 1) for la in labels]
+    assert keys == [(nality[z], z, 1) for z in ordering]
+    assert len(set(keys)) == len(keys)
+    assert ordering == sorted(range(len(labels)), key=lambda z: (nality[z], z))
 
 
 def test_parity_involution(chiral_lift, parity):

@@ -154,6 +154,18 @@ def test_one_tower_with_no_literal_label_rank_dispatch_or_level():
     assert [n.value for n in ast.walk(body) if isinstance(n, ast.Constant) and type(n.value) is int] == []
 
 
+def test_splitting_names_vertices_by_integers_alone():
+    # the vertices are named by integer keys read off the module tower, and
+    # the grading is mod N = rank + 1 read off the labels: splitting.py holds
+    # no table of float weights, no Perron iteration (the float weights are
+    # fusion.perron_weights, for the checks that read them), no grading mod
+    # a literal 4 and no float literal
+    text = (PACKAGE / "splitting.py").read_text()
+    floats = [n.value for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Constant) and type(n.value) is float]
+    assert [w for w in ("VERTEX_TARGETS", "perron_vector") if w in text] + re.findall(r"%\s*4\b", text) == []
+    assert floats == []
+
+
 def test_the_catalog_reads_no_file_whole():
     # Catalog.get hashes and decodes an object file a read at a time; a
     # whole-file read would hold the record's text beside its tensors
