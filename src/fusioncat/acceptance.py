@@ -259,10 +259,9 @@ def check_chiral_generators():
     par = pl.parity()
     comps = sp.component_graphs(lift)
     blocks_ok = len(comps) == 4 and all(
-        np.array_equal(comps[0].F100, c.F100) and np.array_equal(comps[0].F010, c.F010)
-        for c in comps[1:]
+        all(map(np.array_equal, comps[0].generators, c.generators)) for c in comps[1:]
     )
-    transpose_ok = np.array_equal(lift.V001, lift.V100.T)
+    transpose_ok = np.array_equal(lift.generators[-1], lift.generators[0].T)
     V, R = lift.Vs.tensor, par.Rs.tensor
     dt = xla.product_dtype(V.shape[-1] * int(np.abs(V).max()) * int(np.abs(R).max()))
     V, R = V.astype(dt), R.astype(dt)

@@ -682,8 +682,8 @@ def graph_algebra_record(galg, graph, qg, inputs=None) -> ArtifactRecord:
         "graph": {
             "vertices": names,
             "edge_classes": [
-                _edge_class("left-fundamental", "red", edges_of(graph.F100, names)),
-                _edge_class("middle-fundamental", "blue", edges_of(graph.F010, names, directed=False),
+                _edge_class("left-fundamental", "red", edges_of(graph.generators[0], names)),
+                _edge_class("middle-fundamental", "blue", edges_of(graph.generators[1], names, directed=False),
                             directed=False),
             ],
         },

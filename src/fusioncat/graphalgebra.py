@@ -10,10 +10,12 @@ action on the graph (X = SX, R = O).
 The vacuum rows of the annular matrices pin every vertex matrix but the
 doublets' (vertices with equal vacuum columns) and every doublet sum, in one
 exact solve of F_lam = sum_a (F_lam)[1, a] G_a (Behrend, Pearce, Petkova and
-Zuber, hep-th/9908036). The doublet members come from an exact linear
-system stated by generic rules, lattice enumeration and a closure filter;
-the survivors must form one orbit of doublet swaps, and the lexicographic
-maximum is kept. The crossed conjugation branch has no integer solution.
+Zuber, hep-th/9908036). On a graph with no doublets, such as E6 of SU(2) or
+E5 of SU(3), that solve is the whole algebra, certified by closure alone.
+Otherwise the doublet members come from an exact linear system stated by
+generic rules, lattice enumeration and a closure filter; the survivors must
+form one orbit of doublet swaps, and the lexicographic maximum is kept. The
+flagship's crossed conjugation branch has no integer solution.
 
 quantum_graph reads off the algebra conjugation (G_a^T = G_b), the twist
 (of the involutive anti-automorphisms keeping the module graph's integer
@@ -96,7 +98,8 @@ def _transpose(size):
 @dataclass(frozen=True)
 class DoubletSystem:
     """What shared_doublet_system states, over x = (vec X_u for each doublet
-    (u, v) of `sums`, in order), each vec row-major."""
+    (u, v) of `sums`, in order), each vec row-major. With no doublets there
+    is no x: rref and branch are None."""
     rref: xla.RrefResult  # the shared constraints, reduced
     caps: np.ndarray  # the cap of every cell of x: its doublet sum
     knowns: dict  # vertex -> pinned matrix
@@ -111,8 +114,11 @@ def shared_doublet_system(annular) -> DoubletSystem:
     pinned a but the unit 1; commutation with the annular matrix of each
     fundamental label; the unit row of X_u; X_e = X_d^T where S_d^T = S_e.
     The one doublet whose sum is its own transpose is the branch. Its
-    reduced form holds 411 x 21 entries on the flagship, its rows 411 x 433."""
+    reduced form holds 411 x 21 entries on the flagship, its rows 411 x 433.
+    A graph with no doublets keeps what the vacuum rows pin."""
     knowns, sums = partial_algebra(annular)
+    if not sums:
+        return DoubletSystem(None, np.zeros(0, dtype=np.int64), knowns, sums, None)
     branch = [d for d, S in sums.items() if np.array_equal(S, S.T)]
     _require(len(branch) == 1, "graph_algebra",
              f"{len(branch)} doublet sums are their own transpose, where one splits the branches")
@@ -257,8 +263,9 @@ def canonical_survivor(survivors, doublets):
 
 
 def solve_graph_algebra(shared: DoubletSystem) -> GraphAlgebra:
-    """The kept branch's closure-exact resolution of the doublet system."""
-    cands = doublet_solutions(shared)
+    """The kept branch's closure-exact resolution of the doublet system;
+    with no doublets, the pinned matrices are the one candidate."""
+    cands = doublet_solutions(shared) if shared.sums else [()]
     survivors = [G for G in (_assemble(shared, *t) for t in cands) if closure_defect(G, G) == 0]
     _require(survivors, "graph_algebra", "no closure-exact doublet resolution")
     G = canonical_survivor(survivors, tuple(shared.sums))

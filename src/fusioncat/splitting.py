@@ -13,12 +13,13 @@ The chain here is long but each stage has a sharp contract:
 2.  class_actions: expansion coefficients of N_f W_i over the family, for
     the fundamental generators f of the ring, read off the family's own
     span; these are the 33x33 shadow of the chiral action.
-3.  lift_chiral_generators: inflate the shadow to the 48 slots (one slot
-    per unit of multiplicity). Forced cells come from the multiplicity
-    pattern; the only unknowns live in doublet-by-doublet blocks. Normality
-    of the left generator is a quadratic form in its unknowns, evaluated
-    over every assignment by exact matrix products; the middle generator is
-    symmetric by construction. Cross-commutation, nonnegativity of the
+3.  lift_chiral_generators: inflate the shadow to the slots (one per unit
+    of multiplicity, at most 2), one generator per fundamental weight w.
+    Forced cells come from the multiplicity pattern; the only unknowns live
+    in doublet-by-doublet blocks. G_w of a self-conjugate w is symmetric by
+    construction; any other is normal, a quadratic form in its unknowns
+    evaluated over every assignment by exact matrix products, and that of
+    its conjugate is its transpose. Commutation, nonnegativity of the
     recursion tower (which stops at its first negative row, and in height
     order meets the labels of level 2 first) and the row-zero norm sums pin
     the rest. The solution comes out unique and swap-invariant, which the
@@ -32,8 +33,9 @@ The chain here is long but each stage has a sharp contract:
     generators and name the vertices of each by integer keys read off a
     tower on it (_name_component), once per lift: the vacuum slot is the
     base of its component, and the smallest slot with the same keys that of
-    any other. extract_module_graph is the component of the vacuum slot,
-    the quantum graph; the slot map of graphalgebra reads each slot's vertex
+    any other; a vertex's grading is the N-ality of the labels reaching
+    it. extract_module_graph is the component of the vacuum slot, the
+    quantum graph; the slot map of graphalgebra reads each slot's vertex
     from the same naming. No float takes part.
 
 Stages return plain dataclasses; nothing here touches the embedding layer.
@@ -41,7 +43,7 @@ Stages return plain dataclasses; nothing here touches the embedding layer.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -289,23 +291,21 @@ class ChiralLift:
     fam: SplitFamily
     slots: list  # slot -> (member index, copy number)
     slot_of: dict  # member index -> list of slots
-    V100: np.ndarray
-    V010: np.ndarray
-    V001: np.ndarray
+    generators: tuple  # slot x slot matrix of each fundamental weight, omega_1 first
     Vs: fr.FusionRing  # label -> slot x slot matrix
     n_solutions: int
 
     @cached_property
     def components(self):
         """The named components, computed once; see component_graphs."""
-        gens = (self.V100, self.V010, self.V001)
+        gens = self.generators
         compid = _components(gens)
         out, vacuum = [], None
         for c in range(compid.max() + 1):
             ordering, keys = _name_component(self.fam.labels, gens, np.flatnonzero(compid == c), vacuum)
             vacuum = vacuum or sorted(keys)
             at = np.ix_(ordering, ordering)
-            out.append(ModuleGraph(ordering, *(G[at] for G in gens), dict(enumerate(keys, start=1))))
+            out.append(ModuleGraph(ordering, tuple(G[at] for G in gens), dict(enumerate(keys, start=1))))
         return tuple(out)
 
 
@@ -387,63 +387,74 @@ def _normal_fills(Vt, unk, slot_of):
     assigns = product(*[range(rr + 1) for _, _, rr in unk])
     # a few thousand assignments at a time keep the products small
     while chunk := list(islice(assigns, 2048)):
-        a = np.array(chunk, dtype=dt).reshape(-1, n)
+        a = np.array(chunk, dtype=dt).reshape(len(chunk), n)
         mono = np.column_stack([np.ones(len(a), dtype=dt), a] + [a[:, k] * a[:, l] for k, l in pairs])
         out += [tup for tup, bad in zip(chunk, (mono @ coef).any(axis=1)) if not bad]
     return out
 
 
+def _symmetric_fills(Vt, unk, slot_of):
+    """Every symmetric fill: transposed unknowns share one value, so the
+    first of each transposed pair is free and sets its mate."""
+    mate = [unk.index((j, i, rr)) for i, j, rr in unk]
+    free = [k for k in range(len(unk)) if mate[k] >= k]
+    out = []
+    for vals in product(*[range(unk[k][2] + 1) for k in free]):
+        assign = [0] * len(unk)
+        for k, v in zip(free, vals):
+            assign[k] = assign[mate[k]] = v
+        out.append(_fill(Vt, unk, slot_of, assign))
+    return out
+
+
 def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
+    if max(fam.mult) > 2:
+        raise CertificationError("chiral_lift", f"a member has multiplicity {max(fam.mult)}, above 2")
     acts = class_actions(fam)
-    L100, L010 = acts[(1, 0, 0)], acts[(0, 1, 0)]
-    slots = []
-    for i, m in enumerate(fam.mult):
-        for c in range(m):
-            slots.append((i, c))
+    n = len(fam.labels[0])
+    omegas = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    bar = [omegas.index(fam.labels[fam.conj[fam.index[w]]]) for w in omegas]
+    slots = [(i, c) for i, m in enumerate(fam.mult) for c in range(m)]
     size = len(slots)
     slot_of = {}
     for z, (i, c) in enumerate(slots):
         slot_of.setdefault(i, []).append(z)
 
-    V100t, unk100 = _build_template(L100, fam.mult, slot_of, size)
-    V010t, unk010 = _build_template(L010, fam.mult, slot_of, size)
-
     # a fill entry never exceeds the class-level entry it splits, so a
     # product of two generators has partial sums of at most size * lmax**2
-    lmax = int(max(L100.max(), L010.max()))
+    lmax = max(int(acts[w].max()) for w in omegas)
     dt = xla.product_dtype(size * lmax * lmax)
-    cands100 = []
-    for assign in _normal_fills(V100t, unk100, slot_of):
-        V = _fill(V100t, unk100, slot_of, assign)
-        Vd = V.astype(dt)
-        if not np.array_equal(Vd @ Vd.T, Vd.T @ Vd):
-            raise CertificationError("chiral_lift", f"fill {assign} solves the normality form but is not normal")
-        cands100.append(V)
-
-    # transposed 010 unknowns share one value, so every fill is symmetric:
-    # the first of each transposed pair is free and sets its mate
-    mate = [unk010.index((j, i, rr)) for i, j, rr in unk010]
-    free = [k for k in range(len(unk010)) if mate[k] >= k]
-    cands010 = []
-    for vals in product(*[range(unk010[k][2] + 1) for k in free]):
-        assign = [0] * len(unk010)
-        for k, v in zip(free, vals):
-            assign[k] = assign[mate[k]] = v
-        cands010.append(_fill(V010t, unk010, slot_of, assign))
+    # G_wbar is G_w^T, so only the generators with w <= wbar are searched: a
+    # self-conjugate one over its symmetric fills, any other over its normal
+    # ones; each candidate is cast once
+    free = [i for i in range(n) if i <= bar[i]]
+    cands = []
+    for i in free:
+        Vt, unk = _build_template(acts[omegas[i]], fam.mult, slot_of, size)
+        if bar[i] == i:
+            fills = _symmetric_fills(Vt, unk, slot_of)
+        else:
+            fills = [_fill(Vt, unk, slot_of, assign) for assign in _normal_fills(Vt, unk, slot_of)]
+        cands.append([(V, V.astype(dt)) for V in fills])
+        if bar[i] != i and not all(np.array_equal(Vd @ Vd.T, Vd.T @ Vd) for _, Vd in cands[-1]):
+            raise CertificationError(
+                "chiral_lift", f"a fill of {omegas[i]} solves the normality form but is not normal")
 
     norms0 = fam.norms[:, 0]
     sols = []
-    cands010d = [V.astype(dt) for V in cands010]
-    for V100 in cands100:
-        V100d = V100.astype(dt)
-        for V010, V010d in zip(cands010, cands010d):
-            if not np.array_equal(V100d @ V010d, V010d @ V100d):
-                continue
-            # the tower stops at its first negative row; the level-2 rows
-            # come first, and on the flagship they reject every fill but one
-            T = fr.tower(fam.labels, (V100, V010, V100.T))
-            if T is not None and np.array_equal((T[:, 0] ** 2).sum(axis=1), norms0):
-                sols.append((V100, V010, fr.FusionRing(fam.labels, T)))
+    for combo in product(*cands):
+        # for rank <= 3 commutation among the searched generators is all
+        # that is left: normality covers omega_1 with its conjugate, and
+        # symmetry the self-conjugate generator
+        if not all(np.array_equal(A @ B, B @ A) for (_, A), (_, B) in combinations(combo, 2)):
+            continue
+        found = dict(zip(free, (V for V, _ in combo)))
+        gens = tuple(found[i] if i in found else found[bar[i]].T for i in range(n))
+        # the tower stops at its first negative row; the level-2 rows come
+        # first, and on the flagship they reject every fill but one
+        T = fr.tower(fam.labels, gens)
+        if T is not None and np.array_equal((T[:, 0] ** 2).sum(axis=1), norms0):
+            sols.append((gens, fr.FusionRing(fam.labels, T)))
 
     if not sols:
         raise CertificationError("chiral_lift", "no chiral lift satisfies the constraint set")
@@ -452,9 +463,10 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
             "chiral_lift",
             f"not pinned: {len(sols)} solutions; report them all instead of choosing silently",
         )
-    V100, V010, Vs = sols[0]
-    if not np.array_equal(V010, V010.T):
-        raise CertificationError("chiral_lift", "the middle generator is not symmetric")
+    gens, Vs = sols[0]
+    for i in range(n):
+        if not np.array_equal(gens[bar[i]], gens[i].T):
+            raise CertificationError("chiral_lift", f"G_{omegas[bar[i]]} is not G_{omegas[i]} transposed")
 
     # doublet swaps must be automorphisms, so the unique solution is its own
     # canonical form; check the generators of the swap group
@@ -464,11 +476,11 @@ def lift_chiral_generators(fam: SplitFamily) -> ChiralLift:
         perm = np.arange(size)
         a, b = slot_of[i]
         perm[a], perm[b] = perm[b], perm[a]
-        for V in (V100, V010):
+        for V in gens:
             if not np.array_equal(V[np.ix_(perm, perm)], V):
                 raise CertificationError("chiral_lift", f"swapping doublet {i} is not an automorphism")
 
-    return ChiralLift(fam, slots, slot_of, V100, V010, V100.T, Vs, len(sols))
+    return ChiralLift(fam, slots, slot_of, gens, Vs, len(sols))
 
 
 @dataclass
@@ -504,7 +516,7 @@ def parity_involution(lift: ChiralLift) -> ParityData:
     conj = np.ix_(perm, perm)
     # a product of a right and a left generator has partial sums of at most
     # size * vmax**2
-    VF = (lift.V100, lift.V010, lift.V001)
+    VF = lift.generators
     vmax = max(int(np.abs(Vf).max()) for Vf in VF)
     dt = xla.product_dtype(size * vmax * vmax)
     VF = [Vf.astype(dt) for Vf in VF]
@@ -527,9 +539,7 @@ def toric_coefficient_grid(lift: ChiralLift, par: ParityData):
 @dataclass
 class ModuleGraph:
     ordering: list  # slot index per vertex, vertices 1, 2, ... in order
-    F100: np.ndarray
-    F010: np.ndarray
-    F001: np.ndarray
+    generators: tuple  # vertex x vertex matrix of each fundamental weight, omega_1 first
     keys: dict  # vertex (1-based) -> its integer key; see _name_component
 
     @cached_property
@@ -538,7 +548,7 @@ class ModuleGraph:
 
     @cached_property
     def dims(self):  # vertex (1-based) -> float Perron weight, for the checks only
-        return fr.perron_weights((self.F100, self.F010, self.F001))
+        return fr.perron_weights(self.generators)
 
 
 def _components(generators):
@@ -551,50 +561,33 @@ def _components(generators):
     return np.unique(reach.argmax(axis=0), return_inverse=True)[1]
 
 
-def _grading(G, n):
-    """Grading mod n along the generator G, 0 at vertex 0; G must connect
-    its vertices."""
-    tau = {0: 0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        steps = [(int(y), 1) for y in np.nonzero(G[x])[0]]
-        steps += [(int(y), -1) for y in np.nonzero(G[:, x])[0]]
-        for y, step in steps:
-            t = (tau[x] + step) % n
-            if y not in tau:
-                tau[y] = t
-                stack.append(y)
-            elif tau[y] != t:
-                raise CertificationError("module_graph", f"vertex {y} of a component has two gradings")
-    if len(tau) != len(G):
-        raise CertificationError("module_graph", "the generator does not connect the component")
-    return [tau[a] for a in range(len(G))]
-
-
 def _name_component(labels, generators, comp, vacuum=None):
     """(ordering, keys): the slots of the component comp as vertices 1, 2,
     ..., sorted by (key, slot), and their integer keys, read off one tower F
-    of the generators on comp. From the base b, the key of a is (grading mod
-    N = rank + 1 along the first generator; the alcove index, in
-    enumerate_alcove's order, of the first label lam with (F_lam)[b, a] !=
-    0; the vacuum-row sum sum_lam (F_lam)[b, a]), so b is vertex 1. The base
-    is the smallest slot, or with vacuum given, the smallest slot whose keys,
+    of the generators on comp. From the base b, the key of a is (the
+    N-ality sum_j j lam_j mod N = rank + 1 of the first label lam, in
+    enumerate_alcove's order, with (F_lam)[b, a] != 0; the alcove index of
+    that lam; the vacuum-row sum sum_lam (F_lam)[b, a]), so b is vertex 1.
+    Every vertex must reach every other, and all the labels that take one
+    vertex to another must have one N-ality, the grading. The base is the
+    smallest slot, or with vacuum given, the smallest slot whose keys,
     sorted, are vacuum."""
     comp = sorted(map(int, comp))
-    sub = [G[np.ix_(comp, comp)] for G in generators]
-    T = fr.tower(labels, sub)
+    T = fr.tower(labels, [G[np.ix_(comp, comp)] for G in generators])
     if T is None:
         raise CertificationError("module_graph", "the tower on a component left the nonnegative cone")
     alcove = sorted(range(len(labels)), key=lambda j: (sum(labels[j]), [-x for x in labels[j]]))
     T = T[alcove]
     n = len(labels[0]) + 1
-    grade = _grading(sub[0], n)
+    nality = np.array([sum(j * x for j, x in enumerate(labels[k], 1)) % n for k in alcove])
+    first, total = (T != 0).argmax(axis=0), T.sum(axis=0)
+    if not T.any(axis=0).all():
+        raise CertificationError("module_graph", f"a vertex of the component of {comp[0]} does not reach another")
+    if ((T != 0) & (nality[:, None, None] != nality[first])).any():
+        raise CertificationError("module_graph", f"the component of {comp[0]} is not graded by N-ality")
 
     def keys_from(b):
-        rows = T[:, b]
-        first = (rows != 0).argmax(axis=0)
-        return [((grade[a] - grade[b]) % n, int(first[a]), int(rows[:, a].sum())) for a in range(len(comp))]
+        return [(int(nality[f]), int(f), int(t)) for f, t in zip(first[b], total[b])]
 
     base = 0 if vacuum is None else next((b for b in range(len(comp)) if sorted(keys_from(b)) == vacuum), None)
     if base is None:
@@ -613,10 +606,10 @@ def component_graphs(lift: ChiralLift):
 
 def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
     """The quantum graph: the component of the vacuum slot, whose base,
-    vertex 1, is the vacuum slot, and in which the conjugate generator must
-    be the transpose of the left one."""
+    vertex 1, is the vacuum slot, and in which the last generator, that of
+    the conjugate of omega_1, must be the transpose of the first."""
     graph = component_graphs(lift)[0]
-    if not np.array_equal(graph.F001, graph.F100.T):
+    if not np.array_equal(graph.generators[-1], graph.generators[0].T):
         raise CertificationError("module_graph", "the conjugate generator is not the transpose")
     return graph
 
@@ -624,7 +617,7 @@ def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
 def annular_matrices(graph: ModuleGraph, labels):
     """One vertex x vertex matrix per label of the ring: the module action
     of the whole alcove, grown by the same tower as the ring itself."""
-    F = fr.tower(labels, (graph.F100, graph.F010, graph.F001))
+    F = fr.tower(labels, graph.generators)
     if F is None:
         raise CertificationError("annular", "the tower recursion left the nonnegative cone")
     return fr.FusionRing(labels, F)

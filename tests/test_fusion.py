@@ -89,7 +89,8 @@ def test_gather_tower_matches_the_product_recursion_on_the_alcove(k):
 @pytest.mark.parametrize("k", [2, 4])
 def test_gather_tower_matches_the_product_recursion_on_the_slots(chiral_lift, k):
     # the 48-slot generators have entries up to 2
-    seeds = chiral_lift.V100, chiral_lift.V010, chiral_lift.V001
+    seeds = chiral_lift.generators
+    assert len(seeds) == 3
     assert max(int(V.max()) for V in seeds) == 2
     _assert_same_tower(wt.enumerate_alcove(A3, k), seeds, k)
 

@@ -167,7 +167,7 @@ def test_structured_normality_matches_the_brute_force_sweep(family, chiral_lift)
     fills = sp._normal_fills(V100t, unk100, chiral_lift.slot_of)
     assert fills == _brute_force_normal_fills(V100t, unk100, chiral_lift.slot_of)
     assert len(fills) == 1
-    assert np.array_equal(sp._fill(V100t, unk100, chiral_lift.slot_of, fills[0]), chiral_lift.V100)
+    assert np.array_equal(sp._fill(V100t, unk100, chiral_lift.slot_of, fills[0]), chiral_lift.generators[0])
     # the middle template has many normal fills (every symmetric fill is
     # one); both paths must find the same 625 of 6561
     V010t, unk010 = sp._build_template(acts[(0, 1, 0)], family.mult, chiral_lift.slot_of, size)
@@ -176,9 +176,19 @@ def test_structured_normality_matches_the_brute_force_sweep(family, chiral_lift)
     assert len(fills) == 625
 
 
+def test_normal_fills_of_a_template_with_no_unknowns():
+    # with nothing to assign, the one empty assignment is kept exactly when
+    # the template is normal
+    normal = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    skew = np.array([[0, 1], [0, 0]], dtype=np.int64)
+    assert sp._normal_fills(normal, [], {}) == [()]
+    assert sp._normal_fills(skew, [], {}) == []
+
+
 def test_lift_is_pinned(chiral_lift):
     assert chiral_lift.n_solutions == 1
-    assert np.array_equal(chiral_lift.V001, chiral_lift.V100.T)
+    assert len(chiral_lift.generators) == 3
+    assert np.array_equal(chiral_lift.generators[2], chiral_lift.generators[0].T)
     assert np.array_equal(chiral_lift.Vs[(0, 0, 0)], np.eye(48, dtype=np.int64))
     # tower stays nonnegative (regression guard; the lift asserts it too)
     assert all(v.min() >= 0 for v in chiral_lift.Vs.values())
@@ -191,14 +201,15 @@ def test_four_identical_components(chiral_lift):
     assert sorted(z for o in orders for z in o) == list(range(48))
     assert all(len(o) == 12 for o in orders)
     for c in comps[1:]:
-        assert np.array_equal(comps[0].F100, c.F100)
-        assert np.array_equal(comps[0].F010, c.F010)
+        assert np.array_equal(comps[0].generators[0], c.generators[0])
+        assert np.array_equal(comps[0].generators[1], c.generators[1])
 
 
 def test_module_graph_frozen(module_graph):
-    assert np.array_equal(module_graph.F100, rows_to_matrix(F100_ROWS))
-    assert np.array_equal(module_graph.F010, rows_to_matrix(F010_ROWS))
-    assert np.array_equal(module_graph.F001, module_graph.F100.T)
+    assert len(module_graph.generators) == 3
+    assert np.array_equal(module_graph.generators[0], rows_to_matrix(F100_ROWS))
+    assert np.array_equal(module_graph.generators[1], rows_to_matrix(F010_ROWS))
+    assert np.array_equal(module_graph.generators[2], module_graph.generators[0].T)
     assert module_graph.tau == {
         1: 0, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1, 7: 1,
         8: 2, 9: 2, 10: 3, 11: 3, 12: 3,
@@ -214,7 +225,7 @@ def test_module_graph_matches_component_zero(chiral_lift, module_graph):
     comps = sp.component_graphs(chiral_lift)
     first = next(c for c in comps if 0 in c.ordering)
     assert first.ordering == module_graph.ordering
-    assert np.array_equal(first.F100, module_graph.F100)
+    assert np.array_equal(first.generators[0], module_graph.generators[0])
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5, 6])
@@ -222,9 +233,7 @@ def test_renamed_slots_give_the_same_named_components(seed, chiral_lift):
     # slot q[z] of the lift is slot z of the renamed one; slot 0 stays put
     q = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(47)])
     at = np.ix_(q, q)
-    renamed = dataclasses.replace(
-        chiral_lift, V100=chiral_lift.V100[at], V010=chiral_lift.V010[at], V001=chiral_lift.V001[at]
-    )
+    renamed = dataclasses.replace(chiral_lift, generators=tuple(G[at] for G in chiral_lift.generators))
     comps = sp.component_graphs(chiral_lift)
     new = sp.component_graphs(renamed)
     assert len(new) == len(comps)
@@ -232,8 +241,9 @@ def test_renamed_slots_give_the_same_named_components(seed, chiral_lift):
         # the components are listed in slot order, so match them by slots
         slots = {int(q[z]) for z in c.ordering}
         old = next(o for o in comps if set(o.ordering) == slots)
-        for F in ("F100", "F010", "F001"):
-            assert np.array_equal(getattr(c, F), getattr(old, F)), F
+        assert len(c.generators) == len(old.generators) == 3
+        for j, (F, G) in enumerate(zip(c.generators, old.generators)):
+            assert np.array_equal(F, G), j
         assert c.tau == old.tau and c.keys == old.keys
     # the vacuum component is the renamed one, up to swaps inside a key tie
     vac, old = new[0], comps[0]
@@ -256,6 +266,17 @@ def test_a_regular_module_is_named_by_n_ality_and_alcove_index(rank, level):
     assert keys == [(nality[z], z, 1) for z in ordering]
     assert len(set(keys)) == len(keys)
     assert ordering == sorted(range(len(labels)), key=lambda z: (nality[z], z))
+
+
+@pytest.mark.parametrize("level, G", [(2, [[1]]), (1, [[0, 0], [0, 0]])], ids=["ungraded", "unreached"])
+def test_naming_refuses_an_ungraded_or_unreached_component(level, G):
+    # A1 level 2 on G = [[1]]: the vacuum and the fundamental label both take
+    # the vertex to itself, with N-alities 0 and 1. A1 level 1 on a zero G:
+    # no label takes one vertex to the other
+    labels = wt.enumerate_alcove(wt.algebra("A", 1), level)
+    G = np.array(G, dtype=np.int64)
+    with pytest.raises(CertificationError, match="^module_graph: "):
+        sp._name_component(labels, [G], range(len(G)))
 
 
 def test_parity_involution(chiral_lift, parity):
@@ -312,7 +333,8 @@ def test_parity_matches_the_brute_force_involutions(chiral_lift, parity):
     # three self-transposed doublets may swap or not; six transposed doublet
     # pairs may pair copy to copy or crosswise
     assert len(invs) == 2 ** 9 and len(best) == 2 ** 6
-    VF = (chiral_lift.V100, chiral_lift.V010, chiral_lift.V001)
+    VF = chiral_lift.generators
+    assert len(VF) == 3
     passing = []
     for inv in best:
         P = np.eye(48, dtype=np.int64)[inv]
@@ -328,9 +350,10 @@ def test_parity_matches_the_brute_force_involutions(chiral_lift, parity):
 
 
 def test_parity_rejects_a_corrupted_lift(chiral_lift):
-    V010 = chiral_lift.V010.copy()
+    V100, V010, V001 = chiral_lift.generators
+    V010 = V010.copy()
     V010[0, 1] += 1
-    bad = dataclasses.replace(chiral_lift, V010=V010)
+    bad = dataclasses.replace(chiral_lift, generators=(V100, V010, V001))
     with pytest.raises(CertificationError, match="^parity: .* commuting right action"):
         sp.parity_involution(bad)
 

@@ -5,8 +5,8 @@ guards on the working set: no cached pipeline stage keeps an array of r^4
 entries, r the number of labels, and `fusioncat verify` loads neither
 numpy.random, hashlib nor the catalog, and the package draws no random
 number and makes no LAPACK eigenvalue call. And one tower grows every ring
-and module, from no label or level written into it, and the catalog reads no
-file whole."""
+and module, from no label or level written into it, the chiral lift names no
+weight, and the catalog reads no file whole."""
 
 import ast
 import dataclasses
@@ -164,6 +164,28 @@ def test_splitting_names_vertices_by_integers_alone():
     floats = [n.value for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Constant) and type(n.value) is float]
     assert [w for w in ("VERTEX_TARGETS", "perron_vector") if w in text] + re.findall(r"%\s*4\b", text) == []
     assert floats == []
+
+
+def test_the_chiral_lift_names_no_weight():
+    # the lift keeps one generator per fundamental weight of the ring, in a
+    # tuple read off the labels: splitting.py holds no label tuple such as
+    # (1, 0, 0) or (0, 1, 0), and the package names no field per weight,
+    # such as V100 or F001
+    tree = ast.parse((PACKAGE / "splitting.py").read_text())
+    labels = [
+        ast.unparse(n) for n in ast.walk(tree)
+        if isinstance(n, ast.Tuple) and n.elts
+        and all(isinstance(e, ast.Constant) and type(e.value) is int for e in n.elts)
+    ]
+    assert labels == []
+    names = re.compile(r"\b[VF](100|010|001)\b")
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if names.search(line)
+    ]
+    assert hits == []
 
 
 def test_the_catalog_reads_no_file_whole():
