@@ -257,7 +257,7 @@ def check_splitting():
 def check_chiral_generators():
     lift = pl.chiral_lift()
     par = pl.parity()
-    comps = sp.component_graphs(lift)
+    comps = lift.components
     blocks_ok = len(comps) == 4 and all(
         all(map(np.array_equal, comps[0].generators, c.generators)) for c in comps[1:]
     )

@@ -672,6 +672,16 @@ def toric_family_record(fam, lift, inputs=None) -> ArtifactRecord:
 def graph_algebra_record(galg, graph, qg, inputs=None) -> ArtifactRecord:
     vertices = list(galg.G)
     names = [str(a) for a in vertices]
+    # one edge class per fundamental weight omega_i up to its conjugate
+    # omega_{n+1-i}: directed below it, undirected when self-conjugate
+    n = len(graph.generators)
+    edge_classes = []
+    for i, G in enumerate(graph.generators[: (n + 1) // 2], start=1):
+        if 2 * i < n + 1:
+            edge_classes.append(_edge_class("left-fundamental", "red", edges_of(G, names)))
+        else:
+            edge_classes.append(_edge_class("middle-fundamental", "blue", edges_of(G, names, directed=False),
+                                            directed=False))
     payload = {
         "vertices": vertices,
         "matrices": [int_matrix(galg.G[a]) for a in vertices],
@@ -679,14 +689,7 @@ def graph_algebra_record(galg, graph, qg, inputs=None) -> ArtifactRecord:
         "conjugate": [qg.conj[a] for a in vertices],
         "grading": [graph.tau[a] for a in vertices],
         "doublet_survivors": int(galg.doublet_survivors),
-        "graph": {
-            "vertices": names,
-            "edge_classes": [
-                _edge_class("left-fundamental", "red", edges_of(graph.generators[0], names)),
-                _edge_class("middle-fundamental", "blue", edges_of(graph.generators[1], names, directed=False),
-                            directed=False),
-            ],
-        },
+        "graph": {"vertices": names, "edge_classes": edge_classes},
     }
     return ArtifactRecord("graph-algebra", make_provenance(inputs), payload)
 
@@ -702,9 +705,9 @@ def oc_graph_record(oc, smap, inputs=None) -> ArtifactRecord:
         i, j = ga.pair_index(qg, p), ga.pair_index(qg, q)
         if i < j:
             chiral.append([names[i], names[j], 1])
-    # the left generator is the vertex the left fundamental label takes 1
+    # the left generator is the vertex omega_1 (reach's first label) takes 1
     # to, in the unit's sector; the right generator is its chiral conjugate
-    left = (qg.reach[(1, 0, 0)], 1)
+    left = (next(iter(qg.reach.values())), 1)
     right = ga.chiral_conjugate(qg, left)
     payload = {
         "pairs": [[a, b] for (a, b) in pairs],

@@ -80,7 +80,8 @@ class _Echelon:
         `reduced` says they are so already, as the rows of an RrefResult
         are, and the echelon keeps `rows` itself."""
         self.npivot = npivot
-        self.pivots = (rows[:, :npivot] != 0).argmax(axis=1)
+        # with no columns to pivot in, there are no rows (argmax of nothing raises)
+        self.pivots = (rows[:, :npivot] != 0).argmax(axis=1) if npivot else np.zeros(0, dtype=np.intp)
         at = np.arange(len(rows)), self.pivots
         if not reduced:
             rows = _primitive(rows) * np.where(rows[at] > 0, 1, -1)[:, None]
@@ -169,6 +170,8 @@ def _echelonize(W, npivot):
     is reduced against them in one product. The last leading column always
     joins, and on sparse blocks a round takes dozens of rows."""
     out = _Echelon(npivot, W[:0])
+    if not npivot:  # with no unknowns, any nonzero right-hand side contradicts
+        return None if W.any() else out
     while len(W := W[W.any(axis=1)]):
         lc = (W[:, :npivot] != 0).argmax(axis=1)
         if not W[np.arange(len(W)), lc].all():

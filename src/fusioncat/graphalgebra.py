@@ -23,8 +23,8 @@ vertex keys, the one moving the most vertices), the modular subalgebra J
 (the vertices of one T eigenvalue) and the sectors of its right cosets. On
 that sit the basis pairs of the quantum symmetries, their regular matrices
 from the product rule (x (x) s)(a (x) b) = xa (x) bs, the dual action, and
-the slot map, certified by the essential factorization and the product
-identity over every pair. The center of either algebra is an exact integer
+the slot map, read off the essential factorization W = E_a Ered_b^T and
+certified by the product identity over every pair. The center of either algebra is an exact integer
 rank on its structure constants, and so are its block sizes
 (block_structure). A failed check raises CertificationError, so the
 certification also runs under python -O.
@@ -39,7 +39,6 @@ import numpy as np
 
 from . import CertificationError
 from . import exactla as xla
-from . import splitting as sp
 
 __all__ = [
     "GraphAlgebra", "partial_algebra", "DoubletSystem", "shared_doublet_system", "doublet_solutions",
@@ -437,8 +436,12 @@ def chiral_conjugate(qg: QuantumGraph, pair):
 
 
 def conjugate_pair(qg: QuantumGraph, pair):
+    """Conjugate both factors and reduce, as chiral_conjugate does (a
+    sector's conjugate need not be a sector); lands on a single basis pair."""
     a, b = pair
-    return (qg.conj[a], qg.conj[b])
+    k = _single(reduce_pair(qg, qg.conj[a], qg.conj[b]))
+    _require(k, "quantum_symmetries", f"{pair} with both factors conjugated is not one basis pair")
+    return basis_pairs(qg)[k - 1]
 
 
 def dual_annular(qg: QuantumGraph):
@@ -478,7 +481,7 @@ class SlotMap:
 
 def unfactored_slots(W, pair_of, E, Ered):
     """The slots z, ascending, whose toric matrix W[z] is not E_a Ered_b^T,
-    (a, b) = pair_of[z]."""
+    (a, b) = pair_of[z]; criterion 10 re-checks the slot map with it."""
     return [
         z for z, (a, b) in sorted(pair_of.items()) if not np.array_equal(W[z], E[a] @ Ered[b].T)
     ]
@@ -487,9 +490,10 @@ def unfactored_slots(W, pair_of, E, Ered):
 def product_identity_failures(lift, parity, labels, slot_of, oc: OcAlgebra):
     """The index pairs (x, y) into oc.pairs, ascending, where
     (V_l R_m)[x, y] = sum_z (O_conj(y))[x, z] (W_z)[l, m] fails for some
-    labels l, m, each pair read at its slot in slot_of. Entry (l, m) of the
-    left side is toric_pair_grid at (x, conj(y)), so this checks every
-    twisted grid against its decomposition over the slot matrices."""
+    labels l, m, each pair read at its slot in slot_of, conj as in
+    conjugate_pair. Entry (l, m) of the left side is toric_pair_grid at
+    (x, conj(y)), so this checks every twisted grid against its
+    decomposition over the slot matrices."""
     pairs = oc.pairs
     order = [slot_of[p] for p in pairs]
     V, Rm = (T.tensor.take(T.rows(labels), 0).take(order, 1).take(order, 2)
@@ -510,35 +514,26 @@ def product_identity_failures(lift, parity, labels, slot_of, oc: OcAlgebra):
 
 
 def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
-    """Identify each toric slot with a basis pair: its vertex is its name
-    in its component (component_graphs), and its sector that of its
-    component. The vacuum component is the unit's, and the right action of
-    each fundamental label carries slot 0 into the component of the sector
-    of the vertex that label takes 1 to. unfactored_slots and
-    product_identity_failures must then find nothing."""
+    """Identify each toric slot with a basis pair by the essential
+    factorization W = E_a Ered_b^T (Petkova and Zuber, hep-th/0101151): the
+    slots of each member, in lift.slot_of order, take the pairs whose
+    product is its toric matrix, in oc.pairs order, one pair per slot. The
+    one choice left, the order of a doublet's two copies (one toric matrix,
+    swapped by a lift automorphism), is certified by the product identity:
+    product_identity_failures must find nothing."""
     qg = oc.qg
     E = essential_matrices(annular)
     Ered = reduced_essential(E, qg.J)
-    Wslot = {z: lift.fam.ws[i] for z, (i, _) in enumerate(lift.slots)}
-
-    vertex_of, comp_of = {}, {}
-    for c, graph in enumerate(sp.component_graphs(lift)):
-        for a, z in enumerate(graph.ordering, start=1):
-            vertex_of[z], comp_of[z] = a, c
-    sector_of_comp = {comp_of[0]: 1}
-    for lab, v in qg.reach.items():
-        z = _single(parity.Rs[lab][0])
-        _require(z, "slot_map", f"row 0 of the right action of {lab} is not a unit row")
-        sector_of_comp[comp_of[z - 1]] = qg.red[v][0]
-    _require(len(sector_of_comp) == len(qg.sectors), "slot_map",
-             f"the {len(qg.sectors)} sectors sit on fewer components")
-    pair_of = {z: (vertex_of[z], sector_of_comp[comp_of[z]]) for z in range(len(lift.slots))}
+    by_product = {}
+    for a, b in oc.pairs:
+        by_product.setdefault((E[a] @ Ered[b].T).tobytes(), []).append((a, b))
+    pair_of = {}
+    for i, slots in lift.slot_of.items():
+        pairs = by_product.get(lift.fam.ws[i].tobytes(), [])
+        _require(len(pairs) == len(slots), "slot_map",
+                 f"W_{i} factors as E_a Ered_b^T for {len(pairs)} basis pairs, not its {len(slots)} slots")
+        pair_of.update(zip(slots, pairs))
     _require(set(pair_of.values()) == set(oc.pairs), "slot_map", "the slot assignment is not a bijection")
-    unfactored = unfactored_slots(Wslot, pair_of, E, Ered)
-    if unfactored:
-        z = unfactored[0]
-        a, b = pair_of[z]
-        raise CertificationError("slot_map", f"slot {z} does not factor as E_{a} Ered_{b}^T")
 
     # the product identity over every pair of slots certifies the assignment
     slot_of = {p: z for z, p in pair_of.items()}
@@ -548,7 +543,7 @@ def slot_symmetry_map(lift, parity, annular, labels, oc: OcAlgebra) -> SlotMap:
         raise CertificationError(
             "slot_map", f"the product identity fails at ({oc.pairs[x]}, {oc.pairs[y]})"
         )
-    W0 = {p: Wslot[slot_of[p]] for p in oc.pairs}
+    W0 = {p: lift.fam.ws[lift.slots[slot_of[p]][0]] for p in oc.pairs}
     return SlotMap(pair_of=pair_of, slot_of=slot_of, E=E, Ered=Ered, W0=W0, qg=qg)
 
 

@@ -29,14 +29,15 @@ The chain here is long but each stage has a sharp contract:
     into a commuting right action, built from the transpose map on the
     family: copy c of a member goes to copy c of its transpose, which fixes
     the most slots any such involution can; the commutation is checked.
-5.  component_graphs: cut the slots into the components of the left
+5.  ChiralLift.components: cut the slots into the components of the left
     generators and name the vertices of each by integer keys read off a
     tower on it (_name_component), once per lift: the vacuum slot is the
     base of its component, and the smallest slot with the same keys that of
     any other; a vertex's grading is the N-ality of the labels reaching
     it. extract_module_graph is the component of the vacuum slot, the
-    quantum graph; the slot map of graphalgebra reads each slot's vertex
-    from the same naming. No float takes part.
+    quantum graph; criterion 7 compares the named blocks. The slot map of
+    graphalgebra does not read this naming: it pairs slots with basis
+    pairs through the essential factorization. No float takes part.
 
 Stages return plain dataclasses; nothing here touches the embedding layer.
 """
@@ -62,7 +63,6 @@ __all__ = [
     "toric_coefficient_grid",
     "ModuleGraph",
     "extract_module_graph",
-    "component_graphs",
     "annular_matrices",
 ]
 
@@ -297,7 +297,9 @@ class ChiralLift:
 
     @cached_property
     def components(self):
-        """The named components, computed once; see component_graphs."""
+        """Every component of the slots under the generators, as a ModuleGraph
+        named by _name_component, the component of the vacuum slot first;
+        computed once per lift."""
         gens = self.generators
         compid = _components(gens)
         out, vacuum = [], None
@@ -597,18 +599,11 @@ def _name_component(labels, generators, comp, vacuum=None):
     return [comp[a] for a in names], [keys[a] for a in names]
 
 
-def component_graphs(lift: ChiralLift):
-    """Every component of the slots under the left generators, as a
-    canonically named ModuleGraph, the component of the vacuum slot first.
-    The naming runs once per lift; later calls return the same tuple."""
-    return lift.components
-
-
 def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
     """The quantum graph: the component of the vacuum slot, whose base,
     vertex 1, is the vacuum slot, and in which the last generator, that of
     the conjugate of omega_1, must be the transpose of the first."""
-    graph = component_graphs(lift)[0]
+    graph = lift.components[0]
     if not np.array_equal(graph.generators[-1], graph.generators[0].T):
         raise CertificationError("module_graph", "the conjugate generator is not the transpose")
     return graph

@@ -90,6 +90,21 @@ def test_sparse_rref_inconsistent():
     assert not res.consistent
 
 
+def test_a_system_with_no_unknowns():
+    # no unknowns: consistent of rank 0 until a right-hand side is nonzero
+    sys = xla.LinearSystem(0)
+    res = sys.rref()
+    assert res.consistent and res.rank == 0 and res.free_cols == []
+    assert xla.lattice_points(res, caps=[]) == [[]]
+    sys.add(np.zeros((2, 0), dtype=np.int64), [0, 0])
+    assert sys.rref().consistent and sys.rref().rank == 0
+    sys.add(np.zeros((2, 0), dtype=np.int64), [0, 3])
+    assert not sys.rref().consistent
+    restated = xla.LinearSystem.from_rref(res)
+    restated.add(np.zeros((1, 0), dtype=np.int64), 1)
+    assert not restated.rref().consistent
+
+
 def test_block_right_hand_side_matches_one_system_per_column():
     # A has rank 3 over 4 unknowns; the last column of B is the first with
     # one entry raised, which no x solves

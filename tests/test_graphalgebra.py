@@ -24,7 +24,6 @@ from fusioncat import exactla as xla
 from fusioncat import fusion as fr
 from fusioncat import graphalgebra as ga
 from fusioncat import pipeline as pl
-from fusioncat import splitting as sp
 from fusioncat import weights as wt
 
 SQ2 = np.sqrt(2)
@@ -592,36 +591,39 @@ def test_slot_map_names_the_first_failing_pair(
         ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, bad)
 
 
-def _renamed_components(monkeypatch, chiral_lift, a, b):
-    """Route the slot map to a naming of the vacuum component in which the
-    vertices a and b trade slots."""
-    comps = list(sp.component_graphs(chiral_lift))
-    ordering = list(comps[0].ordering)
-    ordering[a - 1], ordering[b - 1] = ordering[b - 1], ordering[a - 1]
-    comps[0] = dataclasses.replace(comps[0], ordering=ordering)
-    monkeypatch.setattr(sp, "component_graphs", lambda lift: comps)
-    return ordering
-
-
-def test_slot_map_rejects_a_naming_that_swaps_two_vertices(
-    chiral_lift, parity, annular, base_data, quantum_symmetries, monkeypatch
+def test_slot_map_refuses_traded_slots(
+    chiral_lift, parity, annular, base_data, quantum_symmetries
 ):
-    # the vacuum slot now carries the name 2, and it is the first slot checked
-    ordering = _renamed_components(monkeypatch, chiral_lift, 1, 2)
-    assert ordering[1] == 0
+    # members 1 and 2 have one slot each; traded, each slot gets the other's
+    # pair, which the product identity refuses
+    slot_of = dict(chiral_lift.slot_of)
+    assert len(slot_of[1]) == len(slot_of[2]) == 1
+    slot_of[1], slot_of[2] = slot_of[2], slot_of[1]
+    traded = dataclasses.replace(chiral_lift, slot_of=slot_of)
     with pytest.raises(CertificationError,
-                       match=r"^slot_map: slot 0 does not factor as E_2 Ered_1\^T$"):
-        ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, quantum_symmetries)
+                       match=r"^slot_map: the product identity fails at \(\(1, 1\), \(9, 3\)\)$"):
+        ga.slot_symmetry_map(traded, parity, annular, base_data.labels, quantum_symmetries)
+    # a toric matrix one cell off factors for no basis pair, refused by name
+    ws = list(chiral_lift.fam.ws)
+    ws[5] = ws[5].copy()
+    ws[5][0, 0] += 1
+    bent = dataclasses.replace(chiral_lift, fam=dataclasses.replace(chiral_lift.fam, ws=ws))
+    with pytest.raises(CertificationError,
+                       match=r"^slot_map: W_5 factors as E_a Ered_b\^T for 0 basis pairs, not its 1 slots$"):
+        ga.slot_symmetry_map(bent, parity, annular, base_data.labels, quantum_symmetries)
 
 
 def test_slot_map_naming_of_doublet_copies_is_gauge(
-    chiral_lift, parity, annular, base_data, quantum_symmetries, slot_map, monkeypatch
+    chiral_lift, parity, annular, base_data, quantum_symmetries, slot_map
 ):
-    # the copies 3 and 4 share a toric matrix and the swap is an
-    # automorphism, so the other naming passes every check
-    ordering = _renamed_components(monkeypatch, chiral_lift, 3, 4)
-    smap = ga.slot_symmetry_map(chiral_lift, parity, annular, base_data.labels, quantum_symmetries)
-    assert smap.pair_of[ordering[2]] == (3, 1) and slot_map.pair_of[ordering[2]] == (4, 1)
+    # the two copies of a doublet member share a toric matrix and the swap
+    # is an automorphism, so the other order passes every check and the two
+    # slots trade their pairs
+    i, slots = next((i, z) for i, z in chiral_lift.slot_of.items() if len(z) == 2)
+    swapped = dataclasses.replace(chiral_lift, slot_of={**chiral_lift.slot_of, i: slots[::-1]})
+    smap = ga.slot_symmetry_map(swapped, parity, annular, base_data.labels, quantum_symmetries)
+    assert [slot_map.pair_of[z] for z in slots] == [(1, 3), (2, 3)]
+    assert [smap.pair_of[z] for z in slots] == [(2, 3), (1, 3)]
 
 
 def test_slot_assignment_is_a_bijection(slot_map):

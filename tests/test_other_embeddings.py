@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from fusioncat import CertificationError
+from fusioncat import catalog as cat
 from fusioncat import embedding as emb
 from fusioncat import fusion as fr
 from fusioncat import graphalgebra as ga
@@ -30,6 +31,7 @@ from fusioncat import weights as wt
 CASES = {"E6": (1, 10, "B", 2), "E5": (2, 5, "A", 5)}
 COMPONENTS = {"E6": [6, 6], "E5": [12, 12]}
 OCNEANU = {"E6": 12, "E5": 24}
+EDGE_CLASSES = {"E6": [("middle-fundamental", False)], "E5": [("left-fundamental", True)]}
 CHARPOLY = {
     "E6": "(x - 1)*(x + 1)*(x**4 - 4*x**2 + 1)",
     "E5": "(x**2 + 1)*(x**2 - 2*x - 1)*(x**4 - x**2 + 1)*(x**4 + 2*x**3 + 5*x**2 - 2*x + 1)",
@@ -82,7 +84,7 @@ def test_the_lift_is_pinned_on_two_copies_of_the_graph(name):
     assert c.lift.n_solutions == 1
     assert max(c.fam.mult) == 1 and len(c.lift.slots) == int((c.fam.M ** 2).sum())
     assert len(c.lift.generators) == c.data.spec.rank
-    assert [len(g.ordering) for g in sp.component_graphs(c.lift)] == COMPONENTS[name]
+    assert [len(g.ordering) for g in c.lift.components] == COMPONENTS[name]
     assert np.array_equal(c.graph.generators[-1], c.graph.generators[0].T)
 
 
@@ -120,10 +122,27 @@ def test_the_ocneanu_algebra_closes(name):
     assert ga.closure_defect(oc.O, oc.O) == 0
 
 
-def test_the_e6_slot_map_certifies():
-    c = chain("E6")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_slot_map_certifies(name):
+    c = chain(name)
     smap = ga.slot_symmetry_map(c.lift, sp.parity_involution(c.lift), c.annular, c.data.labels, c.oc)
-    assert sorted(smap.pair_of) == list(range(12)) and set(smap.pair_of.values()) == set(c.oc.pairs)
+    assert sorted(smap.pair_of) == list(range(OCNEANU[name])) and set(smap.pair_of.values()) == set(c.oc.pairs)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_graph_records_validate_and_round_trip(name):
+    # one edge class per fundamental weight up to conjugation: E6's omega_1
+    # is self-conjugate, E5's is conjugate to omega_2
+    c = chain(name)
+    smap = ga.slot_symmetry_map(c.lift, sp.parity_involution(c.lift), c.annular, c.data.labels, c.oc)
+    records = [cat.graph_algebra_record(c.galg, c.graph, c.oc.qg), cat.oc_graph_record(c.oc, smap)]
+    for rec in records:
+        cat.validate_record(rec)
+        assert cat.ArtifactRecord.from_json(rec.to_json()).to_json() == rec.to_json()
+    classes = records[0].payload["graph"]["edge_classes"]
+    assert [(k["name"], k["directed"]) for k in classes] == EDGE_CLASSES[name]
+    assert all(k["edges"] for k in classes)
+    assert len(records[1].payload["slots"]) == OCNEANU[name]
 
 
 @pytest.mark.parametrize("case", [(1, 4, "A", 2), (3, 2, "A", 5)], ids=["SU2_4-SU3_1", "SU4_2-SU6_1"])

@@ -176,8 +176,8 @@ def test_one_naming_pass_per_lift(chiral_lift, monkeypatch):
     monkeypatch.setattr(fr, "tower", counted_tower)
     lift = dataclasses.replace(chiral_lift)
     graph = sp.extract_module_graph(lift)
-    comps = sp.component_graphs(lift)
-    assert comps[0] is graph and sp.component_graphs(lift) is comps
+    comps = lift.components
+    assert comps[0] is graph and lift.components is comps
     assert calls == {"perron": [], "tower": [12, 12, 12, 12]}
     assert graph.dims is graph.dims
     assert calls["perron"] == [12]

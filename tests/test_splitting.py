@@ -195,7 +195,7 @@ def test_lift_is_pinned(chiral_lift):
 
 
 def test_four_identical_components(chiral_lift):
-    comps = sp.component_graphs(chiral_lift)
+    comps = chiral_lift.components
     assert len(comps) == 4
     orders = [c.ordering for c in comps]
     assert sorted(z for o in orders for z in o) == list(range(48))
@@ -222,7 +222,7 @@ def test_module_graph_frozen(module_graph):
 
 
 def test_module_graph_matches_component_zero(chiral_lift, module_graph):
-    comps = sp.component_graphs(chiral_lift)
+    comps = chiral_lift.components
     first = next(c for c in comps if 0 in c.ordering)
     assert first.ordering == module_graph.ordering
     assert np.array_equal(first.generators[0], module_graph.generators[0])
@@ -234,8 +234,8 @@ def test_renamed_slots_give_the_same_named_components(seed, chiral_lift):
     q = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(47)])
     at = np.ix_(q, q)
     renamed = dataclasses.replace(chiral_lift, generators=tuple(G[at] for G in chiral_lift.generators))
-    comps = sp.component_graphs(chiral_lift)
-    new = sp.component_graphs(renamed)
+    comps = chiral_lift.components
+    new = renamed.components
     assert len(new) == len(comps)
     for c in new:
         # the components are listed in slot order, so match them by slots

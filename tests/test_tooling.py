@@ -5,8 +5,9 @@ guards on the working set: no cached pipeline stage keeps an array of r^4
 entries, r the number of labels, and `fusioncat verify` loads neither
 numpy.random, hashlib nor the catalog, and the package draws no random
 number and makes no LAPACK eigenvalue call. And one tower grows every ring
-and module, from no label or level written into it, the chiral lift names no
-weight, and the catalog reads no file whole."""
+and module, from no label or level written into it, the chiral lift and the
+catalog's graph records name no weight, the graph algebra imports nothing
+from the splitting layer, and the catalog reads no file whole."""
 
 import ast
 import dataclasses
@@ -186,6 +187,31 @@ def test_the_chiral_lift_names_no_weight():
         if names.search(line)
     ]
     assert hits == []
+
+
+def test_graphalgebra_imports_nothing_from_splitting():
+    # the slot map is read off the essential factorization alone, not off
+    # the component naming of the splitting layer
+    imports = [n for n in ast.walk(ast.parse((PACKAGE / "graphalgebra.py").read_text()))
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = [n.module or "" for n in imports if isinstance(n, ast.ImportFrom)]
+    names += [a.name for n in imports for a in n.names]
+    assert [m for m in names if "splitting" in m.split(".")] == []
+
+
+def test_the_graph_records_name_no_weight():
+    # the graph-algebra and oc-graph records draw their edges from the
+    # generator tuple and the reach of omega_1, with no label tuple such as
+    # (1, 0, 0), so they serve every rank
+    cat = importlib.import_module("fusioncat.catalog")
+    labels = [
+        ast.unparse(n)
+        for f in (cat.graph_algebra_record, cat.oc_graph_record)
+        for n in ast.walk(ast.parse(inspect.getsource(f)))
+        if isinstance(n, ast.Tuple) and n.elts
+        and all(isinstance(e, ast.Constant) and type(e.value) is int for e in n.elts)
+    ]
+    assert labels == []
 
 
 def test_the_catalog_reads_no_file_whole():
