@@ -293,13 +293,14 @@ class RrefResult:
 
     def rows(self, rhs=False):
         """The reduced rows, one per pivot, over the ncols unknowns, and with
-        `rhs` the right-hand side as one more column. Of a homogeneous
-        system, the rows without it are a basis of the row space."""
-        rows = np.zeros((self.rank, self.ncols + rhs), dtype=self.coeffs.dtype)
+        `rhs` the right-hand sides as one more column each. Of a homogeneous
+        system, the rows without them are a basis of the row space."""
+        k = self.rhs.shape[1] if self.rhs.ndim == 2 else 1
+        rows = np.zeros((self.rank, self.ncols + k * rhs), dtype=self.coeffs.dtype)
         rows[np.arange(self.rank), self.pivot_cols] = self.lead
         rows[:, self.free_cols] = self.coeffs
         if rhs:
-            rows[:, -1] = self.rhs
+            rows[:, self.ncols :] = self.rhs.reshape(self.rank, k)
         return rows
 
 

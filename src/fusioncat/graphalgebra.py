@@ -389,6 +389,11 @@ def basis_pairs(qg: QuantumGraph):
     return [(a, b) for b in qg.sectors for a in qg.G]
 
 
+def _pair_at(qg: QuantumGraph, k):
+    """The basis pair of index k, the inverse of pair_index."""
+    return k % len(qg.G) + 1, qg.sectors[k // len(qg.G)]
+
+
 def reduce_pair(qg: QuantumGraph, a, b):
     """An arbitrary formal pair a (x) b written over the basis pairs: the
     subalgebra part j of b = c.j crosses over and multiplies a from the
@@ -432,7 +437,7 @@ def chiral_conjugate(qg: QuantumGraph, pair):
     """Swap the two factors and reduce; lands on a single basis pair."""
     k = _single(reduce_pair(qg, pair[1], pair[0]))
     _require(k, "quantum_symmetries", f"{pair} with its factors swapped is not one basis pair")
-    return basis_pairs(qg)[k - 1]
+    return _pair_at(qg, k - 1)
 
 
 def conjugate_pair(qg: QuantumGraph, pair):
@@ -441,7 +446,7 @@ def conjugate_pair(qg: QuantumGraph, pair):
     a, b = pair
     k = _single(reduce_pair(qg, qg.conj[a], qg.conj[b]))
     _require(k, "quantum_symmetries", f"{pair} with both factors conjugated is not one basis pair")
-    return basis_pairs(qg)[k - 1]
+    return _pair_at(qg, k - 1)
 
 
 def dual_annular(qg: QuantumGraph):

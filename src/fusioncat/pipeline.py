@@ -64,7 +64,7 @@ def module_graph() -> sp.ModuleGraph:
 
 @lru_cache(maxsize=None)
 def annular():
-    return sp.annular_matrices(module_graph(), base_data().labels)
+    return module_graph().annular
 
 
 @lru_cache(maxsize=None)

@@ -29,15 +29,18 @@ The chain here is long but each stage has a sharp contract:
     into a commuting right action, built from the transpose map on the
     family: copy c of a member goes to copy c of its transpose, which fixes
     the most slots any such involution can; the commutation is checked.
-5.  ChiralLift.components: cut the slots into the components of the left
-    generators and name the vertices of each by integer keys read off a
-    tower on it (_name_component), once per lift: the vacuum slot is the
-    base of its component, and the smallest slot with the same keys that of
-    any other; a vertex's grading is the N-ality of the labels reaching
-    it. extract_module_graph is the component of the vacuum slot, the
-    quantum graph; criterion 7 compares the named blocks. The slot map of
-    graphalgebra does not read this naming: it pairs slots with basis
-    pairs through the essential factorization. No float takes part.
+5.  ChiralLift.components: cut the slots into the blocks of the lift's
+    tower Vs, the slots each slot's rows reach, and name the vertices of
+    each by integer keys read off its block (_name_component), once per
+    lift: the vacuum slot is the base of its component, and the smallest
+    slot with the same keys that of any other; a vertex's grading is the
+    N-ality of the labels reaching it. A component's block of Vs is the
+    module action of the whole alcove on it, its annular matrices, so no
+    tower is grown but the lift's. extract_module_graph is the component
+    of the vacuum slot, the quantum graph; criterion 7 compares the named
+    blocks. The slot map of graphalgebra does not read this naming: it
+    pairs slots with basis pairs through the essential factorization. No
+    float takes part.
 
 Stages return plain dataclasses; nothing here touches the embedding layer.
 """
@@ -63,7 +66,6 @@ __all__ = [
     "toric_coefficient_grid",
     "ModuleGraph",
     "extract_module_graph",
-    "annular_matrices",
 ]
 
 
@@ -297,17 +299,26 @@ class ChiralLift:
 
     @cached_property
     def components(self):
-        """Every component of the slots under the generators, as a ModuleGraph
-        named by _name_component, the component of the vacuum slot first;
-        computed once per lift."""
-        gens = self.generators
-        compid = _components(gens)
-        out, vacuum = [], None
-        for c in range(compid.max() + 1):
-            ordering, keys = _name_component(self.fam.labels, gens, np.flatnonzero(compid == c), vacuum)
+        """Every component of the slots, as a ModuleGraph named by
+        _name_component, in the order of their smallest slots, so the
+        component of the vacuum slot first; computed once per lift. The
+        component of a slot is the set of slots its rows of Vs reach, and
+        every slot of it must reach that same set: then Vs is block diagonal
+        over the components."""
+        T = self.Vs.tensor
+        reach = T.any(axis=0)
+        out, vacuum, placed = [], None, np.zeros(len(reach), dtype=bool)
+        while not placed.all():
+            z = int(placed.argmin())
+            comp = np.flatnonzero(reach[z])
+            if not (reach[comp] == reach[z]).all():
+                raise CertificationError(
+                    "module_graph", f"the slots of the component of {z} do not all reach the same slots")
+            placed[comp] = True
+            ordering, keys = _name_component(self.fam.labels, T, comp, vacuum)
             vacuum = vacuum or sorted(keys)
-            at = np.ix_(ordering, ordering)
-            out.append(ModuleGraph(ordering, tuple(G[at] for G in gens), dict(enumerate(keys, start=1))))
+            annular = fr.FusionRing(self.fam.labels, T.take(ordering, axis=1).take(ordering, axis=2))
+            out.append(ModuleGraph(ordering, annular, dict(enumerate(keys, start=1))))
         return tuple(out)
 
 
@@ -541,8 +552,13 @@ def toric_coefficient_grid(lift: ChiralLift, par: ParityData):
 @dataclass
 class ModuleGraph:
     ordering: list  # slot index per vertex, vertices 1, 2, ... in order
-    generators: tuple  # vertex x vertex matrix of each fundamental weight, omega_1 first
+    annular: fr.FusionRing  # label -> vertex x vertex matrix: the component's block of the lift's Vs
     keys: dict  # vertex (1-based) -> its integer key; see _name_component
+
+    @cached_property
+    def generators(self):  # vertex x vertex matrix of each fundamental weight, omega_1 first
+        n = len(self.annular.labels[0])
+        return tuple(self.annular[tuple(int(i == j) for j in range(n))] for i in range(n))
 
     @cached_property
     def tau(self):  # vertex (1-based) -> grading mod N, 0 at vertex 1
@@ -553,33 +569,20 @@ class ModuleGraph:
         return fr.perron_weights(self.generators)
 
 
-def _components(generators):
-    """The component of each slot under the generators, numbered in the
-    order of their smallest slots: the closure of the adjacency, by squaring."""
-    adj = sum(generators)
-    reach = (adj + adj.T + np.eye(len(adj), dtype=np.int64) > 0).astype(np.int64)
-    for _ in range(len(adj).bit_length()):
-        reach = (reach @ reach > 0).astype(np.int64)
-    return np.unique(reach.argmax(axis=0), return_inverse=True)[1]
-
-
-def _name_component(labels, generators, comp, vacuum=None):
+def _name_component(labels, T, comp, vacuum=None):
     """(ordering, keys): the slots of the component comp as vertices 1, 2,
-    ..., sorted by (key, slot), and their integer keys, read off one tower F
-    of the generators on comp. From the base b, the key of a is (the
-    N-ality sum_j j lam_j mod N = rank + 1 of the first label lam, in
-    enumerate_alcove's order, with (F_lam)[b, a] != 0; the alcove index of
-    that lam; the vacuum-row sum sum_lam (F_lam)[b, a]), so b is vertex 1.
-    Every vertex must reach every other, and all the labels that take one
-    vertex to another must have one N-ality, the grading. The base is the
-    smallest slot, or with vacuum given, the smallest slot whose keys,
-    sorted, are vacuum."""
+    ..., sorted by (key, slot), and their integer keys, read off the block
+    F of comp in the nonnegative tower T, one (size, size) matrix per
+    label. From the base b, the key of a is (the N-ality sum_j j lam_j mod
+    N = rank + 1 of the first label lam, in enumerate_alcove's order, with
+    (F_lam)[b, a] != 0; the alcove index of that lam; the vacuum-row sum
+    sum_lam (F_lam)[b, a]), so b is vertex 1. Every vertex must reach every
+    other, and all the labels that take one vertex to another must have one
+    N-ality, the grading. The base is the smallest slot, or with vacuum
+    given, the smallest slot whose keys, sorted, are vacuum."""
     comp = sorted(map(int, comp))
-    T = fr.tower(labels, [G[np.ix_(comp, comp)] for G in generators])
-    if T is None:
-        raise CertificationError("module_graph", "the tower on a component left the nonnegative cone")
     alcove = sorted(range(len(labels)), key=lambda j: (sum(labels[j]), [-x for x in labels[j]]))
-    T = T[alcove]
+    T = T[np.ix_(alcove, comp, comp)]
     n = len(labels[0]) + 1
     nality = np.array([sum(j * x for j, x in enumerate(labels[k], 1)) % n for k in alcove])
     first, total = (T != 0).argmax(axis=0), T.sum(axis=0)
@@ -601,18 +604,7 @@ def _name_component(labels, generators, comp, vacuum=None):
 
 def extract_module_graph(lift: ChiralLift) -> ModuleGraph:
     """The quantum graph: the component of the vacuum slot, whose base,
-    vertex 1, is the vacuum slot, and in which the last generator, that of
-    the conjugate of omega_1, must be the transpose of the first."""
-    graph = lift.components[0]
-    if not np.array_equal(graph.generators[-1], graph.generators[0].T):
-        raise CertificationError("module_graph", "the conjugate generator is not the transpose")
-    return graph
-
-
-def annular_matrices(graph: ModuleGraph, labels):
-    """One vertex x vertex matrix per label of the ring: the module action
-    of the whole alcove, grown by the same tower as the ring itself."""
-    F = fr.tower(labels, graph.generators)
-    if F is None:
-        raise CertificationError("annular", "the tower recursion left the nonnegative cone")
-    return fr.FusionRing(labels, F)
+    vertex 1, is the vacuum slot. Its last generator, that of the conjugate
+    of omega_1, is the transpose of the first, since the lift certifies
+    that on all the slots."""
+    return lift.components[0]

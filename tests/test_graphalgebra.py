@@ -896,10 +896,12 @@ def test_quantum_masses(quantum_graph):
 # release checks on a corrupted input
 # ---------------------------------------------------------------------------
 
-def test_chiral_generator_check_fails_on_a_corrupted_generator(chiral_lift, monkeypatch):
-    Vs = fr.FusionRing(chiral_lift.Vs.labels, chiral_lift.Vs.tensor.copy())
-    Vs[(1, 1, 0)][0, 5] += 1
-    monkeypatch.setattr(pl, "chiral_lift", lambda: dataclasses.replace(chiral_lift, Vs=Vs))
+def test_chiral_generator_check_fails_on_a_corrupted_generator(parity, monkeypatch):
+    # a corrupted right action: a corrupted Vs is refused before the check,
+    # by the naming of the components
+    Rs = fr.FusionRing(parity.Rs.labels, parity.Rs.tensor.copy())
+    Rs[(1, 1, 0)][0, 5] += 1
+    monkeypatch.setattr(pl, "parity", lambda: dataclasses.replace(parity, Rs=Rs))
     ok, detail = acc.check_chiral_generators()
     assert not ok
     assert detail.endswith("all 1225 left/right pairs commute: False")

@@ -24,6 +24,7 @@ from fusioncat import embedding as emb
 from fusioncat import fusion as fr
 from fusioncat import graphalgebra as ga
 from fusioncat import modular as md
+from fusioncat import pipeline as pl
 from fusioncat import splitting as sp
 from fusioncat import weights as wt
 
@@ -53,12 +54,21 @@ def chain(name):
     data, fam = family(*CASES[name])
     lift = sp.lift_chiral_generators(fam)
     graph = sp.extract_module_graph(lift)
-    annular = sp.annular_matrices(graph, data.labels)
+    annular = graph.annular
     shared = ga.shared_doublet_system(annular)
     galg = ga.solve_graph_algebra(shared)
     qg = ga.quantum_graph(galg, graph, annular, dict(zip(data.labels, data.hs)))
     return SimpleNamespace(data=data, fam=fam, lift=lift, graph=graph, annular=annular, shared=shared,
                            galg=galg, oc=ga.oc_matrices(qg))
+
+
+def lift_and_graph(name):
+    """The chiral lift and the quantum graph of CASES[name], or of the
+    flagship for e4."""
+    if name == "e4":
+        return pl.chiral_lift(), pl.quantum_graph()
+    c = chain(name)
+    return c.lift, c.oc.qg
 
 
 def exponent_eigenvalues(data, M):
@@ -143,6 +153,36 @@ def test_the_graph_records_validate_and_round_trip(name):
     assert [(k["name"], k["directed"]) for k in classes] == EDGE_CLASSES[name]
     assert all(k["edges"] for k in classes)
     assert len(records[1].payload["slots"]) == OCNEANU[name]
+
+
+@pytest.mark.parametrize("name", ["e4", *sorted(CASES)])
+def test_every_component_is_a_block_of_the_lift_tower(name):
+    # the oracles are the routes the blocks replace: a tower grown on each
+    # component's own generators, and the components of the summed
+    # generators, closed by squaring, in the order of their smallest slots
+    lift, _ = lift_and_graph(name)
+    for c in lift.components:
+        assert np.array_equal(c.annular.tensor, fr.tower(lift.fam.labels, c.generators))
+    adj = sum(lift.generators)
+    reach = (adj + adj.T + np.eye(len(adj), dtype=np.int64) > 0).astype(np.int64)
+    for _ in range(len(adj).bit_length()):
+        reach = (reach @ reach > 0).astype(np.int64)
+    parts = sorted({tuple(np.flatnonzero(row)) for row in reach})
+    assert [set(p) for p in parts] == [set(c.ordering) for c in lift.components]
+
+
+@pytest.mark.parametrize("name", ["e4", *sorted(CASES)])
+def test_a_conjugate_pair_is_read_off_its_index(name, monkeypatch):
+    # neither conjugation builds the list of basis pairs to look one up
+    _, qg = lift_and_graph(name)
+    pairs = ga.basis_pairs(qg)
+    want = [(ga.chiral_conjugate(qg, p), ga.conjugate_pair(qg, p)) for p in pairs]
+
+    def refuse(qg):
+        raise AssertionError("the basis pair list was built")
+
+    monkeypatch.setattr(ga, "basis_pairs", refuse)
+    assert [(ga.chiral_conjugate(qg, p), ga.conjugate_pair(qg, p)) for p in pairs] == want
 
 
 @pytest.mark.parametrize("case", [(1, 4, "A", 2), (3, 2, "A", 5)], ids=["SU2_4-SU3_1", "SU4_2-SU6_1"])

@@ -158,9 +158,10 @@ def test_survivor_pick_refuses_a_corrupted_survivor(which, step, survivors):
 
 
 def test_one_naming_pass_per_lift(chiral_lift, monkeypatch):
-    # one tower and no Perron iteration per component, shared by the module
-    # graph, the slot map and criterion 7; the float weights are computed
-    # once, when first read
+    # one naming per lift, shared by the module graph, the slot map and
+    # criterion 7, with no tower and no Perron iteration: each component is
+    # a block of the lift's tower; the float weights are computed once,
+    # when first read
     calls = {"perron": [], "tower": []}
     perron, tower = fr.perron_vector, fr.tower
 
@@ -178,7 +179,7 @@ def test_one_naming_pass_per_lift(chiral_lift, monkeypatch):
     graph = sp.extract_module_graph(lift)
     comps = lift.components
     assert comps[0] is graph and lift.components is comps
-    assert calls == {"perron": [], "tower": [12, 12, 12, 12]}
+    assert calls == {"perron": [], "tower": []}
     assert graph.dims is graph.dims
     assert calls["perron"] == [12]
 
@@ -197,7 +198,7 @@ def test_relabeled_alcove_gives_the_same_quantum_graph(
     fam = sp.modular_splitting(fr.FusionRing(relabeled, T[p][:, p][:, :, p]), invariant.matrix[np.ix_(p, p)])
     assert fam.rank == 33
     graph = sp.extract_module_graph(sp.lift_chiral_generators(fam))
-    annular = sp.annular_matrices(graph, relabeled)
+    annular = graph.annular
     galg = ga.solve_graph_algebra(ga.shared_doublet_system(annular))
     assert galg.G.keys() == graph_algebra.G.keys()
     assert all(np.array_equal(galg.G[a], graph_algebra.G[a]) for a in galg.G)

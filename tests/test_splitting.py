@@ -233,7 +233,8 @@ def test_renamed_slots_give_the_same_named_components(seed, chiral_lift):
     # slot q[z] of the lift is slot z of the renamed one; slot 0 stays put
     q = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(47)])
     at = np.ix_(q, q)
-    renamed = dataclasses.replace(chiral_lift, generators=tuple(G[at] for G in chiral_lift.generators))
+    Vs = fr.FusionRing(chiral_lift.Vs.labels, chiral_lift.Vs.tensor[:, q][:, :, q])
+    renamed = dataclasses.replace(chiral_lift, generators=tuple(G[at] for G in chiral_lift.generators), Vs=Vs)
     comps = chiral_lift.components
     new = renamed.components
     assert len(new) == len(comps)
@@ -245,6 +246,7 @@ def test_renamed_slots_give_the_same_named_components(seed, chiral_lift):
         for j, (F, G) in enumerate(zip(c.generators, old.generators)):
             assert np.array_equal(F, G), j
         assert c.tau == old.tau and c.keys == old.keys
+        assert np.array_equal(c.annular.tensor, old.annular.tensor)
     # the vacuum component is the renamed one, up to swaps inside a key tie
     vac, old = new[0], comps[0]
     assert vac.ordering[0] == 0
@@ -260,8 +262,7 @@ def test_a_regular_module_is_named_by_n_ality_and_alcove_index(rank, level):
     # constant of the flagship in the rule
     ring = fr.fusion_matrices(wt.algebra("A", rank), level)
     labels = ring.labels
-    gens = [ring[tuple(int(i == j) for j in range(rank))] for i in range(rank)]
-    ordering, keys = sp._name_component(labels, gens, range(len(labels)))
+    ordering, keys = sp._name_component(labels, ring.tensor, range(len(labels)))
     nality = [sum(j * x for j, x in enumerate(la, 1)) % (rank + 1) for la in labels]
     assert keys == [(nality[z], z, 1) for z in ordering]
     assert len(set(keys)) == len(keys)
@@ -276,7 +277,16 @@ def test_naming_refuses_an_ungraded_or_unreached_component(level, G):
     labels = wt.enumerate_alcove(wt.algebra("A", 1), level)
     G = np.array(G, dtype=np.int64)
     with pytest.raises(CertificationError, match="^module_graph: "):
-        sp._name_component(labels, [G], range(len(G)))
+        sp._name_component(labels, fr.tower(labels, [G]), range(len(G)))
+
+
+def test_the_naming_refuses_a_corrupted_slot_tower(chiral_lift):
+    # one more cell in V_(1, 1, 0), of N-ality 3, takes slot 0 to slot 5,
+    # which only labels of N-ality 1 reach
+    Vs = fr.FusionRing(chiral_lift.Vs.labels, chiral_lift.Vs.tensor.copy())
+    Vs[(1, 1, 0)][0, 5] += 1
+    with pytest.raises(CertificationError, match="^module_graph: "):
+        dataclasses.replace(chiral_lift, Vs=Vs).components
 
 
 def test_parity_involution(chiral_lift, parity):

@@ -144,15 +144,18 @@ def test_one_tower_with_no_literal_label_rank_dispatch_or_level():
     # every ring and module action is grown by fusion.tower from the
     # generators and labels it is given: fusion.py spells out no Dynkin
     # label such as (0, 1, 0) and dispatches on no rank, the su4_tower name
-    # is only an alias, and the annular family passes no level
+    # is only an alias, and splitting.py grows one tower, the lift's, whose
+    # blocks are the components and the annular family, so no module tower
+    # can pass a level
     label = re.compile(r"\(\s*-?\d+\s*,(\s*-?\d+\s*,?)*\s*\)")
     lines = (PACKAGE / "fusion.py").read_text().splitlines()
     assert [n for n, line in enumerate(lines, 1) if label.search(line) or "rank ==" in line] == []
     fr = importlib.import_module("fusioncat.fusion")
     assert fr.su4_tower is fr.tower
     sp = importlib.import_module("fusioncat.splitting")
-    body = ast.parse(inspect.getsource(sp.annular_matrices))
-    assert [n.value for n in ast.walk(body) if isinstance(n, ast.Constant) and type(n.value) is int] == []
+    tree = ast.parse(inspect.getsource(sp))
+    towers = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func) == "fr.tower"]
+    assert len(towers) == 1
 
 
 def test_splitting_names_vertices_by_integers_alone():
