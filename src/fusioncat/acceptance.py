@@ -323,7 +323,7 @@ def check_graph_algebra():
     reversal_bad = sum(
         prod(a, b) != prod(T[b], a) for a in range(1, 13) for b in range(1, 13)
     )
-    fracs, crossed_sols = ga.crossed_branch(pl.doublet_system())
+    fracs, crossed_sols = ga.crossed_branch(ga.shared_doublet_system(pl.annular()))
     crossed_ok = crossed_sols == [] and len(fracs) > 0
     ok = table_ok and twist_ok and conj_ok and crossed_ok
     detail = (

@@ -2,12 +2,15 @@
 
 Exit codes: 0 on success, 1 when a verification check fails or a derived
 object or stored artifact fails its certification, 2 when a requested
-artifact is missing from the catalog, 64 on bad arguments.
+artifact is missing from the catalog, 64 on bad arguments, among them an
+output path that cannot be written: the --out file of export, or a catalog
+whose directory cannot be made.
 """
 
 import argparse
 import re
 import sys
+from pathlib import Path
 
 from . import ARTIFACT_KINDS, CertificationError, MissingArtifact
 
@@ -57,6 +60,21 @@ def _catalog(args):
     return cat.Catalog(args.catalog)
 
 
+def _write(path, action):
+    """action(), which writes under `path`; an OSError of it is a UsageError."""
+    try:
+        return action()
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}") from None
+
+
+def _writable_catalog(args):
+    """The catalog, its objects directory made before anything is put."""
+    store = _catalog(args)
+    _write(store.root, lambda: store.objects.mkdir(parents=True, exist_ok=True))
+    return store
+
+
 def _fixture(text):
     if text != "e4":
         raise argparse.ArgumentTypeError("the only shipped fixture is 'e4'")
@@ -85,7 +103,7 @@ def cmd_fusion(args):
     labels = wt.enumerate_alcove(spec, args.level)
     mats = fr.fusion_matrices(spec, args.level)
     rec = cat.fusion_ring_record(spec, args.level, labels, mats)
-    h = _catalog(args).put(rec)
+    h = _writable_catalog(args).put(rec)
     print(f"stored fusion-ring {h} ({len(labels)} matrices)")
     return EX_OK
 
@@ -96,7 +114,7 @@ def cmd_modular(args):
 
     data = md.modular_data(_modular_algebra(args.algebra), args.level)
     rec = cat.modular_data_record(data)
-    h = _catalog(args).put(rec)
+    h = _writable_catalog(args).put(rec)
     print(f"stored modular-data {h} ({len(data.labels)} labels, c={data.central_charge})")
     return EX_OK
 
@@ -176,7 +194,7 @@ def _summary(kind):
 def _store_command(kind):
     """The command that stores the flagship record of `kind` and its inputs."""
     def cmd(args):
-        h = _store_flagship(_catalog(args), kind)[kind]
+        h = _store_flagship(_writable_catalog(args), kind)[kind]
         print(f"stored {kind} {h} ({_summary(kind)})")
         return EX_OK
 
@@ -220,8 +238,7 @@ def cmd_export(args):
             return EX_USAGE
         text = cat.emit_dot(graph, name=args.kind)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, lambda: Path(args.out).write_text(text))
     else:
         sys.stdout.write(text)
     return EX_OK

@@ -73,18 +73,15 @@ class _Echelon:
     columns; the columns after them (a right-hand side, coordinate tags)
     ride along in every row operation."""
 
-    def __init__(self, npivot, rows, reduced=False):
+    def __init__(self, npivot, rows):
         """`rows` must be reduced against each other: the pivot of each, its
         first nonzero column among the first `npivot`, is zero in the
-        others. They are kept primitive and positive at their pivots;
-        `reduced` says they are so already, as the rows of an RrefResult
-        are, and the echelon keeps `rows` itself."""
+        others. They are kept primitive and positive at their pivots."""
         self.npivot = npivot
         # with no columns to pivot in, there are no rows (argmax of nothing raises)
         self.pivots = (rows[:, :npivot] != 0).argmax(axis=1) if npivot else np.zeros(0, dtype=np.intp)
         at = np.arange(len(rows)), self.pivots
-        if not reduced:
-            rows = _primitive(rows) * np.where(rows[at] > 0, 1, -1)[:, None]
+        rows = _primitive(rows) * np.where(rows[at] > 0, 1, -1)[:, None]
         self._buf = _fit(rows)  # the rows, then spare room
         self.lead = rows[at].tolist()
         self.top = np.abs(rows).max(axis=1).tolist() if rows.size else []  # largest |entry|
@@ -291,16 +288,12 @@ class RrefResult:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def rows(self, rhs=False):
-        """The reduced rows, one per pivot, over the ncols unknowns, and with
-        `rhs` the right-hand sides as one more column each. Of a homogeneous
-        system, the rows without them are a basis of the row space."""
-        k = self.rhs.shape[1] if self.rhs.ndim == 2 else 1
-        rows = np.zeros((self.rank, self.ncols + k * rhs), dtype=self.coeffs.dtype)
+    def rows(self):
+        """The reduced rows, one per pivot, over the ncols unknowns. Of a
+        homogeneous system they are a basis of the row space."""
+        rows = np.zeros((self.rank, self.ncols), dtype=self.coeffs.dtype)
         rows[np.arange(self.rank), self.pivot_cols] = self.lead
         rows[:, self.free_cols] = self.coeffs
-        if rhs:
-            rows[:, self.ncols :] = self.rhs.reshape(self.rank, k)
         return rows
 
 
@@ -340,16 +333,6 @@ class LinearSystem:
             self._consistent = False
         else:
             self._core.merge(new)
-
-    @classmethod
-    def from_rref(cls, res):
-        """The system whose reduced form is `res`, stated from its rows
-        without reducing them again; rows added to it leave `res`
-        unchanged."""
-        out = cls(res.ncols)
-        out._core = _Echelon(res.ncols, res.rows(rhs=True), reduced=True)
-        out._consistent = res.consistent
-        return out
 
     def rref(self) -> RrefResult:
         core = self._core or _Echelon(self.ncols, np.zeros((0, self.ncols + 1), dtype=np.int64))

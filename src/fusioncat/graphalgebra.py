@@ -14,8 +14,11 @@ Zuber, hep-th/9908036). On a graph with no doublets, such as E6 of SU(2) or
 E5 of SU(3), that solve is the whole algebra, certified by closure alone.
 Otherwise the doublet members come from an exact linear system stated by
 generic rules, lattice enumeration and a closure filter; the survivors must
-form one orbit of doublet swaps, and the lexicographic maximum is kept. The
-flagship's crossed conjugation branch has no integer solution.
+form one orbit of doublet swaps, and the lexicographic maximum is kept. A
+member is nonnegative and at most its doublet sum cell by cell, so the
+system's unknowns are the cells where a sum is nonzero (89 of 432 on the
+flagship), and each conjugation branch states and reduces its own system.
+The flagship's crossed conjugation branch has no integer solution.
 
 quantum_graph reads off the algebra conjugation (G_a^T = G_b), the twist
 (of the involutive anti-automorphisms keeping the module graph's integer
@@ -89,51 +92,64 @@ def partial_algebra(annular):
             {c: M for c, M in pinned.items() if len(c) == 2})
 
 
-def _transpose(size):
-    """vec(X^T) = vec(X)[_transpose(size)] for a size x size X."""
-    return np.arange(size * size).reshape(size, size).T.reshape(-1)
-
-
 @dataclass(frozen=True)
 class DoubletSystem:
-    """What shared_doublet_system states, over x = (vec X_u for each doublet
-    (u, v) of `sums`, in order), each vec row-major. With no doublets there
-    is no x: rref and branch are None."""
-    rref: xla.RrefResult  # the shared constraints, reduced
-    caps: np.ndarray  # the cap of every cell of x: its doublet sum
+    """What the doublet system is stated on. Its unknowns are the cells of
+    x = (vec X_u for each doublet (u, v) of `sums`, in order), each vec
+    row-major, where the doublet sum is nonzero: G_u = X_u and G_v = S - X_u
+    are nonnegative, so 0 <= X_u <= S cell by cell and X_u is zero wherever
+    S is. The record holds no constraint row; each branch states its own
+    system (_solve_doublets). With no doublets there is no unknown and
+    branch is None."""
     knowns: dict  # vertex -> pinned matrix
     sums: dict  # doublet (u, v) -> G_u + G_v
     branch: tuple  # the doublet whose sum is its own transpose
+    cells: np.ndarray  # the support of the sums: the cells of x that are unknowns
+    caps: np.ndarray  # the cap of each of those cells: its doublet sum
+    fundamental: list  # the annular matrices of the fundamental labels
 
 
 def shared_doublet_system(annular) -> DoubletSystem:
-    """partial_algebra's matrices and sums, and the constraints both
-    conjugation branches share on X_u = G_u, G_v = S - X_u for each doublet
-    (u, v) of sum S: closure, X_u G_a = sum_c (G_a)[u, c] G_c, for each
-    pinned a but the unit 1; commutation with the annular matrix of each
-    fundamental label; the unit row of X_u; X_e = X_d^T where S_d^T = S_e.
-    The one doublet whose sum is its own transpose is the branch. Its
-    reduced form holds 411 x 21 entries on the flagship, its rows 411 x 433.
-    A graph with no doublets keeps what the vacuum rows pin."""
+    """partial_algebra's matrices and sums, the branch doublet (the one whose
+    sum is its own transpose), the support of the sums and the fundamental
+    annular matrices. On the flagship the support holds 89 of the
+    3 x 144 cells. A graph with no doublets keeps what the vacuum rows pin."""
     knowns, sums = partial_algebra(annular)
-    if not sums:
-        return DoubletSystem(None, np.zeros(0, dtype=np.int64), knowns, sums, None)
     branch = [d for d, S in sums.items() if np.array_equal(S, S.T)]
-    _require(len(branch) == 1, "graph_algebra",
+    _require(len(branch) == 1 or not sums, "graph_algebra",
              f"{len(branch)} doublet sums are their own transpose, where one splits the branches")
+    caps = np.array(list(sums.values()), dtype=np.int64).reshape(-1)
+    cells = np.flatnonzero(caps)
+    fundamental = [Fl for lab, Fl in annular.items() if sum(lab) == 1]
+    return DoubletSystem(knowns, sums, branch[0] if sums else None, cells, caps[cells], fundamental)
+
+
+def _solve_doublets(shared: DoubletSystem, self_conjugate):
+    """The branch's reduced system and its lattice points, unpacked onto
+    every cell. One system over the support cells holds the constraints both
+    branches share on X_u = G_u, G_v = S - X_u for each doublet (u, v) of
+    sum S: closure, X_u G_a = sum_c (G_a)[u, c] G_c, for each pinned a but
+    the unit 1; commutation with each fundamental annular matrix; the unit
+    row of X_u; X_e = X_d^T where S_d^T = S_e. To them it adds the branch
+    doublet's X = X^T (the kept branch) or X + X^T = S (the crossed one),
+    for its member X and sum S. Each block is stated over every cell and
+    restricted to the support; a row left zero with a nonzero right-hand
+    side makes the system inconsistent. On the flagship: 89 unknowns, rank
+    84 on the kept branch and 87 on the crossed one."""
+    knowns, sums = shared.knowns, shared.sums
     size = len(knowns[1])
     n = size * size
     I, In = np.eye(n, dtype=np.int64), np.eye(size, dtype=np.int64)
-    sys = xla.LinearSystem(len(sums) * n)
+    T = I[np.arange(n).reshape(size, size).T.reshape(-1)]  # vec(X^T) = T vec(X)
+    sys = xla.LinearSystem(len(shared.cells))
 
     def state(parts, rhs):  # parts: (doublet index k, the coefficients of vec X_k)
         A = np.zeros((len(rhs), len(sums) * n), dtype=np.int64)
         for k, M in parts:
             A[:, k * n : (k + 1) * n] += M
-        sys.add(A, rhs)
+        sys.add(A[:, shared.cells], rhs)
 
     zero = np.zeros(n, dtype=np.int64)
-    fundamental = [Fl for lab, Fl in annular.items() if sum(lab) == 1]
     for k, (u, _) in enumerate(sums):
         for a in knowns.keys() - {1}:
             # closure; m is row u of G_a, and doublet (x, y) adds m_x X_x + m_y (S - X_x)
@@ -142,46 +158,37 @@ def shared_doublet_system(annular) -> DoubletSystem:
             parts += [(j, (m[y - 1] - m[x - 1]) * I) for j, (x, y) in enumerate(sums) if m[x - 1] != m[y - 1]]
             rhs = sum(m[c - 1] * M for c, M in knowns.items()) + sum(m[y - 1] * S for (_, y), S in sums.items())
             state(parts, rhs.reshape(-1))
-        for Fl in fundamental:  # [X_u, F_lam] = 0
+        for Fl in shared.fundamental:  # [X_u, F_lam] = 0
             state([(k, np.kron(In, Fl.T) - np.kron(Fl, In))], zero)
         state([(k, I[:size])], In[u - 1])  # the first row is the unit row of X_u
     for (i, Sd), (j, Se) in combinations(enumerate(sums.values()), 2):
         if np.array_equal(Sd.T, Se):  # conjugation transposes: X_e = X_d^T
-            state([(j, I), (i, -I[_transpose(size)])], zero)
-    caps = np.concatenate([S.reshape(-1) for S in sums.values()])
-    return DoubletSystem(sys.rref(), caps, knowns, sums, branch[0])
-
-
-def _solve_doublets(shared: DoubletSystem, self_conjugate):
-    """The branch's reduced system and its lattice points, unpacked: the
-    shared blocks restated from their reduced form, and the branch doublet's
-    X = X^T or X + X^T = S, for its member X and sum S."""
-    sys = xla.LinearSystem.from_rref(shared.rref)
-    S, k = shared.sums[shared.branch], list(shared.sums).index(shared.branch)
-    size, n = len(S), S.size
-    I = np.eye(n, dtype=np.int64)
-    T = I[_transpose(size)]
-    A = np.zeros((n, len(shared.sums), n), dtype=np.int64)
-    A[:, k] = I - T if self_conjugate else I + T
-    sys.add(A.reshape(n, -1), 0 if self_conjugate else S.reshape(-1))
+            state([(j, I), (i, -T)], zero)
+    S, k = sums[shared.branch], list(sums).index(shared.branch)
+    state([(k, I - T if self_conjugate else I + T)], zero if self_conjugate else S.reshape(-1))
     res = sys.rref()
     pts = xla.lattice_points(res, shared.caps) if res.consistent else []
-    return res, [tuple(np.array(x, dtype=np.int64).reshape(-1, size, size)) for x in pts]
+    x = np.zeros((len(pts), len(sums) * n), dtype=np.int64)
+    x[:, shared.cells] = np.array(pts, dtype=np.int64).reshape(len(pts), len(shared.cells))
+    # one array per candidate, so a kept survivor holds no other candidate
+    return res, [tuple(X.reshape(-1, size, size).copy()) for X in x]
 
 
-def doublet_solutions(shared: DoubletSystem, self_conjugate=True):
-    """Integer candidates for the open doublet members, one per doublet of
-    shared.sums: the lattice points of the doublet system, each cell capped
-    by its doublet sum. The branch doublet's member is symmetric (the kept
-    branch) or crossed with its partner, X + X^T = S (empty)."""
-    return _solve_doublets(shared, self_conjugate)[1]
+def doublet_solutions(shared: DoubletSystem):
+    """Integer candidates for the open doublet members on the kept branch,
+    one per doublet of shared.sums: the lattice points of its doublet
+    system, each cell capped by its doublet sum, with the branch doublet's
+    member symmetric."""
+    return _solve_doublets(shared, True)[1]
 
 
 def crossed_branch(shared: DoubletSystem):
-    """The crossed conjugation branch, from one reduced system: the values
-    its rational solution forces on cells outright (pivots with no free
-    columns) that are proper fractions, sorted, and its integer solutions
-    as doublet_solutions lists them."""
+    """The crossed conjugation branch, X + X^T = S on the branch doublet,
+    from one reduced system: the values its rational solution forces on
+    cells outright (pivots with no free columns) that are proper fractions,
+    sorted, and its integer solutions as doublet_solutions lists them.
+    Forced is relative to the zeros off the support of the sums, which are
+    no unknowns of the system."""
     res, sols = _solve_doublets(shared, False)
     _require(res.consistent, "graph_algebra", "the crossed branch is not even rationally solvable")
     forced = [

@@ -5,7 +5,9 @@ without recomputing the ones below it.
 
 Stage order: modular data -> fusion ring -> invariant -> splitting family ->
 chiral lift -> parity -> module graph -> annular matrices -> graph algebra ->
-quantum graph -> quantum symmetries, dual matrices and slot map.
+quantum graph -> quantum symmetries, dual matrices and slot map. The graph
+algebra and criterion 9 each state and solve their own doublet system, so
+no stage keeps a linear system or its reduced form.
 """
 
 from functools import lru_cache
@@ -68,18 +70,8 @@ def annular():
 
 
 @lru_cache(maxsize=None)
-def doublet_system():
-    """The six vertex matrices and three doublet sums the vacuum rows of the
-    annular matrices pin, and the doublet constraints both conjugation
-    branches share, reduced: the graph algebra solves the kept branch and
-    criterion 9 the crossed one, each restating the system from it, so no
-    stage holds the 411 x 433 rows of the system past its own solve."""
-    return ga.shared_doublet_system(annular())
-
-
-@lru_cache(maxsize=None)
 def graph_algebra() -> ga.GraphAlgebra:
-    return ga.solve_graph_algebra(doublet_system())
+    return ga.solve_graph_algebra(ga.shared_doublet_system(annular()))
 
 
 @lru_cache(maxsize=None)

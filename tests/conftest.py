@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fusioncat import exactla as xla
+from fusioncat import graphalgebra as ga
 from fusioncat import pipeline as pl
 
 # runs each snippet of argv[1], a JSON object name -> code, in its own
@@ -88,8 +89,8 @@ def annular():
 
 
 @pytest.fixture(scope="session")
-def doublet_system():
-    return pl.doublet_system()
+def doublet_system(annular):
+    return ga.shared_doublet_system(annular)
 
 
 @pytest.fixture(scope="session")

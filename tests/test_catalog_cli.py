@@ -484,6 +484,27 @@ def test_cli_bad_arguments(store, capsys):
     assert store.find("modular-data") == [] and store.find("fusion-ring") == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["--catalog", "{file}", "modular", "--algebra", "A1", "--level", "1"],
+    ["--catalog", "{file}", "fusion", "--algebra", "A1", "--level", "1"],
+    ["--catalog", "{file}", "ocneanu"],
+    ["export", "--kind", "modular-data", "--out", "{missing}/x.json"],
+], ids=["modular", "fusion", "ocneanu", "export"])
+def test_an_unusable_output_path_exits_64_with_one_line(argv, store, tmp_path, capsys):
+    # a catalog path that is a regular file, or an --out file in a missing
+    # directory: a usage error naming the path, not a failed check
+    assert cli.main(["modular", "--algebra", "A1", "--level", "1"]) == 0
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    paths = {"file": regular, "missing": tmp_path / "missing"}
+    capsys.readouterr()
+    assert cli.main([a.format(**paths) for a in argv]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("fusioncat: error: cannot write ") and str(tmp_path) in err
+    assert regular.read_text() == "" and not paths["missing"].exists()
+
+
 def test_flagship_stages_take_no_fixture(store, capsys):
     # only verify names the shipped fixture; the stage commands reject it
     for command in ("split", "realize", "ocneanu"):

@@ -13,7 +13,7 @@ anti-homomorphisms.
 import dataclasses
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -167,11 +167,11 @@ def test_relabeled_vertices_give_the_same_algebra(seed, annular, graph_algebra):
 
 
 def test_doublet_branch_counts(doublet_system, graph_algebra):
-    cands = ga.doublet_solutions(doublet_system, self_conjugate=True)
+    cands = ga.doublet_solutions(doublet_system)
     assert len(cands) == 48
     assert graph_algebra.doublet_survivors == 2
     # the crossed pairing admits no integer point at all
-    assert ga.doublet_solutions(doublet_system, self_conjugate=False) == []
+    assert ga.crossed_branch(doublet_system)[1] == []
 
 
 def test_crossed_branch_forces_half_integers(doublet_system):
@@ -307,23 +307,81 @@ def test_closure_defect_matches_the_pairwise_reference_on_forced_products(
 
 
 def test_doublet_system_ranks(doublet_system):
-    # 432 unknowns: rank 417 leaves 15 free columns on the kept branch; the
-    # crossed branch has rank 420
+    # 89 unknowns, the support of the sums: rank 84 leaves 5 free columns on
+    # the kept branch; the crossed branch has rank 87
+    assert len(doublet_system.cells) == len(doublet_system.caps) == 89
     res = ga._solve_doublets(doublet_system, self_conjugate=True)[0]
-    assert res.consistent and res.rank == 417 and len(res.free_cols) == 15
+    assert res.ncols == 89 and res.consistent and res.rank == 84 and len(res.free_cols) == 5
     res = ga._solve_doublets(doublet_system, self_conjugate=False)[0]
-    assert res.consistent and res.rank == 420
+    assert res.consistent and res.rank == 87
 
 
-def test_shared_doublet_system_is_kept_reduced(doublet_system):
-    # the branches restate the shared blocks from their reduced form, 411
-    # rows over 21 free columns (test_doublet_system_ranks checks the
-    # restated systems); an inconsistent one stays inconsistent
-    res = doublet_system.rref
-    assert res.consistent and res.rank == 411 and res.coeffs.shape == (411, 21)
-    assert res.rhs.base is None  # it does not keep the system's rows alive
-    bad = dataclasses.replace(res, consistent=False)
-    assert not ga._solve_doublets(dataclasses.replace(doublet_system, rref=bad), True)[0].consistent
+def full_doublet_system(shared, self_conjugate):
+    """The doublet system over every cell of x = (vec X_u for each doublet),
+    432 on the flagship, with the branch stated in the same system: the
+    statement before the unknowns were cut to the support of the sums, kept
+    as an oracle. Returns the reduced form, the lattice points under the
+    cap of every cell (its doublet sum), unpacked as doublet_solutions
+    does, and those caps."""
+    knowns, sums = shared.knowns, shared.sums
+    size = len(knowns[1])
+    n = size * size
+    I, In = np.eye(n, dtype=np.int64), np.eye(size, dtype=np.int64)
+    T = I[np.arange(n).reshape(size, size).T.reshape(-1)]  # vec(X^T) = T vec(X)
+    sys = xla.LinearSystem(len(sums) * n)
+
+    def state(parts, rhs):
+        A = np.zeros((len(rhs), len(sums) * n), dtype=np.int64)
+        for k, M in parts:
+            A[:, k * n : (k + 1) * n] += M
+        sys.add(A, rhs)
+
+    zero = np.zeros(n, dtype=np.int64)
+    for k, (u, _) in enumerate(sums):
+        for a in knowns.keys() - {1}:
+            m = knowns[a][u - 1]
+            parts = [(k, np.kron(In, knowns[a].T))]
+            parts += [(j, (m[y - 1] - m[x - 1]) * I) for j, (x, y) in enumerate(sums) if m[x - 1] != m[y - 1]]
+            rhs = sum(m[c - 1] * M for c, M in knowns.items()) + sum(m[y - 1] * S for (_, y), S in sums.items())
+            state(parts, rhs.reshape(-1))
+        for Fl in shared.fundamental:
+            state([(k, np.kron(In, Fl.T) - np.kron(Fl, In))], zero)
+        state([(k, I[:size])], In[u - 1])
+    for (i, Sd), (j, Se) in combinations(enumerate(sums.values()), 2):
+        if np.array_equal(Sd.T, Se):
+            state([(j, I), (i, -T)], zero)
+    S, k = sums[shared.branch], list(sums).index(shared.branch)
+    state([(k, I - T if self_conjugate else I + T)], zero if self_conjugate else S.reshape(-1))
+    res = sys.rref()
+    caps = np.concatenate([S.reshape(-1) for S in sums.values()])
+    pts = xla.lattice_points(res, caps) if res.consistent else []
+    return res, [tuple(np.array(x, dtype=np.int64).reshape(-1, size, size)) for x in pts], caps
+
+
+def _key(cand):
+    return tuple(X.tobytes() for X in cand)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_the_support_statement_is_exact(seed, annular):
+    # every cell off the support of the sums is zero in any lattice point,
+    # so stating the system on the support alone loses no candidate and
+    # forces the same fractions; on e4 and on two relabelings that fix 1
+    if seed is not None:
+        p = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(11)])
+        annular = fr.FusionRing(annular.labels, annular.tensor[:, p][:, :, p])
+    shared = ga.shared_doublet_system(annular)
+    _, want, caps = full_doublet_system(shared, True)
+    assert len(shared.cells) == (caps != 0).sum() == 89
+    assert np.array_equal(shared.caps, caps[caps != 0])
+    got = ga.doublet_solutions(shared)
+    assert len(got) == len(want) == 48
+    assert {_key(c) for c in got} == {_key(c) for c in want}
+    res, crossed, _ = full_doublet_system(shared, False)
+    forced = sorted(Fraction(int(b), int(d)) for d, row, b in zip(res.lead, res.coeffs, res.rhs)
+                    if not row.any() and b % d)
+    assert crossed == [] and forced == [Fraction(1, 2)] * 8
+    assert ga.crossed_branch(shared) == (forced, [])
 
 
 def test_doublet_product_table(graph_algebra):

@@ -2,7 +2,8 @@
 `__all__`, and the attributes the benchmark tracer wraps. A refactor that
 renames or deletes one of them fails here instead of in a traced run. Also
 guards on the working set: no cached pipeline stage keeps an array of r^4
-entries, r the number of labels, and `fusioncat verify` loads neither
+entries, r the number of labels, nor an exact linear system or its reduced
+form, and `fusioncat verify` loads neither
 numpy.random, hashlib nor the catalog, and the package draws no random
 number and makes no LAPACK eigenvalue call. And one tower grows every ring
 and module, from no label or level written into it, the chiral lift and the
@@ -62,38 +63,55 @@ def test_every_traced_attribute_resolves():
     assert unresolved == []
 
 
-def _arrays(obj, seen):
-    """Every ndarray reachable from obj through dataclass fields, dicts,
-    lists, tuples and the attributes of the package's own objects."""
+def _reachable(obj, seen):
+    """obj and every object reachable from it through dataclass fields,
+    dicts, lists, tuples and the attributes of the package's own objects."""
     if id(obj) in seen:
         return
     seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, dict):
+    yield obj
+    if isinstance(obj, dict):
         for k, v in obj.items():
-            yield from _arrays(k, seen)
-            yield from _arrays(v, seen)
+            yield from _reachable(k, seen)
+            yield from _reachable(v, seen)
     elif isinstance(obj, (list, tuple, set, frozenset)):
         for v in obj:
-            yield from _arrays(v, seen)
+            yield from _reachable(v, seen)
     elif dataclasses.is_dataclass(obj) or type(obj).__module__.startswith("fusioncat."):
         for v in vars(obj).values():
-            yield from _arrays(v, seen)
+            yield from _reachable(v, seen)
+
+
+def _stages():
+    """name -> the result of every cached pipeline stage."""
+    pl = importlib.import_module("fusioncat.pipeline")
+    return {name: f() for name, f in vars(pl).items() if hasattr(f, "cache_info")}
 
 
 def test_no_stage_keeps_an_array_of_r4_entries():
     # the splitting family once kept all 35^4 products N_l M N_m^T; a stage
     # result that holds an array that large again fails here
-    pl = importlib.import_module("fusioncat.pipeline")
-    stages = {name: f for name, f in vars(pl).items() if hasattr(f, "cache_info")}
+    stages = _stages()
     assert {"family", "chiral_lift", "slot_map"} <= set(stages)
-    limit = len(pl.base_data().labels) ** 4
+    limit = len(stages["base_data"].labels) ** 4
     seen = set()
     large = {
-        name: a.shape for name, f in stages.items() for a in _arrays(f(), seen) if a.size >= limit
+        name: a.shape for name, result in stages.items() for a in _reachable(result, seen)
+        if isinstance(a, np.ndarray) and a.size >= limit
     }
     assert large == {}
+
+
+def test_no_stage_keeps_a_linear_system_or_a_reduced_form():
+    # the doublet system's reduced form was once a stage of its own, held
+    # for the life of the process; a stage result that reaches one again,
+    # or a whole system, fails here
+    xla = importlib.import_module("fusioncat.exactla")
+    held = {
+        name for name, result in _stages().items() for o in _reachable(result, set())
+        if isinstance(o, (xla.RrefResult, xla.LinearSystem))
+    }
+    assert held == set()
 
 
 # argv[1] is an empty catalog; prints what `verify` left loaded and the exit
